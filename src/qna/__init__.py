@@ -44,7 +44,6 @@ from .layer import (  # noqa: E402
     GradBundle,
     QnAConfig,
     QnAParams,
-    ScoreMaps,
     attention_heatmap,
     compute_scores,
     init_params,
@@ -103,7 +102,6 @@ __all__ = [
     "QnAParams",
     "QnatFormatError",
     "SasaParams",
-    "ScoreMaps",
     "ShapeError",
     "UnfoldedWindows",
     "attention_heatmap",

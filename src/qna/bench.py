@@ -7,11 +7,10 @@ extraction, and direct convolution. Transient memory comes from the
 deterministic AllocationLedger (never OS RSS); latency from a monotonic wall
 clock, single-threaded, mean/std plus median over the post-warmup repeats.
 
-The unfold-based paths here duplicate the oracle math with a memory-conscious
-schedule (keys are patch-extracted, consumed, and freed before values are),
-so they stay runnable at the reference 256x256x64 input where holding both
-patch buffers at k=15 would not fit. They are tested for agreement against
-the oracles at small sizes.
+The unfold-based paths are the reference oracles themselves. They extract,
+use and free the key patches before extracting the value patches, so they
+stay runnable at the reference 256x256x64 input, where holding both patch
+buffers at k=15 would not fit.
 """
 
 from __future__ import annotations
@@ -21,24 +20,21 @@ import statistics
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .layer import QnAConfig, QnAParams, init_params, qna_forward, used_queries
-from .model import _qna_flops
-from .oracles import SasaParams, unfold
+from .layer import QnAConfig, init_params, qna_forward
+from .model import qna_flops
+from .oracles import SasaParams, qna_window_oracle, sasa_forward
 from .tensor import (
+    DTYPE_TAGS,
     AllocationLedger,
     ShapeError,
     make_rng,
     conv2d,
     same_output_size,
-    softmax_rows,
     truncated_normal,
 )
 
 IMPLS = ("qna_efficient", "qna_unfold", "sasa_unfold", "conv")
 DEFAULT_K_SWEEP = (3, 5, 7, 9, 11, 13, 15)
-_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class BenchCase:
             raise ShapeError(f"unknown impl {self.impl!r}; expected one of {IMPLS}")
         if min(self.H, self.W, self.D, self.k, self.stride, self.heads, self.num_queries) < 1:
             raise ShapeError("case dimensions must be >= 1")
-        if self.dtype not in _DTYPES:
+        if self.dtype not in DTYPE_TAGS:
             raise ShapeError(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
         if self.repeats < 5:
             raise ShapeError(f"repeats must be >= 5, got {self.repeats}")
@@ -88,83 +84,9 @@ class BenchRow:
     mac_count: int
 
 
-# ---------------------------------------------------------------------------
-# Timed implementations
-# ---------------------------------------------------------------------------
-
-
-def _qna_unfold_forward(x, cfg: QnAConfig, params: QnAParams, ledger) -> np.ndarray:
-    """Patch-extraction route to the same function as qna_forward."""
-    H, W, Din = x.shape
-    L, h, dh, Dout = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out
-    k = cfg.k
-    x2 = x.reshape(H * W, Din)
-    q = used_queries(cfg, params)
-    if cfg.scale_scores:
-        q = q / np.sqrt(np.asarray(dh, dtype=x.dtype))
-    neg_inf = np.asarray(-np.inf, dtype=x.dtype)
-
-    keys = (x2 @ params.w_k).reshape(H, W, Dout)
-    kp = unfold(keys, k, cfg.stride, ledger)
-    del keys
-    Hp, Wp = kp.patches.shape[0], kp.patches.shape[1]
-    n_out = Hp * Wp
-    kp_flat = kp.patches.reshape(n_out, k * k, Dout)
-    mask_flat = kp.mask.reshape(n_out, k * k)
-    weighted = np.empty((L, h, n_out, k * k), dtype=x.dtype)
-    for l in range(L):
-        for g in range(h):
-            sl = slice(g * dh, (g + 1) * dh)
-            logits = kp_flat[:, :, sl] @ q[l, sl]
-            logits += params.bias[l].reshape(k * k)
-            logits = np.where(mask_flat, logits, neg_inf)
-            att = softmax_rows(logits, ledger)
-            weighted[l, g] = att * params.mix[l]
-    del kp, kp_flat, mask_flat
-
-    values = (x2 @ params.w_v + params.b_v).reshape(H, W, Dout)
-    vp = unfold(values, k, cfg.stride, ledger).patches.reshape(n_out, k * k, Dout)
-    del values
-    y = np.zeros((n_out, Dout), dtype=x.dtype)
-    for l in range(L):
-        for g in range(h):
-            sl = slice(g * dh, (g + 1) * dh)
-            y[:, sl] += np.matmul(weighted[l, g][:, None, :], vp[:, :, sl])[:, 0, :]
-    del vp
-    return (y @ params.w_o + params.b_o).reshape(Hp, Wp, Dout)
-
-
-def _sasa_unfold_forward(x, k: int, stride: int, params: SasaParams, ledger) -> np.ndarray:
-    """Center-query window attention via patch extraction, keys freed before
-    values are extracted."""
-    H, W, D = x.shape
-    x2 = x.reshape(H * W, D)
-    d_att = params.w_q.shape[1]
-    queries = (x2 @ params.w_q).reshape(H, W, d_att)[::stride, ::stride]
-    queries = np.ascontiguousarray(queries / np.sqrt(np.asarray(d_att, dtype=x.dtype)))
-    Hp, Wp = queries.shape[0], queries.shape[1]
-    n_out = Hp * Wp
-
-    keys = (x2 @ params.w_k).reshape(H, W, d_att)
-    kp = unfold(keys, k, stride, ledger)
-    del keys
-    logits = np.matmul(kp.patches.reshape(n_out, k * k, d_att),
-                       queries.reshape(n_out, d_att, 1))[:, :, 0]
-    logits = np.where(kp.mask.reshape(n_out, k * k), logits,
-                      np.asarray(-np.inf, dtype=x.dtype))
-    del kp
-    att = softmax_rows(logits, ledger)
-
-    values = (x2 @ params.w_v).reshape(H, W, params.w_v.shape[1])
-    vp = unfold(values, k, stride, ledger).patches.reshape(n_out, k * k, -1)
-    del values
-    out = np.matmul(att[:, None, :], vp)[:, 0, :]
-    return out.reshape(Hp, Wp, -1)
-
-
 def _build_runner(case: BenchCase, rng):
     """(callable(ledger) -> output, mac_count) with inputs drawn from rng."""
-    dt = _DTYPES[case.dtype]
+    dt = DTYPE_TAGS[case.dtype]
     x = rng.standard_normal((case.H, case.W, case.D)).astype(dt)
     hp = same_output_size(case.H, case.stride)
     wp = same_output_size(case.W, case.stride)
@@ -175,10 +97,10 @@ def _build_runner(case: BenchCase, rng):
             num_queries=case.num_queries, dim_in=case.D, dim_out=case.D,
         )
         params = init_params(cfg, rng, dtype=dt)
-        macs = _qna_flops(cfg, case.H, case.W)
+        macs = qna_flops(cfg, case.H, case.W)
         if case.impl == "qna_efficient":
             return (lambda ledger: qna_forward(x, cfg, params, ledger)), macs
-        return (lambda ledger: _qna_unfold_forward(x, cfg, params, ledger)), macs
+        return (lambda ledger: qna_window_oracle(x, cfg, params, ledger)), macs
 
     if case.impl == "sasa_unfold":
         params = SasaParams(
@@ -188,7 +110,7 @@ def _build_runner(case: BenchCase, rng):
         )
         d2 = case.D * case.D
         macs = (2 * case.H * case.W + hp * wp) * d2 + 2 * case.k * case.k * hp * wp * case.D
-        return (lambda ledger: _sasa_unfold_forward(x, case.k, case.stride, params, ledger)), macs
+        return (lambda ledger: sasa_forward(x, case.k, params, ledger, stride=case.stride)), macs
 
     w = truncated_normal(rng, (case.k, case.k, case.D, case.D), dtype=dt)
     macs = hp * wp * case.k * case.k * case.D * case.D

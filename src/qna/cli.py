@@ -24,10 +24,9 @@ from .layer import (
 )
 from .model import build_model, count_flops, count_params, forward_inference, make_arch
 from .oracles import finite_diff_grad, qna_window_oracle
-from .tensor import QnatFormatError, ShapeError, load_qnat, make_rng
+from .tensor import DTYPE_TAGS, QnatFormatError, ShapeError, load_qnat, make_rng
 
 _GRID_TOL = {"f64": 1e-10, "f32": 1e-5}
-_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 # Debug hook for fault-injection tests: name a QnAParams tensor here (e.g.
 # "w_o") and `check` perturbs it before comparing against the oracle, which
@@ -64,7 +63,7 @@ def _run_oracle_grid(grid: str, dtype_tag: str, seed: int, out=None) -> bool:
     out = sys.stdout if out is None else out  # late-bound so redirection works
     ks, strides, heads_list, query_counts, sizes = _check_grid_dims(grid)
     tol = _GRID_TOL[dtype_tag]
-    dt = _DTYPES[dtype_tag]
+    dt = DTYPE_TAGS[dtype_tag]
     rng = make_rng(seed)
     ok = True
     dim_in, dim_out = 5, 8
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run oracle-equivalence and gradient checks")
     p_check.add_argument("--grid", choices=("small", "full", "tiny-model"), default="small")
-    p_check.add_argument("--dtype", choices=("f32", "f64"), default="f64",
+    p_check.add_argument("--dtype", choices=tuple(DTYPE_TAGS), default="f64",
                          help="grid dtype; gradcheck runs only for f64")
     p_check.add_argument("--seed", type=int, default=42)
     p_check.set_defaults(handler=_cmd_check)
@@ -462,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--impls", type=_parse_impls, default=bench_mod.IMPLS,
                          metavar="IMPL1,IMPL2,...")
     p_bench.add_argument("--out", default="qna_bench.csv")
-    p_bench.add_argument("--dtype", choices=("f32", "f64"), default="f32")
+    p_bench.add_argument("--dtype", choices=tuple(DTYPE_TAGS), default="f32")
     p_bench.add_argument("--seed", type=int, default=42)
     p_bench.set_defaults(handler=_cmd_bench)
 

@@ -4,21 +4,27 @@ The layer attends within overlapping k x k windows, but its queries are
 learned parameters shared by every window instead of being derived from the
 window content. That sharing is what allows the efficient formulation: the
 query/key dot products collapse to one score map per (query, head) over the
-whole input, the softmax numerator and denominator become per-offset weighted
-window reductions of exponentiated maps, and no k**2-sized intermediate is
-ever materialized.
+whole input, exp(q.k + b) factors into that map's exponential times a fixed
+per-query k x k kernel exp(b), and the softmax numerator and denominator
+become per-offset weighted window reductions, like a depthwise convolution.
+No k**2-sized intermediate is ever materialized.
 
-For each head g and output site p (window center ``p * stride``):
+The kernel of query l is the same for each of its heads, so the heads are
+just channels of the reduced maps. For each query l, two reductions cover
+every head g and output site p (window center ``p * stride``):
 
-    z_g(p) = sum_l WWS(E_lg * V_g ; mix_l * exp(B_l))(p)
-                   / WWS(E_lg ; exp(B_l))(p)
+    z(p) = sum_l WWS(E_l * V ; mix_l * exp(B_l))(p) / WWS(E_l ; exp(B_l))(p)
 
-where E_lg = exp(S_lg - max S_lg) is the stabilized score map of query l,
-V = x W_V + b_V, B_l is the learned per-offset score bias of query l, mix_l
-blends the L attention maps, and WWS is ``tensor.window_weighted_sum``. Heads
-are concatenated and projected by W_O. Out-of-bounds window positions carry
-exactly zero weight because the exponentiated maps are never padded with
-fabricated keys (masked softmax).
+where E_l (H x W x heads) holds exp(S_lg - max S_lg), the stabilized score
+maps of query l, V = x W_V + b_V (H x W x heads x head_dim), E_l * V scales
+each head's values by its own map, and the quotient divides each head's
+channels by that head's normalizer. B_l is the learned per-offset score bias
+of query l, mix_l blends the L attention maps, and WWS is
+``tensor.window_weighted_sum``. The concatenated heads z are projected by
+W_O. Out-of-bounds window positions carry exactly zero weight because the
+exponentiated maps are never padded with fabricated keys (masked softmax).
+``_window_sums`` is that per-query core; the forward pass, the upsampling
+head, the heatmap and the backward pass all run on it.
 """
 
 from __future__ import annotations
@@ -33,15 +39,17 @@ import numpy as np
 from .tensor import (
     AllocationLedger,
     NumericalRangeError,
+    QnatFormatError,
     ShapeError,
     _record,
     _same_axis_ranges,
     check_dtype,
+    dtype_from_tag,
+    dtype_tag,
     load_qnat,
     make_rng,
     offset_bounds,
     require_finite,
-    reshape_permute,
     same_output_size,
     save_qnat,
     truncated_normal,
@@ -138,22 +146,6 @@ class QnAParams:
 
 
 @dataclass
-class ScoreMaps:
-    """Forward-pass state captured for the backward pass.
-
-    s: raw score maps, L x heads x H x W.
-    e: exp(s - per-(query,head) global max), same shape.
-    numerator: per-query windowed value sums, L x heads x H' x W' x head_dim.
-    normalizer: per-query windowed weight sums, L x heads x H' x W'.
-    """
-
-    s: np.ndarray
-    e: np.ndarray
-    numerator: np.ndarray
-    normalizer: np.ndarray
-
-
-@dataclass
 class GradBundle:
     """Gradients of a scalar loss with respect to the input and every parameter."""
 
@@ -225,7 +217,8 @@ def _query_key_map(cfg: QnAConfig, params: QnAParams) -> np.ndarray:
 
 
 def _reduction_kernels(cfg: QnAConfig, params: QnAParams):
-    """(numerator kernels mix_l * exp(B_l), denominator kernels exp(B_l))."""
+    """(numerator kernels mix_l * exp(B_l), denominator kernels exp(B_l)),
+    each L x k x k."""
     exp_b = np.exp(params.bias)
     require_finite(exp_b, "exp(bias)")
     num_k = params.mix.reshape(cfg.num_queries, cfg.k, cfg.k) * exp_b
@@ -233,13 +226,59 @@ def _reduction_kernels(cfg: QnAConfig, params: QnAParams):
 
 
 def _scores_from_map(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Score maps S[i, j, l, g] = A[l, g] . x[i, j], laid out H x W x L x heads."""
     # Sites-as-rows orientation: each site's score row depends only on that
     # site's input vector, which keeps the per-site reduction order (and so
     # the shift-equivariance guarantee) independent of the site's position.
-    L, h, _ = a.shape
-    H, W, Din = x.shape
+    L, h, Din = a.shape
+    H, W, _ = x.shape
     flat = x.reshape(H * W, Din) @ np.ascontiguousarray(a.reshape(L * h, Din).T)
-    return np.ascontiguousarray(flat.T).reshape(L, h, H, W)
+    return flat.reshape(H, W, L, h)
+
+
+def _exp_scores(x, cfg: QnAConfig, params: QnAParams, score_shift: float = 0.0) -> np.ndarray:
+    """Validate the inputs, then return E = exp(S - max S), H x W x L x heads,
+    with one max per (query, head) over all sites. E reuses the score buffer."""
+    _validate_layer_inputs(x, cfg, params)
+    e = _scores_from_map(_query_key_map(cfg, params), x)
+    if score_shift:
+        # Test hook: the output contract is invariant to a constant added to
+        # every score (global max subtraction plus per-window normalization).
+        e += np.asarray(score_shift, dtype=e.dtype)
+    e -= e.max(axis=(0, 1))
+    np.exp(e, out=e)
+    return e
+
+
+def _values(x, cfg: QnAConfig, params: QnAParams) -> np.ndarray:
+    """V = x W_V + b_V as H x W x heads x head_dim."""
+    H, W, _ = x.shape
+    v = x.reshape(H * W, cfg.dim_in) @ params.w_v
+    v += params.b_v
+    return v.reshape(H, W, cfg.heads, cfg.head_dim)
+
+
+def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
+    """Per-window softmax quotients of one query, with its heads as channels.
+
+    ``e_l`` (H x W x heads) holds the query's stabilized exponentials and
+    ``v`` (H x W x heads x head_dim) the values. All heads of a query share
+    its k x k kernels, so two window reductions serve every head:
+
+        quotient = WWS(E_l * V ; num_kernel) / WWS(E_l ; den_kernel)
+
+    Returns (quotient, normalizer) of shapes H' x W' x heads x head_dim and
+    H' x W' x heads x 1. A normalizer that underflowed to zero is an error.
+    """
+    H, W, h, dh = v.shape
+    den = window_weighted_sum(e_l, den_kernel, stride, "same", ledger)
+    if np.any(den == 0.0):
+        raise NumericalRangeError("window weight sum underflowed to zero (scores out of range)")
+    ev = (e_l[..., None] * v).reshape(H, W, h * dh)
+    quotient = window_weighted_sum(ev, num_kernel, stride, "same", ledger).reshape(*den.shape, dh)
+    den = den[..., None]
+    np.divide(quotient, den, out=quotient)
+    return quotient, den
 
 
 # ---------------------------------------------------------------------------
@@ -262,75 +301,9 @@ def compute_scores(
     """
     _validate_layer_inputs(x, cfg, params)
     a = _query_key_map(cfg, params)
-    s = _scores_from_map(a, x)
+    s = np.ascontiguousarray(_scores_from_map(a, x).transpose(2, 3, 0, 1))
     _record(ledger, "compute_scores", 2 * s.nbytes + a.nbytes)
     return s
-
-
-def _forward_core(x, cfg, params, ledger, score_shift, capture: bool):
-    """Shared forward path. Returns (out, ScoreMaps | None, V, y_pre)."""
-    _validate_layer_inputs(x, cfg, params)
-    H, W, _ = x.shape
-    L, h, dh, Dout = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out
-    Hp, Wp = same_output_size(H, cfg.stride), same_output_size(W, cfg.stride)
-    dt = x.dtype
-
-    a = _query_key_map(cfg, params)
-    s = _scores_from_map(a, x)
-    if score_shift:
-        # Test hook: the output contract is invariant to a constant added to
-        # every score (global max subtraction plus per-window normalization).
-        s += np.asarray(score_shift, dtype=dt)
-    s_raw = s.copy() if capture else None
-
-    m = s.max(axis=(2, 3), keepdims=True)
-    s -= m
-    np.exp(s, out=s)
-    e = s  # alias: scores buffer now holds the stabilized exponentials
-
-    v = (x.reshape(H * W, cfg.dim_in) @ params.w_v + params.b_v).reshape(H, W, h, dh)
-    num_k, den_k = _reduction_kernels(cfg, params)
-
-    acc = np.zeros((Hp, Wp, h, dh), dtype=dt)
-    ev = np.empty((H, W, dh), dtype=dt)
-    cap_num = np.empty((L, h, Hp, Wp, dh), dtype=dt) if capture else None
-    cap_den = np.empty((L, h, Hp, Wp), dtype=dt) if capture else None
-
-    for l in range(L):
-        nk = np.ascontiguousarray(num_k[l], dtype=dt)
-        dk = np.ascontiguousarray(den_k[l], dtype=dt)
-        for g in range(h):
-            np.multiply(e[l, g][:, :, None], v[:, :, g, :], out=ev)
-            num = window_weighted_sum(ev, nk, cfg.stride, "same", ledger)
-            den = window_weighted_sum(e[l, g].reshape(H, W, 1), dk, cfg.stride, "same", ledger)
-            if np.any(den == 0.0):
-                raise NumericalRangeError(
-                    "window weight sum underflowed to zero (scores out of range)"
-                )
-            if capture:
-                cap_num[l, g] = num
-                cap_den[l, g] = den[:, :, 0]
-            np.divide(num, den, out=num)
-            target = acc[:, :, g, :]
-            np.add(target, num, out=target)
-
-    y_pre = acc.reshape(Hp * Wp, Dout)
-    out = (y_pre @ params.w_o + params.b_o).reshape(Hp, Wp, Dout)
-
-    itemsize = dt.itemsize
-    transient = (
-        a.size + 2 * L * h * H * W      # query/key fold + score maps (both layouts)
-        + H * W * Dout                  # values
-        + H * W * dh                    # per-(query, head) weighted values
-        + Hp * Wp * dh + Hp * Wp        # one numerator / denominator pair
-        + Hp * Wp * Dout                # head accumulator
-        + 3 * L * cfg.k * cfg.k + L * h # reduction kernels and the score max
-    ) * itemsize
-    _record(ledger, "qna_forward", transient)
-
-    require_finite(out, "output")
-    maps = ScoreMaps(s=s_raw, e=e, numerator=cap_num, normalizer=cap_den) if capture else None
-    return out, maps, v, y_pre
 
 
 def qna_forward(
@@ -342,14 +315,36 @@ def qna_forward(
 ) -> np.ndarray:
     """Layer output of shape H' x W' x dim_out with H' = ceil(H / stride).
 
-    Transient memory is independent of the window size k: one score/exp map
-    per (query, head), the value map, and output-sized accumulators. The
+    Transient memory is independent of the window size k: the exponentiated
+    score maps, the value map, and per-query output-sized sums. The
     per-window softmax over in-bounds offsets (with additive score bias) is
-    realized as a quotient of two window reductions; the mixing weights fold
-    into the numerator's reduction kernel.
+    realized as a quotient of two window reductions per query; the mixing
+    weights fold into the numerator's reduction kernel.
     """
-    out, _, _, _ = _forward_core(x, cfg, params, ledger, score_shift, capture=False)
-    return out
+    e = _exp_scores(x, cfg, params, score_shift)
+    v = _values(x, cfg, params)
+    num_k, den_k = _reduction_kernels(cfg, params)
+
+    def quotient(l):
+        return _window_sums(e[:, :, l], v, num_k[l], den_k[l], cfg.stride, ledger)[0]
+
+    y = quotient(0)  # its buffer accumulates the other queries' quotients
+    for l in range(1, cfg.num_queries):
+        y += quotient(l)
+    Hp, Wp, h, _ = y.shape
+    out = y.reshape(Hp * Wp, cfg.dim_out) @ params.w_o
+    out += params.b_o
+
+    # The ledger counts the heap high-water mark above the output. The mark
+    # is reached inside a numerator reduction: the exponentiated scores, the
+    # values, one query's weighted values, its normalizer and numerator, the
+    # reduction's scratch, and the accumulator when there are earlier queries.
+    H, W, L, D = x.shape[0], x.shape[1], cfg.num_queries, cfg.dim_out
+    peak = (H * W * (L * h + 2 * D) + Hp * Wp * (h + (3 if L > 1 else 2) * D)
+            + 2 * L * cfg.k * cfg.k)
+    _record(ledger, "qna_forward", (peak - Hp * Wp * D) * x.dtype.itemsize)
+    require_finite(out, "output")
+    return out.reshape(Hp, Wp, cfg.dim_out)
 
 
 def qna_upsample_forward(
@@ -366,55 +361,32 @@ def qna_upsample_forward(
     """
     if cfg.stride != 1:
         raise ShapeError("upsampling requires stride 1")
-    s_factor = math.isqrt(cfg.num_queries)
-    if s_factor * s_factor != cfg.num_queries:
+    s = math.isqrt(cfg.num_queries)
+    if s * s != cfg.num_queries:
         raise ShapeError(f"num_queries {cfg.num_queries} must be a perfect square")
-    _validate_layer_inputs(x, cfg, params)
-
-    H, W, _ = x.shape
-    L, h, dh, Dout = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out
-    dt = x.dtype
-
-    a = _query_key_map(cfg, params)
-    s = _scores_from_map(a, x)
-    m = s.max(axis=(2, 3), keepdims=True)
-    s -= m
-    np.exp(s, out=s)
-    e = s
-
-    v = (x.reshape(H * W, cfg.dim_in) @ params.w_v + params.b_v).reshape(H, W, h, dh)
+    e = _exp_scores(x, cfg, params)
+    v = _values(x, cfg, params)
     _, den_k = _reduction_kernels(cfg, params)
 
-    z = np.empty((H, W, L, Dout), dtype=dt)
-    heads_buf = np.empty((H, W, h, dh), dtype=dt)
-    ev = np.empty((H, W, dh), dtype=dt)
+    H, W, _ = x.shape
+    L, h, D = cfg.num_queries, cfg.heads, cfg.dim_out
+
+    def rows(l):
+        q = _window_sums(e[:, :, l], v, den_k[l], den_k[l], 1, ledger)[0]
+        return (q.reshape(H * W, D) @ params.w_o + params.b_o).reshape(H, W, D)
+
+    out = np.empty((H, s, W, s, D), dtype=x.dtype)
     for l in range(L):
-        dk = np.ascontiguousarray(den_k[l], dtype=dt)
-        for g in range(h):
-            np.multiply(e[l, g][:, :, None], v[:, :, g, :], out=ev)
-            num = window_weighted_sum(ev, dk, 1, "same", ledger)
-            den = window_weighted_sum(e[l, g].reshape(H, W, 1), dk, 1, "same", ledger)
-            if np.any(den == 0.0):
-                raise NumericalRangeError(
-                    "window weight sum underflowed to zero (scores out of range)"
-                )
-            np.divide(num, den, out=num)
-            heads_buf[:, :, g, :] = num
-        z[:, :, l, :] = (heads_buf.reshape(H * W, Dout) @ params.w_o + params.b_o).reshape(H, W, Dout)
+        out[:, l // s, :, l % s] = rows(l)
 
-    # (H, W, s, s, D) -> (H, s, W, s, D) -> (H*s, W*s, D): query l = a*s + b of
-    # window (i, j) lands at output (s*i + a, s*j + b).
-    perm = reshape_permute(z, (H, W, s_factor, s_factor, Dout), (0, 2, 1, 3, 4), ledger)
-    out = perm.reshape(H * s_factor, W * s_factor, Dout)
-
-    itemsize = dt.itemsize
     transient = (
-        a.size + 2 * L * h * H * W + H * W * Dout + H * W * dh
-        + H * W * dh + H * W                       # one numerator / denominator pair
-        + H * W * h * dh + H * W * L * Dout        # head buffer and per-query rows
-        + 2 * L * cfg.k * cfg.k + L * h
-    ) * itemsize
+        H * W * (L * h + D)             # exponentiated scores, values
+        + H * W * (h + 3 * D)           # one query's normalizer, weighted values,
+                                        # numerator and WWS scratch
+        + L * cfg.k * cfg.k             # reduction kernels
+    ) * x.dtype.itemsize
     _record(ledger, "qna_upsample_forward", transient)
+    out = out.reshape(H * s, W * s, D)
     require_finite(out, "output")
     return out
 
@@ -488,68 +460,64 @@ def qna_backward(
     is enabled its Jacobian (projection onto the tangent of the unit sphere,
     scaled by the inverse raw norm) is included.
     """
-    out, maps, v, y_pre = _forward_core(x, cfg, params, ledger, 0.0, capture=True)
-    if d_out.shape != out.shape:
-        raise ShapeError(f"d_out has shape {d_out.shape}, expected {out.shape}")
+    e = _exp_scores(x, cfg, params)
+    H, W, Din = x.shape
+    L, h, dh, Dout, k = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out, cfg.k
+    Hp, Wp = same_output_size(H, cfg.stride), same_output_size(W, cfg.stride)
+    if d_out.shape != (Hp, Wp, Dout):
+        raise ShapeError(f"d_out has shape {d_out.shape}, expected {(Hp, Wp, Dout)}")
     if d_out.dtype != x.dtype:
         raise ShapeError(f"d_out dtype {d_out.dtype} differs from input dtype {x.dtype}")
     require_finite(d_out, "d_out")
-
-    H, W, Din = x.shape
-    L, h, dh, Dout = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out
-    Hp, Wp, _ = out.shape
-    dt = x.dtype
-    e = maps.e
+    v = _values(x, cfg, params)
     num_k, exp_b = _reduction_kernels(cfg, params)
-    mix_k = params.mix.reshape(L, cfg.k, cfg.k)
+    mix_k = params.mix.reshape(L, k, k)
 
     g_flat = d_out.reshape(Hp * Wp, Dout)
-    d_b_o = g_flat.sum(axis=0)
-    d_w_o = y_pre.T @ g_flat
     d_y = (g_flat @ params.w_o.T).reshape(Hp, Wp, h, dh)
+    y_pre = np.zeros((Hp, Wp, h, dh), dtype=x.dtype)
+    d_e = np.empty_like(e)
+    d_v = np.zeros_like(v)
+    d_mix = np.empty_like(params.mix)
+    d_exp_b = np.empty_like(exp_b)
 
-    d_e = np.zeros((L, h, H, W), dtype=dt)
-    d_v = np.zeros((H, W, h, dh), dtype=dt)
-    d_mix = np.zeros_like(params.mix)
-    d_exp_b = np.zeros_like(exp_b)
-
+    # One pass per query over all its heads. The kernel adjoints sum over
+    # channels, which is the sum over the heads sharing the kernel.
     for l in range(L):
-        nk = np.ascontiguousarray(num_k[l], dtype=dt)
-        dk = np.ascontiguousarray(exp_b[l], dtype=dt)
-        for g in range(h):
-            den = maps.normalizer[l, g][:, :, None]
-            ratio = maps.numerator[l, g] / den
-            d_r = d_y[:, :, g, :]
-            d_num = d_r / den
-            d_den = -np.sum(d_r * ratio, axis=-1, keepdims=True) / den
+        e_l = e[:, :, l]
+        ratio, den = _window_sums(e_l, v, num_k[l], exp_b[l], cfg.stride, ledger)
+        y_pre += ratio
+        d_num = (d_y / den).reshape(Hp, Wp, Dout)
+        d_den = (-np.sum(d_y * ratio, axis=-1, keepdims=True) / den)[..., 0]
 
-            e1 = e[l, g].reshape(H, W, 1)
-            ev = e1 * v[:, :, g, :]
-            d_ev = _wws_grad_map(d_num, nk, cfg.stride, (H, W))
-            d_nk = _wws_grad_kernel(d_num, ev, cfg.k, cfg.stride)
-            d_e1 = _wws_grad_map(d_den, dk, cfg.stride, (H, W))
-            d_dk = _wws_grad_kernel(d_den, e1, cfg.k, cfg.stride)
+        ev = (e_l[..., None] * v).reshape(H, W, Dout)
+        d_ev = _wws_grad_map(d_num, num_k[l], cfg.stride, (H, W)).reshape(H, W, h, dh)
+        d_nk = _wws_grad_kernel(d_num, ev, k, cfg.stride)
+        d_e1 = _wws_grad_map(d_den, exp_b[l], cfg.stride, (H, W))
+        d_dk = _wws_grad_kernel(d_den, e_l, k, cfg.stride)
 
-            d_e[l, g] += np.sum(d_ev * v[:, :, g, :], axis=-1) + d_e1[:, :, 0]
-            d_v[:, :, g, :] += d_ev * e1
-            d_mix[l] += (d_nk * exp_b[l]).ravel()
-            d_exp_b[l] += d_nk * mix_k[l] + d_dk
+        d_e[:, :, l] = np.sum(d_ev * v, axis=-1) + d_e1
+        d_v += d_ev * e_l[..., None]
+        d_mix[l] = (d_nk * exp_b[l]).ravel()
+        d_exp_b[l] = d_nk * mix_k[l] + d_dk
+        del ratio, den, d_num, d_den, ev, d_ev, d_e1  # free before the next query
 
+    d_b_o = g_flat.sum(axis=0)
+    d_w_o = y_pre.reshape(Hp * Wp, Dout).T @ g_flat
     d_bias = d_exp_b * exp_b
 
     # Through the stabilized exponentials; the global max shift has zero
     # total derivative because the normalized output is invariant to it.
-    d_s = e * d_e
+    d_e *= e
+    d_s = d_e.reshape(H * W, L * h)
 
     a = _query_key_map(cfg, params)
-    d_s2 = d_s.reshape(L * h, H * W)
     x2 = x.reshape(H * W, Din)
-    d_a = (d_s2 @ x2).reshape(L, h, Din)
-    d_x_scores = d_s2.T @ a.reshape(L * h, Din)
+    d_a = (d_s.T @ x2).reshape(L, h, Din)
 
-    scale = np.asarray(1.0, dtype=dt)
+    scale = np.asarray(1.0, dtype=x.dtype)
     if cfg.scale_scores:
-        scale = np.asarray(1.0 / np.sqrt(dh), dtype=dt)
+        scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
     q_used = used_queries(cfg, params)
     qh = q_used.reshape(L, h, dh)
     wk3 = params.w_k.reshape(Din, h, dh)
@@ -567,17 +535,20 @@ def qna_backward(
     d_v2 = d_v.reshape(H * W, Dout)
     d_w_v = x2.T @ d_v2
     d_b_v = d_v2.sum(axis=0)
-    d_input = (d_x_scores + d_v2 @ params.w_v.T).reshape(H, W, Din)
+    d_input = d_s @ a.reshape(L * h, Din)
+    d_input += d_v2 @ params.w_v.T
 
-    itemsize = dt.itemsize
-    _record(
-        ledger,
-        "qna_backward",
-        (3 * L * h * H * W + 3 * H * W * Dout + L * h * Hp * Wp * (dh + 1)
-         + 2 * Hp * Wp * Dout + 4 * L * cfg.k * cfg.k) * itemsize,
-    )
+    # The ledger counts the heap high-water mark above the returned gradients.
+    # The mark is reached inside a query's terms (scores, values, their
+    # gradients, d_y and the summed quotients, plus the query's quotient,
+    # normalizer, weighted values, their gradients and one product) or at the
+    # end (the input gradient and one product beside them).
+    n, n_out = H * W, Hp * Wp
+    in_loop = n * (2 * L * h + 5 * Dout + h - Din) + n_out * (4 * Dout + 2 * h)
+    at_end = n * (2 * L * h + 2 * Dout + Din) + n_out * 2 * Dout
+    _record(ledger, "qna_backward", (max(in_loop, at_end) + 2 * L * k * k) * x.dtype.itemsize)
     return GradBundle(
-        d_input=d_input,
+        d_input=d_input.reshape(H, W, Din),
         d_w_k=d_w_k,
         d_w_v=d_w_v,
         d_b_v=d_b_v,
@@ -607,21 +578,20 @@ def attention_heatmap(
         raise IndexError(f"query_index {query_index} out of range [0, {cfg.num_queries})")
     if not 0 <= head_index < cfg.heads:
         raise IndexError(f"head_index {head_index} out of range [0, {cfg.heads})")
-    s = compute_scores(x, cfg, params, ledger)
-    H, W = x.shape[0], x.shape[1]
-    sl = s[query_index, head_index]
-    e = np.exp(sl - sl.max())
+    e = _exp_scores(x, cfg, params)[:, :, query_index, head_index : head_index + 1]
+    H, W, _ = e.shape
     _, den_k = _reduction_kernels(cfg, params)
-    dk = np.ascontiguousarray(den_k[query_index], dtype=x.dtype)
-    den = window_weighted_sum(e.reshape(H, W, 1), dk, 1, "same", ledger)
-    if np.any(den == 0.0):
-        raise NumericalRangeError("window weight sum underflowed to zero")
-    inv = 1.0 / den
+    dk = den_k[query_index]
+    # Only the normalizer is needed, so the value map has no channels.
+    _, den = _window_sums(e, np.empty((H, W, 1, 0), dtype=x.dtype), dk, dk, 1, ledger)
+    inv = 1.0 / den[..., 0]
     # Each site's weight in window w is e[site] * kernel[site - w] / den[w];
     # summing over the windows containing the site is a scatter of 1/den.
     spread = _wws_grad_map(inv, dk, 1, (H, W))
-    heat = e * spread[:, :, 0]
-    _record(ledger, "attention_heatmap", (3 * H * W + 2 * cfg.k * cfg.k) * x.dtype.itemsize)
+    heat = e[:, :, 0] * spread[:, :, 0]
+    _record(ledger, "attention_heatmap",
+            (H * W * (cfg.num_queries * cfg.heads + 4) + 2 * cfg.num_queries * cfg.k * cfg.k)
+            * x.dtype.itemsize)
     return heat
 
 
@@ -655,9 +625,6 @@ def init_params(cfg: QnAConfig, seed, dtype=np.float64) -> QnAParams:
 # Serialization: one QNAT file per tensor plus a JSON config
 # ---------------------------------------------------------------------------
 
-_DTYPE_TAGS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-
-
 def save_params(dirpath, cfg: QnAConfig, params: QnAParams) -> None:
     params.validate(cfg)
     os.makedirs(dirpath, exist_ok=True)
@@ -670,7 +637,7 @@ def save_params(dirpath, cfg: QnAConfig, params: QnAParams) -> None:
         "dim_out": cfg.dim_out,
         "scale_scores": cfg.scale_scores,
         "normalize_queries": cfg.normalize_queries,
-        "dtype": _DTYPE_TAGS[np.dtype(params.dtype)],
+        "dtype": dtype_tag(params.dtype),
         "tensors": list(params._FIELDS),
     }
     with open(os.path.join(dirpath, "config.json"), "w") as f:
@@ -682,17 +649,23 @@ def save_params(dirpath, cfg: QnAConfig, params: QnAParams) -> None:
 def load_params(dirpath) -> tuple[QnAConfig, QnAParams]:
     with open(os.path.join(dirpath, "config.json")) as f:
         doc = json.load(f)
-    cfg = QnAConfig(
-        k=doc["k"],
-        stride=doc["stride"],
-        heads=doc["heads"],
-        num_queries=doc["num_queries"],
-        dim_in=doc["dim_in"],
-        dim_out=doc["dim_out"],
-        scale_scores=doc["scale_scores"],
-        normalize_queries=doc["normalize_queries"],
-    )
-    tensors = {name: load_qnat(os.path.join(dirpath, f"{name}.qnat")) for name in doc["tensors"]}
+    try:
+        cfg = QnAConfig(
+            k=doc["k"],
+            stride=doc["stride"],
+            heads=doc["heads"],
+            num_queries=doc["num_queries"],
+            dim_in=doc["dim_in"],
+            dim_out=doc["dim_out"],
+            scale_scores=doc["scale_scores"],
+            normalize_queries=doc["normalize_queries"],
+        )
+        dtype, names = dtype_from_tag(doc["dtype"]), doc["tensors"]
+    except KeyError as exc:
+        raise QnatFormatError(f"config.json is missing key {exc.args[0]!r}") from None
+    tensors = {name: load_qnat(os.path.join(dirpath, f"{name}.qnat")) for name in names}
     params = QnAParams(**tensors)
     params.validate(cfg)
+    if params.dtype != dtype:
+        raise QnatFormatError(f"config.json says {doc['dtype']}, the tensors are {params.dtype}")
     return cfg, params

@@ -23,9 +23,12 @@ import numpy as np
 from .layer import QnAConfig, QnAParams, init_params, qna_forward
 from .tensor import (
     AllocationLedger,
+    QnatFormatError,
     ShapeError,
     check_dtype,
     conv2d,
+    dtype_from_tag,
+    dtype_tag,
     layernorm,
     load_qnat,
     make_rng,
@@ -533,7 +536,7 @@ def _block_param_count(blk: BlockParams) -> int:
     return sum(t.size for t in blk.tensors().values())
 
 
-def _qna_flops(cfg: QnAConfig, h_in: int, w_in: int) -> int:
+def qna_flops(cfg: QnAConfig, h_in: int, w_in: int) -> int:
     """Multiply-accumulates of one local-attention layer under the fused
     accounting: value projection, query/key fold, one score map per query
     (head-free), the k**2 window reductions over value channels plus one
@@ -562,7 +565,7 @@ def _block_flops(blk: BlockParams, h_in: int, w_in: int) -> int:
     cfg = blk.qna_cfg
     hp = -(-h_in // cfg.stride)
     wp = -(-w_in // cfg.stride)
-    total = _qna_flops(cfg, h_in, w_in)
+    total = qna_flops(cfg, h_in, w_in)
     if cfg.stride != 1:
         total += hp * wp * cfg.dim_in * cfg.dim_out
     total += 2 * hp * wp * cfg.dim_out * blk.ffn.w1.shape[1]
@@ -620,7 +623,7 @@ def save_model(dirpath, model: Model) -> None:
     named = model.named_tensors()
     doc = {
         "arch": model.arch.to_json_dict(),
-        "dtype": "f64" if model.dtype == np.float64 else "f32",
+        "dtype": dtype_tag(model.dtype),
         "tensors": sorted(named),
     }
     with open(os.path.join(dirpath, "arch.json"), "w") as f:
@@ -634,11 +637,14 @@ def save_model(dirpath, model: Model) -> None:
 def load_model(dirpath) -> Model:
     with open(os.path.join(dirpath, "arch.json")) as f:
         doc = json.load(f)
-    arch = ArchConfig.from_json_dict(doc["arch"])
-    dtype = np.float64 if doc["dtype"] == "f64" else np.float32
+    try:
+        arch = ArchConfig.from_json_dict(doc["arch"])
+        dtype, names = dtype_from_tag(doc["dtype"]), doc["tensors"]
+    except KeyError as exc:
+        raise QnatFormatError(f"arch.json is missing key {exc.args[0]!r}") from None
     model = build_model(arch, seed=0, dtype=dtype)
     named = model.named_tensors()
-    if sorted(named) != doc["tensors"]:
+    if sorted(named) != names:
         raise ShapeError("stored tensor manifest does not match the architecture")
     weights = os.path.join(dirpath, "weights")
     for name, t in named.items():

@@ -90,45 +90,53 @@ def qna_window_oracle(
 ) -> np.ndarray:
     """Per-window ground truth for qna_forward.
 
-    Materializes the full key map, unfolds keys and values into patches, and
-    for every (query, head) runs a masked softmax over each window's biased
-    score vector, then applies the mixing weights to the normalized attention
-    before the value dot product. Same math as the efficient path, no shared
-    code in the window arithmetic.
+    Materializes the full key map and unfolds it into patches; for every
+    (query, head) runs a masked softmax over each window's biased score
+    vector and applies the mixing weights to the normalized attention. The
+    key patches are freed before the value patches are extracted, so one
+    k**2-sized patch buffer is alive at a time. Same math as the efficient
+    path, no shared code in the window arithmetic.
     """
     _validate_layer_inputs(x, cfg, params)
     H, W, Din = x.shape
     L, h, dh, Dout = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out
-    k = cfg.k
+    kk = cfg.k * cfg.k
     x2 = x.reshape(H * W, Din)
-
-    keys = (x2 @ params.w_k).reshape(H, W, Dout)
-    values = (x2 @ params.w_v + params.b_v).reshape(H, W, Dout)
-    kp = unfold(keys, k, cfg.stride, ledger)
-    vp = unfold(values, k, cfg.stride, ledger).patches
-    neg_inf = np.asarray(-np.inf, dtype=x.dtype)
-
     q = used_queries(cfg, params)
     if cfg.scale_scores:
         q = q / np.sqrt(np.asarray(dh, dtype=x.dtype))
+    neg_inf = np.asarray(-np.inf, dtype=x.dtype)
 
+    kp = unfold((x2 @ params.w_k).reshape(H, W, Dout), cfg.k, cfg.stride, ledger)
     Hp, Wp = kp.patches.shape[0], kp.patches.shape[1]
-    y = np.zeros((Hp, Wp, Dout), dtype=x.dtype)
+    n_out = Hp * Wp
+    keys = kp.patches.reshape(n_out, kk, Dout)
+    mask = kp.mask.reshape(n_out, kk)
+    del kp
+    weighted = np.empty((L, h, n_out, kk), dtype=x.dtype)
     for l in range(L):
         for g in range(h):
             sl = slice(g * dh, (g + 1) * dh)
-            logits = np.einsum("ijod,d->ijo", kp.patches[:, :, :, sl], q[l, sl])
-            logits += params.bias[l].reshape(k * k)
-            logits = np.where(kp.mask, logits, neg_inf)
-            att = softmax_rows(logits, ledger)
-            weighted = att * params.mix[l]
-            y[:, :, sl] += np.einsum("ijo,ijod->ijd", weighted, vp[:, :, :, sl])
+            logits = keys[:, :, sl] @ q[l, sl]
+            logits += params.bias[l].reshape(kk)
+            logits = np.where(mask, logits, neg_inf)
+            weighted[l, g] = softmax_rows(logits, ledger) * params.mix[l]
+    del keys, mask
 
-    out = (y.reshape(Hp * Wp, Dout) @ params.w_o + params.b_o).reshape(Hp, Wp, Dout)
+    values = (x2 @ params.w_v + params.b_v).reshape(H, W, Dout)
+    vp = unfold(values, cfg.k, cfg.stride, ledger).patches.reshape(n_out, kk, Dout)
+    y = np.zeros((n_out, Dout), dtype=x.dtype)
+    for l in range(L):
+        for g in range(h):
+            sl = slice(g * dh, (g + 1) * dh)
+            y[:, sl] += np.matmul(weighted[l, g][:, None, :], vp[:, :, sl])[:, 0, :]
+    del vp
+
+    out = (y @ params.w_o + params.b_o).reshape(Hp, Wp, Dout)
     _record(
         ledger,
         "qna_window_oracle",
-        (3 * Hp * Wp * k * k + 2 * H * W * Dout + 2 * Hp * Wp * Dout) * x.dtype.itemsize,
+        ((L * h + 3) * n_out * kk + H * W * Dout + 2 * n_out * Dout) * x.dtype.itemsize,
     )
     return out
 
@@ -154,15 +162,18 @@ def sasa_forward(
     params: SasaParams,
     ledger: AllocationLedger | None = None,
     scale_scores: bool = True,
+    stride: int = 1,
 ) -> np.ndarray:
-    """Stride-1 window attention where each window's single query comes from
-    its own center: q = x_center W_Q. Masked softmax at borders, values
-    aggregated per window, and no output projection."""
+    """Window attention where each window's single query comes from its own
+    center: q = x_center W_Q, with windows centered every ``stride`` sites.
+    Masked softmax at borders, values aggregated per window, and no output
+    projection. The key patches are freed before the value patches are
+    extracted, so one k**2-sized patch buffer is alive at a time."""
     check_dtype(x, "x")
     if x.ndim != 3:
         raise ShapeError(f"x must be H x W x D, got shape {x.shape}")
-    if k < 1:
-        raise ShapeError("k must be >= 1")
+    if k < 1 or stride < 1:
+        raise ShapeError("k and stride must be >= 1")
     H, W, D = x.shape
     if params.w_q.ndim != 2 or params.w_k.ndim != 2 or params.w_v.ndim != 2:
         raise ShapeError("projections must be rank-2")
@@ -174,26 +185,31 @@ def sasa_forward(
         raise ShapeError(f"rel_bias must be {k} x {k}, got {params.rel_bias.shape}")
 
     x2 = x.reshape(H * W, D)
-    q = (x2 @ params.w_q).reshape(H, W, -1)
-    keys = (x2 @ params.w_k).reshape(H, W, -1)
-    values = (x2 @ params.w_v).reshape(H, W, -1)
+    d_att = params.w_q.shape[1]
+    q = (x2 @ params.w_q).reshape(H, W, d_att)[::stride, ::stride]
     if scale_scores:
-        q = q / np.sqrt(np.asarray(params.w_q.shape[1], dtype=x.dtype))
+        q = q / np.sqrt(np.asarray(d_att, dtype=x.dtype))
+    Hp, Wp = q.shape[0], q.shape[1]
+    n_out = Hp * Wp
 
-    kp = unfold(keys, k, 1, ledger)
-    vp = unfold(values, k, 1, ledger).patches
-    logits = np.einsum("ijod,ijd->ijo", kp.patches, q)
+    kp = unfold((x2 @ params.w_k).reshape(H, W, d_att), k, stride, ledger)
+    logits = np.matmul(kp.patches.reshape(n_out, k * k, d_att), q.reshape(n_out, d_att, 1))[:, :, 0]
     if params.rel_bias is not None:
         logits += params.rel_bias.reshape(k * k)
-    logits = np.where(kp.mask, logits, np.asarray(-np.inf, dtype=x.dtype))
+    logits = np.where(kp.mask.reshape(n_out, k * k), logits, np.asarray(-np.inf, dtype=x.dtype))
+    del kp
     att = softmax_rows(logits, ledger)
-    out = np.einsum("ijo,ijod->ijd", att, vp)
+
+    values = (x2 @ params.w_v).reshape(H, W, -1)
+    d_val = values.shape[2]
+    vp = unfold(values, k, stride, ledger).patches.reshape(n_out, k * k, d_val)
+    out = np.matmul(att[:, None, :], vp)[:, 0, :]
     _record(
         ledger,
         "sasa_forward",
-        (3 * H * W * k * k + H * W * (q.shape[2] * 2 + values.shape[2] * 2)) * x.dtype.itemsize,
+        (3 * n_out * k * k + H * W * max(d_att, d_val) + n_out * (d_att + d_val)) * x.dtype.itemsize,
     )
-    return out
+    return out.reshape(Hp, Wp, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
+# Tags naming the supported dtypes in config files, bench cases and the CLI.
+DTYPE_TAGS = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 _QNAT_MAGIC = b"QNAT"
 _QNAT_CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -90,6 +92,18 @@ def _record(ledger: AllocationLedger | None, label: str, nbytes: int) -> None:
 def check_dtype(arr: np.ndarray, name: str) -> None:
     if arr.dtype.type not in SUPPORTED_DTYPES:
         raise ShapeError(f"{name} must be float32 or float64, got {arr.dtype}")
+
+
+def dtype_tag(dtype) -> str:
+    """The tag of a supported dtype, e.g. "f32" for float32."""
+    return next(tag for tag, dt in DTYPE_TAGS.items() if dt == np.dtype(dtype))
+
+
+def dtype_from_tag(tag) -> np.dtype:
+    """The dtype a stored tag names; an unknown tag is a malformed file."""
+    if not isinstance(tag, str) or tag not in DTYPE_TAGS:
+        raise QnatFormatError(f"unknown dtype tag {tag!r}, expected one of {sorted(DTYPE_TAGS)}")
+    return DTYPE_TAGS[tag]
 
 
 def require_finite(arr: np.ndarray, name: str) -> None:

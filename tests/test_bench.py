@@ -1,5 +1,5 @@
 """Complexity sweep machinery at small sizes: case validation, the timed
-implementations against the reference oracles, MAC formulas, deterministic
+implementations against each other, MAC formulas, deterministic
 byte accounting, and the CSV contract."""
 
 import csv
@@ -14,14 +14,10 @@ from qna.bench import (
     IMPLS,
     BenchCase,
     _build_runner,
-    _qna_unfold_forward,
-    _sasa_unfold_forward,
     default_cases,
     emit_csv,
     run_sweep,
 )
-from qna.layer import QnAConfig, init_params, qna_forward
-from qna.oracles import SasaParams, qna_window_oracle, sasa_forward
 from qna.tensor import AllocationLedger, ShapeError, make_rng
 
 
@@ -56,37 +52,26 @@ def test_default_cases_cover_grid():
 
 
 # ---------------------------------------------------------------------------
-# Timed implementations against the oracles
+# Timed implementations against each other
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k,stride,heads,L", [(3, 1, 2, 2), (5, 2, 1, 1), (2, 1, 2, 1)])
 def test_qna_unfold_agrees_with_oracle(k, stride, heads, L):
-    rng = make_rng(50 + k)
-    cfg = QnAConfig(k=k, stride=stride, heads=heads, num_queries=L, dim_in=6, dim_out=6)
-    params = init_params(cfg, rng)
-    params.bias[...] = rng.standard_normal(params.bias.shape) * 0.3
-    params.mix[...] = rng.standard_normal(params.mix.shape) * 0.2 + 1.0 / L
-    x = rng.standard_normal((7, 6, 6))
-    got = _qna_unfold_forward(x, cfg, params, None)
-    want = qna_window_oracle(x, cfg, params)
-    assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(qna_forward(x, cfg, params), want, atol=1e-12)
+    # the sweep's two qna routes compute one function on the same drawn input
+    case = dict(H=7, W=6, D=6, k=k, stride=stride, heads=heads, num_queries=L, dtype="f64")
+    unfold_fn, _ = _build_runner(BenchCase(impl="qna_unfold", **case), make_rng(50 + k))
+    fused_fn, _ = _build_runner(BenchCase(impl="qna_efficient", **case), make_rng(50 + k))
+    assert np.allclose(unfold_fn(None), fused_fn(None), atol=1e-12)
 
 
 @pytest.mark.parametrize("k,stride", [(3, 1), (5, 1), (3, 2)])
 def test_sasa_unfold_agrees_with_oracle(k, stride):
-    rng = make_rng(60 + k)
-    D = 6
-    params = SasaParams(
-        w_q=rng.standard_normal((D, D)),
-        w_k=rng.standard_normal((D, D)),
-        w_v=rng.standard_normal((D, D)),
-    )
-    x = rng.standard_normal((6, 7, D))
-    got = _sasa_unfold_forward(x, k, stride, params, None)
-    want = sasa_forward(x, k, params)[::stride, ::stride]
-    assert np.allclose(got, want, atol=1e-12)
+    # the strided sweep route samples the stride-1 oracle at the window centers
+    case = dict(impl="sasa_unfold", H=6, W=7, D=6, k=k, dtype="f64")
+    strided_fn, _ = _build_runner(BenchCase(stride=stride, **case), make_rng(60 + k))
+    dense_fn, _ = _build_runner(BenchCase(**case), make_rng(60 + k))
+    assert np.allclose(strided_fn(None), dense_fn(None)[::stride, ::stride], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

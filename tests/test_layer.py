@@ -1,7 +1,9 @@
 """The shared-query attention layer: scores, forward, backward, upsampling,
 heatmaps, initialization, and parameter serialization."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from qna.oracles import finite_diff_grad, qna_window_oracle
 from qna.tensor import (
     AllocationLedger,
     NumericalRangeError,
+    QnatFormatError,
     ShapeError,
     make_rng,
 )
@@ -311,14 +314,34 @@ def test_forward_ledger_aggregate_is_k_independent_up_to_kernels():
 
 
 def test_forward_ledger_event_names():
+    # all heads of a query share one numerator and one normalizer reduction
     rng = make_rng(13)
-    cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=3, dim_out=4)
-    params = init_params(cfg, rng)
+    for heads in (1, 4):
+        cfg = QnAConfig(k=3, stride=1, heads=heads, num_queries=3, dim_in=3, dim_out=4)
+        params = init_params(cfg, rng)
+        ledger = AllocationLedger()
+        qna_forward(np.zeros((4, 4, 3)), cfg, params, ledger)
+        names = [name for name, _ in ledger.events]
+        assert "qna_forward" in names
+        assert names.count("window_weighted_sum") == 2 * cfg.num_queries
+
+
+@pytest.mark.parametrize("k,heads,L", [(3, 1, 1), (15, 1, 1), (7, 4, 2)])
+def test_forward_ledger_matches_heap_peak(k, heads, L):
+    # the ledger's transient is the call's heap high-water mark above its output
+    rng = make_rng(14)
+    cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=64, dim_out=64)
+    params = init_params(cfg, rng, dtype=np.float32)
+    x = rng.standard_normal((128, 128, 64)).astype(np.float32)
     ledger = AllocationLedger()
-    qna_forward(np.zeros((4, 4, 3)), cfg, params, ledger)
-    names = {name for name, _ in ledger.events}
-    assert "qna_forward" in names
-    assert "window_weighted_sum" in names
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = qna_forward(x, cfg, params, ledger)
+        heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert abs(ledger.peak_extra_bytes - heap) <= 0.1 * heap, (ledger.peak_extra_bytes, heap)
 
 
 # ---------------------------------------------------------------------------
@@ -567,3 +590,26 @@ def test_load_rejects_mismatched_tensor(tmp_path):
     save_qnat(tmp_path / "layer" / "w_k.qnat", np.zeros((9, 9)))
     with pytest.raises(ShapeError):
         load_params(tmp_path / "layer")
+
+
+def _saved_layer_with_config(tmp_path, edit):
+    cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=3, dim_out=4)
+    save_params(tmp_path / "layer", cfg, init_params(cfg, 27))
+    path = tmp_path / "layer" / "config.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return tmp_path / "layer"
+
+
+@pytest.mark.parametrize("key", ["stride", "dtype", "tensors"])
+def test_load_names_missing_config_key(tmp_path, key):
+    with pytest.raises(QnatFormatError, match=key):
+        load_params(_saved_layer_with_config(tmp_path, lambda doc: doc.pop(key)))
+
+
+@pytest.mark.parametrize("tag", ["f16", None, "f32"])
+def test_load_rejects_unknown_or_wrong_dtype_tag(tmp_path, tag):
+    # "f32" is a known tag, but these tensors are float64
+    with pytest.raises(QnatFormatError):
+        load_params(_saved_layer_with_config(tmp_path, lambda doc: doc.update(dtype=tag)))

@@ -8,7 +8,7 @@ from qna.layer import qna_forward
 from qna.model import (
     ArchConfig,
     CostReport,
-    _qna_flops,
+    qna_flops,
     build_model,
     count_flops,
     count_params,
@@ -20,7 +20,7 @@ from qna.model import (
     vit_block_forward,
 )
 from qna.oracles import qna_window_oracle
-from qna.tensor import ShapeError, conv2d, layernorm, make_rng
+from qna.tensor import QnatFormatError, ShapeError, conv2d, layernorm, make_rng
 
 
 def _mini_arch(base_dim=8, vit=(0, 0, 1, 1), qna=(1, 1, 1, 0), classes=10, **kw):
@@ -179,7 +179,7 @@ def test_qna_flops_formula():
     from qna.layer import QnAConfig
 
     cfg = QnAConfig(k=3, stride=2, heads=2, num_queries=2, dim_in=4, dim_out=8)
-    got = _qna_flops(cfg, 6, 6)
+    got = qna_flops(cfg, 6, 6)
     n_in, n_out = 36, 9
     want = (
         n_in * 4 * 8          # value projection
@@ -202,7 +202,7 @@ def test_count_flops_minimal_model_closed_form():
 
     blk = model.stages[0][0]
     hp = grid // 2
-    qna = _qna_flops(blk.qna_cfg, grid, grid)
+    qna = qna_flops(blk.qna_cfg, grid, grid)
     skip = hp * hp * d * 2 * d
     ffn = 2 * hp * hp * (2 * d) * (8 * d)
     want = (grid * grid * 48 * d) + (qna + skip + ffn) + (2 * d * 10)
@@ -421,4 +421,29 @@ def test_load_rejects_manifest_mismatch(tmp_path):
     doc["tensors"] = doc["tensors"][:-1]
     (tmp_path / "m" / "arch.json").write_text(_json.dumps(doc))
     with pytest.raises(ShapeError):
+        load_model(tmp_path / "m")
+
+
+def _drop_key(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_drop_key("dtype"), "dtype"),
+    (_drop_key("tensors"), "tensors"),
+    (_drop_key("arch", "window"), "window"),
+    (lambda doc: doc.update(dtype="f16"), "f16"),
+], ids=["no-dtype", "no-tensors", "no-arch.window", "tag-f16"])
+def test_load_rejects_malformed_arch_json(tmp_path, edit, match):
+    save_model(tmp_path / "m", build_model(_mini_arch(classes=9), seed=23))
+    import json as _json
+
+    doc = _json.loads((tmp_path / "m" / "arch.json").read_text())
+    edit(doc)
+    (tmp_path / "m" / "arch.json").write_text(_json.dumps(doc))
+    with pytest.raises(QnatFormatError, match=match):
         load_model(tmp_path / "m")
