@@ -37,7 +37,6 @@ from .tensor import (  # noqa: E402
     save_qnat,
     softmax_rows,
     truncated_normal,
-    window_offsets,
     window_weighted_sum,
 )
 from .layer import (  # noqa: E402
@@ -138,6 +137,5 @@ __all__ = [
     "truncated_normal",
     "unfold",
     "vit_block_forward",
-    "window_offsets",
     "window_weighted_sum",
 ]

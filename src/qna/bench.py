@@ -114,7 +114,7 @@ def _build_runner(case: BenchCase, rng):
 
     w = truncated_normal(rng, (case.k, case.k, case.D, case.D), dtype=dt)
     macs = hp * wp * case.k * case.k * case.D * case.D
-    return (lambda ledger: conv2d(x, w, case.stride, "same", ledger)), macs
+    return (lambda ledger: conv2d(x, w, case.stride, ledger)), macs
 
 
 def run_sweep(cases, seed: int = 42, progress=None) -> list[BenchRow]:

@@ -42,15 +42,14 @@ from .tensor import (
     QnatFormatError,
     ShapeError,
     _record,
-    _same_axis_ranges,
     check_dtype,
     dtype_from_tag,
     dtype_tag,
     load_qnat,
     make_rng,
-    offset_bounds,
     require_finite,
     same_output_size,
+    same_window_slices,
     save_qnat,
     truncated_normal,
     window_weighted_sum,
@@ -267,18 +266,19 @@ def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
 
         quotient = WWS(E_l * V ; num_kernel) / WWS(E_l ; den_kernel)
 
-    Returns (quotient, normalizer) of shapes H' x W' x heads x head_dim and
-    H' x W' x heads x 1. A normalizer that underflowed to zero is an error.
+    Returns (quotient, normalizer, weighted values) of shapes
+    H' x W' x heads x head_dim, H' x W' x heads x 1 and H x W x heads*head_dim.
+    A normalizer that underflowed to zero is an error.
     """
     H, W, h, dh = v.shape
-    den = window_weighted_sum(e_l, den_kernel, stride, "same", ledger)
+    den = window_weighted_sum(e_l, den_kernel, stride, ledger)
     if np.any(den == 0.0):
         raise NumericalRangeError("window weight sum underflowed to zero (scores out of range)")
     ev = (e_l[..., None] * v).reshape(H, W, h * dh)
-    quotient = window_weighted_sum(ev, num_kernel, stride, "same", ledger).reshape(*den.shape, dh)
+    quotient = window_weighted_sum(ev, num_kernel, stride, ledger).reshape(*den.shape, dh)
     den = den[..., None]
     np.divide(quotient, den, out=quotient)
-    return quotient, den
+    return quotient, den, ev
 
 
 # ---------------------------------------------------------------------------
@@ -397,51 +397,25 @@ def qna_upsample_forward(
 
 
 def _wws_grad_map(grad_out: np.ndarray, kernel: np.ndarray, stride: int, in_hw) -> np.ndarray:
-    """Adjoint of window_weighted_sum (same padding) w.r.t. its input map:
-    scatter each output gradient back to the window positions it read."""
+    """Adjoint of window_weighted_sum w.r.t. its input map: scatter each
+    output gradient back to the window positions it read."""
     H, W = in_hw
-    Hp, Wp, C = grad_out.shape
-    k = kernel.shape[0]
-    lo, hi = offset_bounds(k)
-    out = np.zeros((H, W, C), dtype=grad_out.dtype)
-    for di in range(lo, hi + 1):
-        rr = _same_axis_ranges(H, Hp, di, stride)
-        if rr is None:
+    out = np.zeros((H, W, grad_out.shape[2]), dtype=grad_out.dtype)
+    for i, j, dst, src in same_window_slices(H, W, kernel.shape[0], stride):
+        w = kernel[i, j]
+        if w == 0.0:
             continue
-        r0, r1, rs = rr
-        for dj in range(lo, hi + 1):
-            w = kernel[di - lo, dj - lo]
-            if w == 0.0:
-                continue
-            cc = _same_axis_ranges(W, Wp, dj, stride)
-            if cc is None:
-                continue
-            c0, c1, cs = cc
-            dst = out[rs : rs + (r1 - r0 - 1) * stride + 1 : stride,
-                      cs : cs + (c1 - c0 - 1) * stride + 1 : stride]
-            np.add(dst, grad_out[r0:r1, c0:c1] * w, out=dst)
+        o = out[src]
+        np.add(o, grad_out[dst] * w, out=o)
     return out
 
 
 def _wws_grad_kernel(grad_out: np.ndarray, map_: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Adjoint of window_weighted_sum (same padding) w.r.t. its kernel."""
+    """Adjoint of window_weighted_sum w.r.t. its kernel."""
     H, W, _ = map_.shape
-    Hp, Wp, _ = grad_out.shape
-    lo, hi = offset_bounds(k)
     out = np.zeros((k, k), dtype=grad_out.dtype)
-    for di in range(lo, hi + 1):
-        rr = _same_axis_ranges(H, Hp, di, stride)
-        if rr is None:
-            continue
-        r0, r1, rs = rr
-        for dj in range(lo, hi + 1):
-            cc = _same_axis_ranges(W, Wp, dj, stride)
-            if cc is None:
-                continue
-            c0, c1, cs = cc
-            src = map_[rs : rs + (r1 - r0 - 1) * stride + 1 : stride,
-                       cs : cs + (c1 - c0 - 1) * stride + 1 : stride]
-            out[di - lo, dj - lo] = np.einsum("ijc,ijc->", grad_out[r0:r1, c0:c1], src)
+    for i, j, dst, src in same_window_slices(H, W, k, stride):
+        out[i, j] = np.einsum("ijc,ijc->", grad_out[dst], map_[src])
     return out
 
 
@@ -485,12 +459,11 @@ def qna_backward(
     # channels, which is the sum over the heads sharing the kernel.
     for l in range(L):
         e_l = e[:, :, l]
-        ratio, den = _window_sums(e_l, v, num_k[l], exp_b[l], cfg.stride, ledger)
+        ratio, den, ev = _window_sums(e_l, v, num_k[l], exp_b[l], cfg.stride, ledger)
         y_pre += ratio
         d_num = (d_y / den).reshape(Hp, Wp, Dout)
         d_den = (-np.sum(d_y * ratio, axis=-1, keepdims=True) / den)[..., 0]
 
-        ev = (e_l[..., None] * v).reshape(H, W, Dout)
         d_ev = _wws_grad_map(d_num, num_k[l], cfg.stride, (H, W)).reshape(H, W, h, dh)
         d_nk = _wws_grad_kernel(d_num, ev, k, cfg.stride)
         d_e1 = _wws_grad_map(d_den, exp_b[l], cfg.stride, (H, W))
@@ -583,15 +556,22 @@ def attention_heatmap(
     _, den_k = _reduction_kernels(cfg, params)
     dk = den_k[query_index]
     # Only the normalizer is needed, so the value map has no channels.
-    _, den = _window_sums(e, np.empty((H, W, 1, 0), dtype=x.dtype), dk, dk, 1, ledger)
+    _, den, _ = _window_sums(e, np.empty((H, W, 1, 0), dtype=x.dtype), dk, dk, 1, ledger)
     inv = 1.0 / den[..., 0]
     # Each site's weight in window w is e[site] * kernel[site - w] / den[w];
     # summing over the windows containing the site is a scatter of 1/den.
     spread = _wws_grad_map(inv, dk, 1, (H, W))
     heat = e[:, :, 0] * spread[:, :, 0]
-    _record(ledger, "attention_heatmap",
-            (H * W * (cfg.num_queries * cfg.heads + 4) + 2 * cfg.num_queries * cfg.k * cfg.k)
-            * x.dtype.itemsize)
+    # The ledger counts the heap high-water mark above the output. The mark
+    # is reached inside the scatter, before the output exists: every query's
+    # and head's exponentiated scores (the slice keeps its buffer), the
+    # normalizer, its reciprocal, the scatter's accumulator, one scaled slice,
+    # the kernels, and the two ufunc buffers (up to getbufsize() elements
+    # each) of the strided accumulation, not negligible beside one-channel maps.
+    n = H * W
+    peak = (n * (cfg.num_queries * cfg.heads + 4) + 2 * cfg.num_queries * cfg.k * cfg.k
+            + 2 * min(np.getbufsize(), n))
+    _record(ledger, "attention_heatmap", (peak - heat.size) * x.dtype.itemsize)
     return heat
 
 

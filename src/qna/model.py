@@ -395,9 +395,9 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return half * x * (one + np.tanh(c * (x + a * x * x * x)))
 
 
-def _ffn_forward(z: np.ndarray, ffn: FfnParams, ledger) -> np.ndarray:
-    h = matmul(z, ffn.w1, ledger) + ffn.b1
-    return matmul(_gelu(h), ffn.w2, ledger) + ffn.b2
+def _ffn_forward(z: np.ndarray, ffn: FfnParams) -> np.ndarray:
+    h = matmul(z, ffn.w1) + ffn.b1
+    return matmul(_gelu(h), ffn.w2) + ffn.b2
 
 
 def vit_block_forward(z: np.ndarray, params: BlockParams, ledger: AllocationLedger | None = None) -> np.ndarray:
@@ -415,23 +415,23 @@ def vit_block_forward(z: np.ndarray, params: BlockParams, ledger: AllocationLedg
     m = params.msa
 
     u = layernorm(z, params.ln1_g, params.ln1_b, ledger=ledger)
-    q = (matmul(u, m.w_q, ledger) + m.b_q).reshape(n, h, dh)
-    k = (matmul(u, m.w_k, ledger) + m.b_k).reshape(n, h, dh)
-    v = (matmul(u, m.w_v, ledger) + m.b_v).reshape(n, h, dh)
+    q = (matmul(u, m.w_q) + m.b_q).reshape(n, h, dh)
+    k = (matmul(u, m.w_k) + m.b_k).reshape(n, h, dh)
+    v = (matmul(u, m.w_v) + m.b_v).reshape(n, h, dh)
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=z.dtype)
 
     att_out = np.empty((n, h, dh), dtype=z.dtype)
     for g in range(h):
-        scores = matmul(q[:, g, :], np.ascontiguousarray(k[:, g, :].T), ledger) * scale
+        scores = matmul(q[:, g, :], np.ascontiguousarray(k[:, g, :].T)) * scale
         if params.msa_bias is not None:
             scores += params.msa_bias
         att = softmax_rows(scores, ledger)
-        att_out[:, g, :] = matmul(att, np.ascontiguousarray(v[:, g, :]), ledger)
-    y = matmul(att_out.reshape(n, d), m.w_o, ledger) + m.b_o
+        att_out[:, g, :] = matmul(att, np.ascontiguousarray(v[:, g, :]))
+    y = matmul(att_out.reshape(n, d), m.w_o) + m.b_o
     z = z + y
 
     u2 = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger)
-    return z + _ffn_forward(u2, params.ffn, ledger)
+    return z + _ffn_forward(u2, params.ffn)
 
 
 def qna_block_forward(
@@ -451,21 +451,21 @@ def qna_block_forward(
         z = x + y
     else:
         skip = conv2d(x, params.skip_w.reshape(1, 1, cfg.dim_in, cfg.dim_out),
-                      cfg.stride, "same", ledger) + params.skip_b
+                      cfg.stride, ledger) + params.skip_b
         z = skip + y
     u2 = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger)
     hp, wp, dout = z.shape
-    f = _ffn_forward(u2.reshape(hp * wp, dout), params.ffn, ledger).reshape(hp, wp, dout)
+    f = _ffn_forward(u2.reshape(hp * wp, dout), params.ffn).reshape(hp, wp, dout)
     return z + f
 
 
-def _patch_embed(model: Model, image: np.ndarray, ledger) -> np.ndarray:
+def _patch_embed(model: Model, image: np.ndarray) -> np.ndarray:
     p = model.arch.patch_size
     H, W, c = image.shape
     hp, wp = H // p, W // p
-    tiles = reshape_permute(image, (hp, p, wp, p, c), (0, 2, 1, 3, 4), ledger)
+    tiles = reshape_permute(image, (hp, p, wp, p, c), (0, 2, 1, 3, 4))
     flat = tiles.reshape(hp * wp, p * p * c)
-    return (matmul(flat, model.patch_w, ledger) + model.patch_b).reshape(hp, wp, model.arch.base_dim)
+    return (matmul(flat, model.patch_w) + model.patch_b).reshape(hp, wp, model.arch.base_dim)
 
 
 def forward_inference(
@@ -487,7 +487,7 @@ def forward_inference(
         raise ShapeError(f"image dtype {image.dtype} differs from model dtype {model.dtype}")
     require_finite(image, "image")
 
-    x = _patch_embed(model, image, ledger)
+    x = _patch_embed(model, image)
     for blocks in model.stages:
         for blk in blocks:
             if blk.kind == "qna":

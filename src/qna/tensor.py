@@ -4,17 +4,21 @@ Plain numpy arrays (row-major, float32 or float64) are the tensor currency
 of this package. The functions here are the handful of primitives the
 shared-query attention layer needs: matrix products, a per-offset weighted
 window reduction, row softmax, direct 2-D convolution, layer normalization,
-and an exact reshape/permute. Each one accepts an optional
-:class:`AllocationLedger` and records the transient buffers it allocates,
-which is what the complexity benchmark uses to verify memory claims.
+and an exact reshape/permute. The ones that allocate scratch accept an
+optional :class:`AllocationLedger` and record the transient buffers, which is
+what the complexity benchmark uses to verify memory claims.
 
 Conventions shared by every windowed operation:
 
 * A size-``k`` window around center ``c`` covers offsets ``d`` with
   ``-k/2 < d <= k/2`` per axis. Odd ``k`` is symmetric; even ``k`` extends
   one extra element toward increasing indices (``k=2`` covers ``{0, +1}``).
-* ``padding="same"`` keeps ``H' = ceil(H / stride)``; out-of-bounds window
-  positions contribute exactly zero.
+* Padding is always "same": the output keeps ``H' = ceil(H / stride)`` and
+  out-of-bounds window positions contribute exactly zero.
+* Which output sites each kernel offset touches, and which strided input
+  slice they read, is worked out in one place, :func:`same_window_slices`;
+  the window reduction, the convolution and the layer's adjoints all loop
+  over it.
 * Inputs are expected to be finite. Layer-level entry points validate this;
   the primitives trust their callers so that benchmark loops are not
   dominated by scans. A deliberate exception: ``softmax_rows`` accepts
@@ -107,7 +111,9 @@ def dtype_from_tag(tag) -> np.dtype:
 
 
 def require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.isfinite(arr).all():
+    # min and max propagate NaN and hold any infinity, so checking them
+    # allocates nothing map-sized.
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NumericalRangeError(f"{name} contains non-finite values")
 
 
@@ -116,12 +122,6 @@ def offset_bounds(k: int) -> tuple[int, int]:
     if k < 1:
         raise ShapeError(f"window size must be >= 1, got {k}")
     return -((k - 1) // 2), k // 2
-
-
-def window_offsets(k: int) -> list[tuple[int, int]]:
-    """All (row, col) offsets of a k x k window in row-major order."""
-    lo, hi = offset_bounds(k)
-    return [(di, dj) for di in range(lo, hi + 1) for dj in range(lo, hi + 1)]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -145,12 +145,36 @@ def same_output_size(size: int, stride: int) -> int:
     return _ceil_div(size, stride)
 
 
-def valid_output_range(size: int, k: int, stride: int) -> tuple[int, int]:
-    """(first center index i0, count) of fully in-bounds windows."""
-    lo, hi = offset_bounds(k)
-    i0 = _ceil_div(-lo, stride)
-    i1 = (size - 1 - hi) // stride
-    return i0, max(0, i1 - i0 + 1)
+def same_window_slices(H: int, W: int, k: int, stride: int):
+    """Geometry of a same-padded k x k window reduction over an H x W map.
+
+    Yields ``(i, j, dst, src)`` for each kernel offset in row-major order,
+    skipping offsets whose window positions all fall outside the map.
+    ``(i, j)`` indexes the kernel; ``dst`` is the (row, col) slice pair of the
+    H' x W' output sites whose windows see that offset in bounds, and ``src``
+    the strided slice pair of the input positions those sites read there.
+    """
+    lo, _ = offset_bounds(k)
+
+    def axis(size):
+        # (dst slice, src slice) per kernel index, or None when out of bounds
+        out_size = same_output_size(size, stride)
+        slices = []
+        for t in range(k):
+            r = _same_axis_ranges(size, out_size, lo + t, stride)
+            if r is not None:
+                d0, d1, s0 = r
+                r = slice(d0, d1), slice(s0, s0 + (d1 - d0 - 1) * stride + 1, stride)
+            slices.append(r)
+        return slices
+
+    cols = axis(W)
+    for i, rows in enumerate(axis(H)):
+        if rows is None:
+            continue
+        for j, cc in enumerate(cols):
+            if cc is not None:
+                yield i, j, (rows[0], cc[0]), (rows[1], cc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +182,7 @@ def valid_output_range(size: int, k: int, stride: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: np.ndarray, b: np.ndarray, ledger: AllocationLedger | None = None) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Standard matrix product of a [M x K] by b [K x N]."""
     check_dtype(a, "a")
     check_dtype(b, "b")
@@ -166,17 +190,13 @@ def matmul(a: np.ndarray, b: np.ndarray, ledger: AllocationLedger | None = None)
         raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a @ b
-    # Output buffer only; BLAS needs no caller-visible scratch.
-    _record(ledger, "matmul", 0)
-    return out
+    return a @ b
 
 
 def window_weighted_sum(
     map_: np.ndarray,
     kernel: np.ndarray,
     stride: int = 1,
-    padding: str = "same",
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
     """Per-offset weighted reduction over k x k windows of a [H x W x C] map.
@@ -197,58 +217,18 @@ def window_weighted_sum(
         raise ShapeError(f"kernel dtype {kernel.dtype} must match map dtype {map_.dtype}")
     if stride < 1:
         raise ShapeError(f"stride must be positive, got {stride}")
-    if padding not in ("same", "valid"):
-        raise ShapeError(f"padding must be 'same' or 'valid', got {padding!r}")
 
     H, W, C = map_.shape
-    k = kernel.shape[0]
-    lo, hi = offset_bounds(k)
-
-    if padding == "same":
-        Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-        out = np.zeros((Hp, Wp, C), dtype=map_.dtype)
-        tmp = np.empty((Hp, Wp, C), dtype=map_.dtype)
-        for di in range(lo, hi + 1):
-            rr = _same_axis_ranges(H, Hp, di, stride)
-            if rr is None:
-                continue
-            r0, r1, rs = rr
-            for dj in range(lo, hi + 1):
-                w = kernel[di - lo, dj - lo]
-                if w == 0.0:
-                    continue
-                cc = _same_axis_ranges(W, Wp, dj, stride)
-                if cc is None:
-                    continue
-                c0, c1, cs = cc
-                src = map_[rs : rs + (r1 - r0 - 1) * stride + 1 : stride,
-                           cs : cs + (c1 - c0 - 1) * stride + 1 : stride]
-                t = tmp[: r1 - r0, : c1 - c0]
-                np.multiply(src, w, out=t)
-                dst = out[r0:r1, c0:c1]
-                np.add(dst, t, out=dst)
-        _record(ledger, "window_weighted_sum", tmp.nbytes)
-        return out
-
-    # valid: every window fully in-bounds, so all slices are complete.
-    i0, Hv = valid_output_range(H, k, stride)
-    j0, Wv = valid_output_range(W, k, stride)
-    out = np.zeros((Hv, Wv, C), dtype=map_.dtype)
-    tmp = np.empty((Hv, Wv, C), dtype=map_.dtype)
-    if Hv == 0 or Wv == 0:
-        _record(ledger, "window_weighted_sum", tmp.nbytes)
-        return out
-    for di in range(lo, hi + 1):
-        for dj in range(lo, hi + 1):
-            w = kernel[di - lo, dj - lo]
-            if w == 0.0:
-                continue
-            rs = (i0 * stride) + di
-            cs = (j0 * stride) + dj
-            src = map_[rs : rs + (Hv - 1) * stride + 1 : stride,
-                       cs : cs + (Wv - 1) * stride + 1 : stride]
-            np.multiply(src, w, out=tmp)
-            np.add(out, tmp, out=out)
+    Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
+    out = np.zeros((Hp, Wp, C), dtype=map_.dtype)
+    tmp = np.empty((Hp, Wp, C), dtype=map_.dtype)
+    for i, j, dst, src in same_window_slices(H, W, kernel.shape[0], stride):
+        w = kernel[i, j]
+        if w == 0.0:
+            continue
+        t, o = tmp[dst], out[dst]
+        np.multiply(map_[src], w, out=t)
+        np.add(o, t, out=o)
     _record(ledger, "window_weighted_sum", tmp.nbytes)
     return out
 
@@ -280,7 +260,6 @@ def conv2d(
     x: np.ndarray,
     w: np.ndarray,
     stride: int = 1,
-    padding: str = "same",
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
     """Direct 2-D convolution of x [H x W x Din] with w [k x k x Din x Dout].
@@ -300,54 +279,17 @@ def conv2d(
         raise ShapeError(f"w dtype {w.dtype} must match x dtype {x.dtype}")
     if stride < 1:
         raise ShapeError(f"stride must be positive, got {stride}")
-    if padding not in ("same", "valid"):
-        raise ShapeError(f"padding must be 'same' or 'valid', got {padding!r}")
 
     H, W, Din = x.shape
-    k = w.shape[0]
-    Dout = w.shape[3]
-    lo, hi = offset_bounds(k)
-    kc = k // 2
-
-    if padding == "same":
-        Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-        out = np.zeros((Hp, Wp, Dout), dtype=x.dtype)
-        for di in range(lo, hi + 1):
-            rr = _same_axis_ranges(H, Hp, di, stride)
-            if rr is None:
-                continue
-            r0, r1, rs = rr
-            for dj in range(lo, hi + 1):
-                cc = _same_axis_ranges(W, Wp, dj, stride)
-                if cc is None:
-                    continue
-                c0, c1, cs = cc
-                src = x[rs : rs + (r1 - r0 - 1) * stride + 1 : stride,
-                        cs : cs + (c1 - c0 - 1) * stride + 1 : stride]
-                patch = np.ascontiguousarray(src).reshape(-1, Din)
-                contrib = patch @ w[kc - di, kc - dj]
-                dst = out[r0:r1, c0:c1]
-                np.add(dst, contrib.reshape(r1 - r0, c1 - c0, Dout), out=dst)
-        # Per-tap scratch: one input-slice copy plus one GEMM result.
-        _record(ledger, "conv2d", (Hp * Wp * (Din + Dout)) * x.dtype.itemsize)
-        return out
-
-    i0, Hv = valid_output_range(H, k, stride)
-    j0, Wv = valid_output_range(W, k, stride)
-    out = np.zeros((Hv, Wv, Dout), dtype=x.dtype)
-    if Hv == 0 or Wv == 0:
-        _record(ledger, "conv2d", 0)
-        return out
-    for di in range(lo, hi + 1):
-        for dj in range(lo, hi + 1):
-            rs = (i0 * stride) + di
-            cs = (j0 * stride) + dj
-            src = x[rs : rs + (Hv - 1) * stride + 1 : stride,
-                    cs : cs + (Wv - 1) * stride + 1 : stride]
-            patch = np.ascontiguousarray(src).reshape(-1, Din)
-            contrib = patch @ w[kc - di, kc - dj]
-            np.add(out, contrib.reshape(Hv, Wv, Dout), out=out)
-    _record(ledger, "conv2d", (Hv * Wv * (Din + Dout)) * x.dtype.itemsize)
+    k, Dout = w.shape[0], w.shape[3]
+    Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
+    out = np.zeros((Hp, Wp, Dout), dtype=x.dtype)
+    for i, j, dst, src in same_window_slices(H, W, k, stride):
+        patch = np.ascontiguousarray(x[src]).reshape(-1, Din)
+        o = out[dst]
+        np.add(o, (patch @ w[k - 1 - i, k - 1 - j]).reshape(o.shape), out=o)
+    # Per-tap scratch: one input-slice copy plus one GEMM result.
+    _record(ledger, "conv2d", (Hp * Wp * (Din + Dout)) * x.dtype.itemsize)
     return out
 
 
@@ -376,7 +318,7 @@ def layernorm(
     return out
 
 
-def reshape_permute(x: np.ndarray, new_shape, axis_order, ledger: AllocationLedger | None = None) -> np.ndarray:
+def reshape_permute(x: np.ndarray, new_shape, axis_order) -> np.ndarray:
     """Reshape to ``new_shape`` then transpose axes by ``axis_order``, bit-exactly."""
     new_shape = tuple(int(s) for s in new_shape)
     axis_order = tuple(int(a) for a in axis_order)
@@ -387,9 +329,7 @@ def reshape_permute(x: np.ndarray, new_shape, axis_order, ledger: AllocationLedg
         raise ShapeError(f"cannot reshape {x.size} elements into {new_shape}")
     if sorted(axis_order) != list(range(len(new_shape))):
         raise ShapeError(f"axis_order {axis_order} is not a permutation of {len(new_shape)} axes")
-    out = np.ascontiguousarray(x.reshape(new_shape).transpose(axis_order))
-    _record(ledger, "reshape_permute", 0)
-    return out
+    return np.ascontiguousarray(x.reshape(new_shape).transpose(axis_order))
 
 
 # ---------------------------------------------------------------------------

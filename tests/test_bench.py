@@ -3,7 +3,10 @@ implementations against each other, MAC formulas, deterministic
 byte accounting, and the CSV contract."""
 
 import csv
+import importlib
 import io
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -186,3 +189,23 @@ def test_build_runner_unknown_dtype_guard():
     fn, _ = _build_runner(case, make_rng(0))
     out = fn(AllocationLedger())
     assert out.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# Traced benchmark hooks
+# ---------------------------------------------------------------------------
+
+
+def test_perfbench_span_targets_exist():
+    # the traced run wraps these module globals; a rename must fail here too
+    perfbench = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(perfbench)
+    for mod_name, attr, _, _ in spans.TARGETS:
+        mod = importlib.import_module(f"qna.{mod_name}")
+        assert callable(getattr(mod, attr, None)), f"qna.{mod_name}.{attr}"

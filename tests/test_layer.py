@@ -22,6 +22,7 @@ from qna.layer import (
     save_params,
     used_queries,
 )
+from qna.layer import _wws_grad_kernel, _wws_grad_map
 from qna.oracles import finite_diff_grad, qna_window_oracle
 from qna.tensor import (
     AllocationLedger,
@@ -29,6 +30,7 @@ from qna.tensor import (
     QnatFormatError,
     ShapeError,
     make_rng,
+    window_weighted_sum,
 )
 
 
@@ -326,27 +328,61 @@ def test_forward_ledger_event_names():
         assert names.count("window_weighted_sum") == 2 * cfg.num_queries
 
 
-@pytest.mark.parametrize("k,heads,L", [(3, 1, 1), (15, 1, 1), (7, 4, 2)])
-def test_forward_ledger_matches_heap_peak(k, heads, L):
+def _assert_ledger_matches_heap_peak(call):
     # the ledger's transient is the call's heap high-water mark above its output
-    rng = make_rng(14)
-    cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=64, dim_out=64)
-    params = init_params(cfg, rng, dtype=np.float32)
-    x = rng.standard_normal((128, 128, 64)).astype(np.float32)
     ledger = AllocationLedger()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = qna_forward(x, cfg, params, ledger)
+        out = call(ledger)
         heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
     finally:
         tracemalloc.stop()
     assert abs(ledger.peak_extra_bytes - heap) <= 0.1 * heap, (ledger.peak_extra_bytes, heap)
 
 
+@pytest.mark.parametrize("k,heads,L", [(3, 1, 1), (15, 1, 1), (7, 4, 2)])
+def test_forward_ledger_matches_heap_peak(k, heads, L):
+    rng = make_rng(14)
+    cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=64, dim_out=64)
+    params = init_params(cfg, rng, dtype=np.float32)
+    x = rng.standard_normal((128, 128, 64)).astype(np.float32)
+    _assert_ledger_matches_heap_peak(lambda ledger: qna_forward(x, cfg, params, ledger))
+
+
+# Maps of at least 128 x 128: at 64 x 64 numpy's fixed-size ufunc buffers are
+# a large share of a one-channel map.
+@pytest.mark.parametrize("size,dim,k,heads,L", [(128, 16, 5, 1, 1), (192, 64, 5, 1, 1),
+                                                (128, 16, 3, 4, 4)])
+def test_heatmap_ledger_matches_heap_peak(size, dim, k, heads, L):
+    rng = make_rng(15)
+    cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=dim, dim_out=dim)
+    params = init_params(cfg, rng, dtype=np.float32)
+    x = rng.standard_normal((size, size, dim)).astype(np.float32)
+    _assert_ledger_matches_heap_peak(
+        lambda ledger: attention_heatmap(x, cfg, params, L - 1, heads - 1, ledger))
+
+
 # ---------------------------------------------------------------------------
 # Backward
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("hw", [(6, 7), (5, 4), (2, 3)])
+def test_window_reduction_adjoints(hw, stride, k):
+    # <WWS(m, K), g> = <m, grad_map(g, K)> = <K, grad_kernel(g, m)>
+    rng = make_rng(100 * k + 10 * stride + hw[0])
+    m = rng.standard_normal((*hw, 3))
+    kernel = rng.standard_normal((k, k))
+    out = window_weighted_sum(m, kernel, stride)
+    g = rng.standard_normal(out.shape)
+    lhs = np.vdot(out, g)
+    via_map = np.vdot(m, _wws_grad_map(g, kernel, stride, hw))
+    via_kernel = np.vdot(kernel, _wws_grad_kernel(g, m, k, stride))
+    assert np.isclose(via_map, lhs, rtol=1e-12, atol=0.0)
+    assert np.isclose(via_kernel, lhs, rtol=1e-12, atol=0.0)
 
 
 def _gradcheck_case(cfg, seed, H=4, W=4):

@@ -16,13 +16,13 @@ from qna.tensor import (
     make_rng,
     matmul,
     offset_bounds,
+    require_finite,
     reshape_permute,
     same_output_size,
+    same_window_slices,
     save_qnat,
     softmax_rows,
     truncated_normal,
-    valid_output_range,
-    window_offsets,
     window_weighted_sum,
 )
 
@@ -46,7 +46,6 @@ def test_offset_bounds_cover_k_offsets(k):
     assert hi - lo + 1 == k
     # even windows extend toward increasing indices
     assert hi == k // 2 and lo == -((k - 1) // 2)
-    assert len(window_offsets(k)) == k * k
 
 
 def test_offset_bounds_rejects_bad_k():
@@ -59,23 +58,56 @@ def test_same_output_size_is_ceil(size, stride):
     assert same_output_size(size, stride) == -(-size // stride)
 
 
-@given(
-    st.integers(min_value=1, max_value=10),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=3),
-)
-def test_valid_output_range_matches_enumeration(size, k, stride):
-    lo, hi = offset_bounds(k)
-    centers = [
-        i
-        for i in range(same_output_size(size, stride))
-        if i * stride + lo >= 0 and i * stride + hi < size
-    ]
-    i0, count = valid_output_range(size, k, stride)
-    assert count == len(centers)
-    if centers:
-        assert i0 == centers[0]
-        assert centers == list(range(i0, i0 + count))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("hw", [(6, 7), (2, 3), (1, 1), (5, 4)])
+def test_same_window_slices_match_enumeration(hw, stride, k):
+    # per offset, the (output site, input position) pairs the slices pair up
+    # are exactly the in-bounds ones; offsets with none are skipped
+    H, W = hw
+    lo, _ = offset_bounds(k)
+    Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
+    want = {}
+    for i in range(k):
+        for j in range(k):
+            pairs = {
+                ((p, q), (p * stride + lo + i, q * stride + lo + j))
+                for p in range(Hp)
+                for q in range(Wp)
+                if 0 <= p * stride + lo + i < H and 0 <= q * stride + lo + j < W
+            }
+            if pairs:
+                want[i, j] = pairs
+    got = {}
+    for i, j, (dr, dc), (sr, sc) in same_window_slices(H, W, k, stride):
+        rows = zip(range(Hp)[dr], range(H)[sr])
+        cols = list(zip(range(Wp)[dc], range(W)[sc]))
+        assert len(range(Hp)[dr]) == len(range(H)[sr])
+        assert len(cols) == len(range(W)[sc])
+        got[i, j] = {((p, q), (r, c)) for p, r in rows for q, c in cols}
+    assert list(got) == list(want)  # row-major offset order
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# require_finite
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_require_finite_rejects_each_non_finite(dtype, bad):
+    arr = np.zeros((3, 4, 2), dtype=dtype)
+    require_finite(arr, "arr")
+    arr[1, 2, 1] = bad
+    with pytest.raises(NumericalRangeError, match="arr"):
+        require_finite(arr, "arr")
+
+
+def test_require_finite_accepts_empty_and_extreme_finite():
+    require_finite(np.zeros((0, 3)), "empty")
+    big = np.finfo(np.float32).max
+    require_finite(np.array([-big, big], dtype=np.float32), "extremes")
 
 
 # ---------------------------------------------------------------------------
@@ -104,49 +136,39 @@ def test_matmul_validates_shapes_and_dtype():
         matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((3, 2), dtype=np.int64))
 
 
-def test_matmul_records_zero_transient():
-    ledger = AllocationLedger()
-    matmul(np.zeros((2, 2)), np.zeros((2, 2)), ledger)
-    assert ledger.events == [("matmul", 0)]
-    assert ledger.peak_extra_bytes == 0
-
-
 # ---------------------------------------------------------------------------
 # window_weighted_sum
 # ---------------------------------------------------------------------------
 
 
-def _wws_loop(map_, kernel, stride, padding):
+# Case ids keep naming the padding, which is now always "same".
+_SAME_IDS = ["same-1", "same-2"]
+
+
+def _wws_loop(map_, kernel, stride):
     H, W, C = map_.shape
-    k = kernel.shape[0]
-    lo, hi = offset_bounds(k)
-    if padding == "same":
-        Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-        r0 = c0 = 0
-    else:
-        r0, Hp = valid_output_range(H, k, stride)
-        c0, Wp = valid_output_range(W, k, stride)
+    lo, hi = offset_bounds(kernel.shape[0])
+    Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
     out = np.zeros((Hp, Wp, C), dtype=map_.dtype)
     for i in range(Hp):
         for j in range(Wp):
             for di in range(lo, hi + 1):
                 for dj in range(lo, hi + 1):
-                    r = (r0 + i) * stride + di
-                    c = (c0 + j) * stride + dj
+                    r = i * stride + di
+                    c = j * stride + dj
                     if 0 <= r < H and 0 <= c < W:
                         out[i, j] += kernel[di - lo, dj - lo] * map_[r, c]
     return out
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", ["same", "valid"])
-def test_wws_matches_loop(k, stride, padding):
+@pytest.mark.parametrize("stride", [1, 2], ids=_SAME_IDS)
+def test_wws_matches_loop(k, stride):
     rng = make_rng(k * 10 + stride)
     map_ = rng.standard_normal((6, 7, 3))
     kernel = rng.standard_normal((k, k))
-    got = window_weighted_sum(map_, kernel, stride, padding)
-    want = _wws_loop(map_, kernel, stride, padding)
+    got = window_weighted_sum(map_, kernel, stride)
+    want = _wws_loop(map_, kernel, stride)
     assert got.shape == want.shape
     assert np.allclose(got, want, atol=1e-12)
 
@@ -158,19 +180,14 @@ def test_wws_zero_weights_are_exact_skips():
     kernel[0, 0] = 0.0
     kernel[2, 1] = 0.0
     assert np.allclose(
-        window_weighted_sum(map_, kernel), _wws_loop(map_, kernel, 1, "same"), atol=1e-12
+        window_weighted_sum(map_, kernel), _wws_loop(map_, kernel, 1), atol=1e-12
     )
-
-
-def test_wws_valid_can_be_empty():
-    out = window_weighted_sum(np.ones((2, 2, 1)), np.ones((5, 5)), 1, "valid")
-    assert out.shape == (0, 0, 1)
 
 
 def test_wws_ledger_is_one_output_shaped_buffer():
     ledger = AllocationLedger()
     map_ = np.ones((6, 6, 3), dtype=np.float32)
-    window_weighted_sum(map_, np.ones((3, 3), dtype=np.float32), 2, "same", ledger)
+    window_weighted_sum(map_, np.ones((3, 3), dtype=np.float32), 2, ledger)
     # transient scratch has the output's shape regardless of k
     assert ledger.events == [("window_weighted_sum", 3 * 3 * 3 * 4)]
 
@@ -185,8 +202,6 @@ def test_wws_validates_inputs():
         window_weighted_sum(m, np.ones((3, 3), dtype=np.float32))
     with pytest.raises(ShapeError):
         window_weighted_sum(m, np.ones((3, 3)), stride=0)
-    with pytest.raises(ShapeError):
-        window_weighted_sum(m, np.ones((3, 3)), padding="reflect")
 
 
 # ---------------------------------------------------------------------------
@@ -237,38 +252,32 @@ def test_softmax_rows_rejects_empty_rows():
 # ---------------------------------------------------------------------------
 
 
-def _conv_loop(x, w, stride, padding):
+def _conv_loop(x, w, stride):
     H, W, Din = x.shape
     k, _, _, Dout = w.shape
     lo, hi = offset_bounds(k)
     kc = k // 2
-    if padding == "same":
-        Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-        r0 = c0 = 0
-    else:
-        r0, Hp = valid_output_range(H, k, stride)
-        c0, Wp = valid_output_range(W, k, stride)
+    Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
     out = np.zeros((Hp, Wp, Dout), dtype=x.dtype)
     for i in range(Hp):
         for j in range(Wp):
             for di in range(lo, hi + 1):
                 for dj in range(lo, hi + 1):
-                    r = (r0 + i) * stride + di
-                    c = (c0 + j) * stride + dj
+                    r = i * stride + di
+                    c = j * stride + dj
                     if 0 <= r < H and 0 <= c < W:
                         out[i, j] += x[r, c] @ w[kc - di, kc - dj]
     return out
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", ["same", "valid"])
-def test_conv2d_matches_loop(k, stride, padding):
+@pytest.mark.parametrize("stride", [1, 2], ids=_SAME_IDS)
+def test_conv2d_matches_loop(k, stride):
     rng = make_rng(k * 7 + stride)
     x = rng.standard_normal((6, 5, 3))
     w = rng.standard_normal((k, k, 3, 4))
-    got = conv2d(x, w, stride, padding)
-    want = _conv_loop(x, w, stride, padding)
+    got = conv2d(x, w, stride)
+    want = _conv_loop(x, w, stride)
     assert got.shape == want.shape
     assert np.allclose(got, want, atol=1e-12)
 
@@ -290,7 +299,7 @@ def test_conv2d_ledger_counts_slice_and_gemm_scratch():
     ledger = AllocationLedger()
     x = np.ones((4, 4, 3), dtype=np.float32)
     w = np.ones((3, 3, 3, 5), dtype=np.float32)
-    conv2d(x, w, 1, "same", ledger)
+    conv2d(x, w, 1, ledger)
     assert ledger.events == [("conv2d", 4 * 4 * (3 + 5) * 4)]
 
 
