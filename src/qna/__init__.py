@@ -44,7 +44,6 @@ from .layer import (  # noqa: E402
     QnAConfig,
     QnAParams,
     attention_heatmap,
-    compute_scores,
     init_params,
     load_params,
     qna_backward,
@@ -105,7 +104,6 @@ __all__ = [
     "UnfoldedWindows",
     "attention_heatmap",
     "build_model",
-    "compute_scores",
     "conv2d",
     "count_flops",
     "count_params",

@@ -35,6 +35,9 @@ from .tensor import (
 
 IMPLS = ("qna_efficient", "qna_unfold", "sasa_unfold", "conv")
 DEFAULT_K_SWEEP = (3, 5, 7, 9, 11, 13, 15)
+# Untimed calls before, and timed calls after, per case.
+WARMUP = 2
+REPEATS = 5
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,6 @@ class BenchCase:
     heads: int = 1
     num_queries: int = 1
     dtype: str = "f32"
-    repeats: int = 5
-    warmup: int = 2
 
     def __post_init__(self) -> None:
         if self.impl not in IMPLS:
@@ -58,10 +59,6 @@ class BenchCase:
             raise ShapeError("case dimensions must be >= 1")
         if self.dtype not in DTYPE_TAGS:
             raise ShapeError(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
-        if self.repeats < 5:
-            raise ShapeError(f"repeats must be >= 5, got {self.repeats}")
-        if self.warmup < 2:
-            raise ShapeError(f"warmup must be >= 2, got {self.warmup}")
         if self.D % self.heads != 0:
             raise ShapeError(f"D {self.D} not divisible by heads {self.heads}")
 
@@ -134,10 +131,10 @@ def run_sweep(cases, seed: int = 42, progress=None) -> list[BenchRow]:
         fn(ledger)
         peak = ledger.peak_extra_bytes
 
-        for _ in range(case.warmup):
+        for _ in range(WARMUP):
             fn(None)
         times_ms = []
-        for _ in range(case.repeats):
+        for _ in range(REPEATS):
             gc.collect()
             t0 = time.perf_counter()
             fn(None)
@@ -178,11 +175,10 @@ def emit_csv(rows, path) -> None:
 
 
 def default_cases(H: int = 256, W: int = 256, D: int = 64, dtype: str = "f32",
-                  impls=IMPLS, k_values=DEFAULT_K_SWEEP,
-                  repeats: int = 5, warmup: int = 2) -> list[BenchCase]:
+                  impls=IMPLS, k_values=DEFAULT_K_SWEEP) -> list[BenchCase]:
     """The reference sweep: every impl at every window size, one fixed input."""
     return [
-        BenchCase(impl=impl, H=H, W=W, D=D, k=k, dtype=dtype, repeats=repeats, warmup=warmup)
+        BenchCase(impl=impl, H=H, W=W, D=D, k=k, dtype=dtype)
         for impl in impls
         for k in k_values
     ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,10 +64,9 @@ from .tensor import (
 class QnAConfig:
     """Hyperparameters of one layer.
 
-    ``scale_scores`` applies the usual 1/sqrt(head_dim) factor to the scores;
-    disable it to compare against the unscaled single-pass formulation.
-    ``normalize_queries`` projects each query row onto the unit sphere at use
-    time (a training stabilization), so the stored rows are unconstrained.
+    Scores are scaled by 1/sqrt(head_dim), and each query row is projected
+    onto the unit sphere at use time (a training stabilization), so the
+    stored rows are unconstrained.
     """
 
     k: int
@@ -76,8 +75,6 @@ class QnAConfig:
     num_queries: int
     dim_in: int
     dim_out: int
-    scale_scores: bool = True
-    normalize_queries: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -192,10 +189,8 @@ def _validate_layer_inputs(x: np.ndarray, cfg: QnAConfig, params: QnAParams) -> 
 
 
 def used_queries(cfg: QnAConfig, params: QnAParams) -> np.ndarray:
-    """Query rows as the layer consumes them (unit-normalized when enabled)."""
+    """Query rows as the layer consumes them: unit-normalized."""
     q = params.queries
-    if not cfg.normalize_queries:
-        return q
     norms = np.sqrt(np.sum(q * q, axis=1, keepdims=True))
     if np.any(norms == 0.0):
         raise NumericalRangeError("cannot normalize a zero query row")
@@ -210,8 +205,7 @@ def _query_key_map(cfg: QnAConfig, params: QnAParams) -> np.ndarray:
     q = used_queries(cfg, params).reshape(cfg.num_queries, cfg.heads, dh)
     wk3 = params.w_k.reshape(cfg.dim_in, cfg.heads, dh)
     a = np.einsum("lgd,cgd->lgc", q, wk3)
-    if cfg.scale_scores:
-        a /= np.sqrt(np.asarray(dh, dtype=a.dtype))
+    a /= np.sqrt(np.asarray(dh, dtype=a.dtype))
     return a
 
 
@@ -235,11 +229,11 @@ def _scores_from_map(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return flat.reshape(H, W, L, h)
 
 
-def _exp_scores(x, cfg: QnAConfig, params: QnAParams, score_shift: float = 0.0) -> np.ndarray:
-    """Validate the inputs, then return E = exp(S - max S), H x W x L x heads,
-    with one max per (query, head) over all sites. E reuses the score buffer."""
-    _validate_layer_inputs(x, cfg, params)
-    e = _scores_from_map(_query_key_map(cfg, params), x)
+def _exp_scores(x, a: np.ndarray, score_shift: float = 0.0) -> np.ndarray:
+    """E = exp(S - max S) for the query/key fold ``a`` (L x heads x dim_in),
+    H x W x L x heads, with one max per (query, head) over all sites. E
+    reuses the score buffer."""
+    e = _scores_from_map(a, x)
     if score_shift:
         # Test hook: the output contract is invariant to a constant added to
         # every score (global max subtraction plus per-window normalization).
@@ -286,26 +280,6 @@ def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
 # ---------------------------------------------------------------------------
 
 
-def compute_scores(
-    x: np.ndarray,
-    cfg: QnAConfig,
-    params: QnAParams,
-    ledger: AllocationLedger | None = None,
-) -> np.ndarray:
-    """Score maps S[l, g, i, j] = A[l, g] . x[i, j], with A the queries folded
-    through the key projection (scaled by 1/sqrt(head_dim) when enabled).
-
-    Allocates two L x heads x H x W buffers (the site-major product and its
-    query-major copy) plus the parameter-sized query/key fold; nothing here
-    depends on the window size.
-    """
-    _validate_layer_inputs(x, cfg, params)
-    a = _query_key_map(cfg, params)
-    s = np.ascontiguousarray(_scores_from_map(a, x).transpose(2, 3, 0, 1))
-    _record(ledger, "compute_scores", 2 * s.nbytes + a.nbytes)
-    return s
-
-
 def qna_forward(
     x: np.ndarray,
     cfg: QnAConfig,
@@ -321,7 +295,8 @@ def qna_forward(
     realized as a quotient of two window reductions per query; the mixing
     weights fold into the numerator's reduction kernel.
     """
-    e = _exp_scores(x, cfg, params, score_shift)
+    _validate_layer_inputs(x, cfg, params)
+    e = _exp_scores(x, _query_key_map(cfg, params), score_shift)
     v = _values(x, cfg, params)
     num_k, den_k = _reduction_kernels(cfg, params)
 
@@ -364,7 +339,8 @@ def qna_upsample_forward(
     s = math.isqrt(cfg.num_queries)
     if s * s != cfg.num_queries:
         raise ShapeError(f"num_queries {cfg.num_queries} must be a perfect square")
-    e = _exp_scores(x, cfg, params)
+    _validate_layer_inputs(x, cfg, params)
+    e = _exp_scores(x, _query_key_map(cfg, params))
     v = _values(x, cfg, params)
     _, den_k = _reduction_kernels(cfg, params)
 
@@ -430,11 +406,13 @@ def qna_backward(
 
     The per-window softmax Jacobian enters through the quotient rule on the
     numerator/denominator reductions; the stabilizing max shift contributes
-    nothing because the quotient is invariant to it. When query normalization
-    is enabled its Jacobian (projection onto the tangent of the unit sphere,
-    scaled by the inverse raw norm) is included.
+    nothing because the quotient is invariant to it. The query normalization
+    enters through its Jacobian: projection onto the tangent of the unit
+    sphere, scaled by the inverse raw norm.
     """
-    e = _exp_scores(x, cfg, params)
+    _validate_layer_inputs(x, cfg, params)
+    a = _query_key_map(cfg, params)
+    e = _exp_scores(x, a)
     H, W, Din = x.shape
     L, h, dh, Dout, k = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out, cfg.k
     Hp, Wp = same_output_size(H, cfg.stride), same_output_size(W, cfg.stride)
@@ -484,13 +462,10 @@ def qna_backward(
     d_e *= e
     d_s = d_e.reshape(H * W, L * h)
 
-    a = _query_key_map(cfg, params)
     x2 = x.reshape(H * W, Din)
     d_a = (d_s.T @ x2).reshape(L, h, Din)
 
-    scale = np.asarray(1.0, dtype=x.dtype)
-    if cfg.scale_scores:
-        scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
     q_used = used_queries(cfg, params)
     qh = q_used.reshape(L, h, dh)
     wk3 = params.w_k.reshape(Din, h, dh)
@@ -498,12 +473,9 @@ def qna_backward(
     d_w_k = (np.einsum("lgc,lgd->cgd", d_a, qh) * scale).reshape(Din, Dout)
 
     d_q_used = d_qh.reshape(L, Dout)
-    if cfg.normalize_queries:
-        norms = np.sqrt(np.sum(params.queries * params.queries, axis=1, keepdims=True))
-        inner = np.sum(d_q_used * q_used, axis=1, keepdims=True)
-        d_queries = (d_q_used - q_used * inner) / norms
-    else:
-        d_queries = d_q_used
+    norms = np.sqrt(np.sum(params.queries * params.queries, axis=1, keepdims=True))
+    inner = np.sum(d_q_used * q_used, axis=1, keepdims=True)
+    d_queries = (d_q_used - q_used * inner) / norms
 
     d_v2 = d_v.reshape(H * W, Dout)
     d_w_v = x2.T @ d_v2
@@ -514,10 +486,13 @@ def qna_backward(
     # The ledger counts the heap high-water mark above the returned gradients.
     # The mark is reached inside a query's terms (scores, values, their
     # gradients, d_y and the summed quotients, plus the query's quotient,
-    # normalizer, weighted values, their gradients and one product) or at the
-    # end (the input gradient and one product beside them).
+    # normalizer, weighted values, their gradients, one product and the two
+    # ufunc buffers, up to getbufsize() elements each, of the strided
+    # accumulation into the value-map adjoint) or at the end (the input
+    # gradient and one product beside them).
     n, n_out = H * W, Hp * Wp
-    in_loop = n * (2 * L * h + 5 * Dout + h - Din) + n_out * (4 * Dout + 2 * h)
+    in_loop = (n * (2 * L * h + 5 * Dout + h - Din) + n_out * (4 * Dout + 2 * h)
+               + 2 * min(np.getbufsize(), n_out * Dout))
     at_end = n * (2 * L * h + 2 * Dout + Din) + n_out * 2 * Dout
     _record(ledger, "qna_backward", (max(in_loop, at_end) + 2 * L * k * k) * x.dtype.itemsize)
     return GradBundle(
@@ -551,7 +526,10 @@ def attention_heatmap(
         raise IndexError(f"query_index {query_index} out of range [0, {cfg.num_queries})")
     if not 0 <= head_index < cfg.heads:
         raise IndexError(f"head_index {head_index} out of range [0, {cfg.heads})")
-    e = _exp_scores(x, cfg, params)[:, :, query_index, head_index : head_index + 1]
+    _validate_layer_inputs(x, cfg, params)
+    # Only the chosen (query, head) score map is built.
+    a = _query_key_map(cfg, params)[query_index : query_index + 1, head_index : head_index + 1]
+    e = _exp_scores(x, a)[:, :, 0]
     H, W, _ = e.shape
     _, den_k = _reduction_kernels(cfg, params)
     dk = den_k[query_index]
@@ -563,14 +541,13 @@ def attention_heatmap(
     spread = _wws_grad_map(inv, dk, 1, (H, W))
     heat = e[:, :, 0] * spread[:, :, 0]
     # The ledger counts the heap high-water mark above the output. The mark
-    # is reached inside the scatter, before the output exists: every query's
-    # and head's exponentiated scores (the slice keeps its buffer), the
-    # normalizer, its reciprocal, the scatter's accumulator, one scaled slice,
-    # the kernels, and the two ufunc buffers (up to getbufsize() elements
-    # each) of the strided accumulation, not negligible beside one-channel maps.
+    # is reached inside the scatter, before the output exists: the chosen
+    # exponentiated score map, the normalizer, its reciprocal, the scatter's
+    # accumulator, one scaled slice, the kernels, and the two ufunc buffers
+    # (up to getbufsize() elements each) of the strided accumulation, not
+    # negligible beside one-channel maps.
     n = H * W
-    peak = (n * (cfg.num_queries * cfg.heads + 4) + 2 * cfg.num_queries * cfg.k * cfg.k
-            + 2 * min(np.getbufsize(), n))
+    peak = 5 * n + 2 * cfg.num_queries * cfg.k * cfg.k + 2 * min(np.getbufsize(), n)
     _record(ledger, "attention_heatmap", (peak - heat.size) * x.dtype.itemsize)
     return heat
 
@@ -615,8 +592,6 @@ def save_params(dirpath, cfg: QnAConfig, params: QnAParams) -> None:
         "num_queries": cfg.num_queries,
         "dim_in": cfg.dim_in,
         "dim_out": cfg.dim_out,
-        "scale_scores": cfg.scale_scores,
-        "normalize_queries": cfg.normalize_queries,
         "dtype": dtype_tag(params.dtype),
         "tensors": list(params._FIELDS),
     }
@@ -637,12 +612,13 @@ def load_params(dirpath) -> tuple[QnAConfig, QnAParams]:
             num_queries=doc["num_queries"],
             dim_in=doc["dim_in"],
             dim_out=doc["dim_out"],
-            scale_scores=doc["scale_scores"],
-            normalize_queries=doc["normalize_queries"],
         )
         dtype, names = dtype_from_tag(doc["dtype"]), doc["tensors"]
     except KeyError as exc:
         raise QnatFormatError(f"config.json is missing key {exc.args[0]!r}") from None
+    unknown = sorted(set(doc) - {f.name for f in fields(QnAConfig)} - {"dtype", "tensors"})
+    if unknown:
+        raise QnatFormatError(f"config.json has unknown key {unknown[0]!r}")
     tensors = {name: load_qnat(os.path.join(dirpath, f"{name}.qnat")) for name in names}
     params = QnAParams(**tensors)
     params.validate(cfg)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,6 +44,12 @@ from .tensor import (
 # Architecture description
 # ---------------------------------------------------------------------------
 
+# Side of the square patches the image is cut into; with the three stride-2
+# transitions, image sides must be divisible by 4 * 8 = 32.
+PATCH_SIZE = 4
+# Hidden width of every feed-forward sub-block, as a multiple of its input.
+FFN_EXPANSION = 4
+
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -58,7 +64,6 @@ class ArchConfig:
     """
 
     base_dim: int
-    stage_dims: tuple[int, int, int, int]
     vit_blocks: tuple[int, int, int, int]
     qna_blocks: tuple[int, int, int, int]
     qna_heads: tuple[int, int, int, int]
@@ -66,17 +71,11 @@ class ArchConfig:
     sa_heads: tuple[int, int, int, int]
     window: int = 3
     num_queries: int = 2
-    ffn_expansion: int = 4
-    patch_size: int = 4
     num_classes: int = 1000
-    msa_rel_bias: bool = False
 
     def __post_init__(self) -> None:
-        d = self.base_dim
-        if d < 1:
+        if self.base_dim < 1:
             raise ShapeError("base_dim must be >= 1")
-        if self.stage_dims != (d, 2 * d, 4 * d, 8 * d):
-            raise ShapeError(f"stage_dims must be (D, 2D, 4D, 8D), got {self.stage_dims}")
         for name in ("vit_blocks", "qna_blocks", "qna_heads", "sa_heads"):
             if len(getattr(self, name)) != 4:
                 raise ShapeError(f"{name} must list all four stages")
@@ -86,8 +85,8 @@ class ArchConfig:
             raise ShapeError("block counts must be non-negative")
         if self.window < 1 or self.num_queries < 1:
             raise ShapeError("window and num_queries must be >= 1")
-        if self.ffn_expansion < 1 or self.patch_size < 1 or self.num_classes < 1:
-            raise ShapeError("ffn_expansion, patch_size, num_classes must be >= 1")
+        if self.num_classes < 1:
+            raise ShapeError("num_classes must be >= 1")
         for i in range(3):
             if self.qna_blocks[i] == 0:
                 tail = self.qna_blocks[i + 1 :] + self.vit_blocks[i + 1 :]
@@ -95,6 +94,12 @@ class ArchConfig:
                     raise ShapeError(
                         f"stage {i + 1} has no downsampler; later stages must be empty"
                     )
+
+    @property
+    def stage_dims(self) -> tuple[int, int, int, int]:
+        """Per-stage widths (D, 2D, 4D, 8D) for D = base_dim."""
+        d = self.base_dim
+        return (d, 2 * d, 4 * d, 8 * d)
 
     def num_stages(self) -> int:
         """Stages actually reachable (truncated at the first missing downsampler)."""
@@ -106,7 +111,6 @@ class ArchConfig:
     def to_json_dict(self) -> dict:
         return {
             "base_dim": self.base_dim,
-            "stage_dims": list(self.stage_dims),
             "vit_blocks": list(self.vit_blocks),
             "qna_blocks": list(self.qna_blocks),
             "qna_heads": list(self.qna_heads),
@@ -114,17 +118,13 @@ class ArchConfig:
             "sa_heads": list(self.sa_heads),
             "window": self.window,
             "num_queries": self.num_queries,
-            "ffn_expansion": self.ffn_expansion,
-            "patch_size": self.patch_size,
             "num_classes": self.num_classes,
-            "msa_rel_bias": self.msa_rel_bias,
         }
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ArchConfig":
         return ArchConfig(
             base_dim=doc["base_dim"],
-            stage_dims=tuple(doc["stage_dims"]),
             vit_blocks=tuple(doc["vit_blocks"]),
             qna_blocks=tuple(doc["qna_blocks"]),
             qna_heads=tuple(doc["qna_heads"]),
@@ -132,10 +132,7 @@ class ArchConfig:
             sa_heads=tuple(doc["sa_heads"]),
             window=doc["window"],
             num_queries=doc["num_queries"],
-            ffn_expansion=doc["ffn_expansion"],
-            patch_size=doc["patch_size"],
             num_classes=doc["num_classes"],
-            msa_rel_bias=doc["msa_rel_bias"],
         )
 
 
@@ -149,23 +146,10 @@ _PRESETS = {
 }
 
 
-def make_arch(variant: str, window: int = 3, num_queries: int = 2, num_classes: int = 1000) -> ArchConfig:
+def make_arch(variant: str, window: int = 3) -> ArchConfig:
     if variant not in _PRESETS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(_PRESETS)}")
-    p = _PRESETS[variant]
-    d = p["base_dim"]
-    return ArchConfig(
-        base_dim=d,
-        stage_dims=(d, 2 * d, 4 * d, 8 * d),
-        vit_blocks=p["vit_blocks"],
-        qna_blocks=p["qna_blocks"],
-        qna_heads=p["qna_heads"],
-        ds_heads=p["ds_heads"],
-        sa_heads=p["sa_heads"],
-        window=window,
-        num_queries=num_queries,
-        num_classes=num_classes,
-    )
+    return ArchConfig(**_PRESETS[variant], window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +198,6 @@ class BlockParams:
     ffn: FfnParams
     heads: int = 1
     msa: MsaParams | None = None
-    msa_bias: np.ndarray | None = None  # relative-offset score table, optional
     qna_cfg: QnAConfig | None = None
     qna: QnAParams | None = None
     skip_w: np.ndarray | None = None
@@ -224,8 +207,6 @@ class BlockParams:
         out = {"ln1_g": self.ln1_g, "ln1_b": self.ln1_b, "ln2_g": self.ln2_g, "ln2_b": self.ln2_b}
         if self.msa is not None:
             out.update({f"msa.{n}": t for n, t in self.msa.tensors().items()})
-        if self.msa_bias is not None:
-            out["msa_bias"] = self.msa_bias
         if self.qna is not None:
             out.update({f"qna.{n}": t for n, t in self.qna.tensors().items()})
         if self.skip_w is not None:
@@ -268,8 +249,8 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-def _init_ffn(rng, dim: int, expansion: int, dtype) -> FfnParams:
-    hidden = expansion * dim
+def _init_ffn(rng, dim: int, dtype) -> FfnParams:
+    hidden = FFN_EXPANSION * dim
     return FfnParams(
         w1=truncated_normal(rng, (dim, hidden), dtype=dtype),
         b1=np.zeros(hidden, dtype=dtype),
@@ -278,7 +259,7 @@ def _init_ffn(rng, dim: int, expansion: int, dtype) -> FfnParams:
     )
 
 
-def _init_vit_block(rng, dim: int, heads: int, expansion: int, dtype) -> BlockParams:
+def _init_vit_block(rng, dim: int, heads: int, dtype) -> BlockParams:
     msa = MsaParams(
         w_q=truncated_normal(rng, (dim, dim), dtype=dtype),
         b_q=np.zeros(dim, dtype=dtype),
@@ -295,7 +276,7 @@ def _init_vit_block(rng, dim: int, heads: int, expansion: int, dtype) -> BlockPa
         ln1_b=np.zeros(dim, dtype=dtype),
         ln2_g=np.ones(dim, dtype=dtype),
         ln2_b=np.zeros(dim, dtype=dtype),
-        ffn=_init_ffn(rng, dim, expansion, dtype),
+        ffn=_init_ffn(rng, dim, dtype),
         heads=heads,
         msa=msa,
     )
@@ -322,7 +303,7 @@ def _init_qna_block(rng, dim_in: int, dim_out: int, heads: int, stride: int,
         ln1_b=np.zeros(dim_in, dtype=dtype),
         ln2_g=np.ones(dim_out, dtype=dtype),
         ln2_b=np.zeros(dim_out, dtype=dtype),
-        ffn=_init_ffn(rng, dim_out, arch.ffn_expansion, dtype),
+        ffn=_init_ffn(rng, dim_out, dtype),
         heads=heads,
         qna_cfg=cfg,
         qna=qna,
@@ -342,7 +323,7 @@ def _stage_blocks(rng, arch: ArchConfig, i: int, dtype) -> list[BlockParams]:
         for _ in range(n_stride1)
     ]
     glob = [
-        _init_vit_block(rng, dim, arch.sa_heads[i], arch.ffn_expansion, dtype)
+        _init_vit_block(rng, dim, arch.sa_heads[i], dtype)
         for _ in range(arch.vit_blocks[i])
     ]
     # Stage 3 runs its global blocks before its local ones.
@@ -363,7 +344,7 @@ def build_model(variant_or_arch, seed: int, dtype=np.float32) -> Model:
         arch = make_arch(variant_or_arch)
     rng = make_rng(seed)
     d0 = arch.base_dim
-    in_feats = arch.patch_size * arch.patch_size * 3
+    in_feats = PATCH_SIZE * PATCH_SIZE * 3
     patch_w = truncated_normal(rng, (in_feats, d0), dtype=dtype)
     patch_b = np.zeros(d0, dtype=dtype)
     n_stages = arch.num_stages()
@@ -423,8 +404,6 @@ def vit_block_forward(z: np.ndarray, params: BlockParams, ledger: AllocationLedg
     att_out = np.empty((n, h, dh), dtype=z.dtype)
     for g in range(h):
         scores = matmul(q[:, g, :], np.ascontiguousarray(k[:, g, :].T)) * scale
-        if params.msa_bias is not None:
-            scores += params.msa_bias
         att = softmax_rows(scores, ledger)
         att_out[:, g, :] = matmul(att, np.ascontiguousarray(v[:, g, :]))
     y = matmul(att_out.reshape(n, d), m.w_o) + m.b_o
@@ -460,7 +439,7 @@ def qna_block_forward(
 
 
 def _patch_embed(model: Model, image: np.ndarray) -> np.ndarray:
-    p = model.arch.patch_size
+    p = PATCH_SIZE
     H, W, c = image.shape
     hp, wp = H // p, W // p
     tiles = reshape_permute(image, (hp, p, wp, p, c), (0, 2, 1, 3, 4))
@@ -575,7 +554,7 @@ def _block_flops(blk: BlockParams, h_in: int, w_in: int) -> int:
 def _walk_costs(model: Model, resolution: int | None) -> CostReport:
     arch = model.arch
     rows: list[CostRow] = []
-    grid = resolution // arch.patch_size if resolution is not None else 0
+    grid = resolution // PATCH_SIZE if resolution is not None else 0
 
     pe_flops = grid * grid * model.patch_w.shape[0] * arch.base_dim if resolution else 0
     rows.append(CostRow("patch_embed", model.patch_w.size + model.patch_b.size, pe_flops))
@@ -642,6 +621,9 @@ def load_model(dirpath) -> Model:
         dtype, names = dtype_from_tag(doc["dtype"]), doc["tensors"]
     except KeyError as exc:
         raise QnatFormatError(f"arch.json is missing key {exc.args[0]!r}") from None
+    unknown = sorted(set(doc["arch"]) - {f.name for f in fields(ArchConfig)})
+    if unknown:
+        raise QnatFormatError(f"arch.json has unknown key {unknown[0]!r}")
     model = build_model(arch, seed=0, dtype=dtype)
     named = model.named_tensors()
     if sorted(named) != names:

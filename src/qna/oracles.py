@@ -102,9 +102,7 @@ def qna_window_oracle(
     L, h, dh, Dout = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out
     kk = cfg.k * cfg.k
     x2 = x.reshape(H * W, Din)
-    q = used_queries(cfg, params)
-    if cfg.scale_scores:
-        q = q / np.sqrt(np.asarray(dh, dtype=x.dtype))
+    q = used_queries(cfg, params) / np.sqrt(np.asarray(dh, dtype=x.dtype))
     neg_inf = np.asarray(-np.inf, dtype=x.dtype)
 
     kp = unfold((x2 @ params.w_k).reshape(H, W, Dout), cfg.k, cfg.stride, ledger)
@@ -161,11 +159,11 @@ def sasa_forward(
     k: int,
     params: SasaParams,
     ledger: AllocationLedger | None = None,
-    scale_scores: bool = True,
     stride: int = 1,
 ) -> np.ndarray:
     """Window attention where each window's single query comes from its own
-    center: q = x_center W_Q, with windows centered every ``stride`` sites.
+    center: q = x_center W_Q / sqrt(D_att), with windows centered every
+    ``stride`` sites.
     Masked softmax at borders, values aggregated per window, and no output
     projection. The key patches are freed before the value patches are
     extracted, so one k**2-sized patch buffer is alive at a time."""
@@ -187,8 +185,7 @@ def sasa_forward(
     x2 = x.reshape(H * W, D)
     d_att = params.w_q.shape[1]
     q = (x2 @ params.w_q).reshape(H, W, d_att)[::stride, ::stride]
-    if scale_scores:
-        q = q / np.sqrt(np.asarray(d_att, dtype=x.dtype))
+    q = q / np.sqrt(np.asarray(d_att, dtype=x.dtype))
     Hp, Wp = q.shape[0], q.shape[1]
     n_out = Hp * Wp
 

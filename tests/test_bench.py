@@ -39,10 +39,6 @@ def test_bench_case_validation():
     with pytest.raises(ShapeError):
         BenchCase(**{**good, "dtype": "f16"})
     with pytest.raises(ShapeError):
-        BenchCase(**{**good, "repeats": 4})
-    with pytest.raises(ShapeError):
-        BenchCase(**{**good, "warmup": 1})
-    with pytest.raises(ShapeError):
         BenchCase(**{**good, "heads": 3})  # D not divisible
 
 
@@ -196,16 +192,34 @@ def test_build_runner_unknown_dtype_guard():
 # ---------------------------------------------------------------------------
 
 
-def test_perfbench_span_targets_exist():
-    # the traced run wraps these module globals; a rename must fail here too
+def _import_perfbench(name):
+    """Import a benchmark module read-only (no bytecode written beside it)."""
     perfbench = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        spans = importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = write_bytecode
         sys.path.remove(perfbench)
+
+
+def test_perfbench_span_targets_exist():
+    # the traced run wraps these module globals; a rename must fail here too
+    spans = _import_perfbench("spans")
     for mod_name, attr, _, _ in spans.TARGETS:
         mod = importlib.import_module(f"qna.{mod_name}")
         assert callable(getattr(mod, attr, None)), f"qna.{mod_name}.{attr}"
+
+
+def test_perfbench_workloads_run_one_op_each():
+    # every workload builds from a fixed seed and runs its first op (k = 3 for
+    # the layer sweep), so a change the benchmark depends on fails here too
+    workloads = _import_perfbench("workloads")
+    assert workloads.KS[0] == 3
+    for name, cls in sorted(workloads.WORKLOADS.items()):
+        wl = cls()
+        wl.build(1)
+        out = wl.op(0)
+        values = out[2] if name == "train_toy" else out  # the loss trace
+        assert np.all(np.isfinite(values)), name

@@ -4,15 +4,20 @@ through the verification harness, and the artifacts each subcommand writes."""
 import numpy as np
 import pytest
 
+from qna import cli
 from qna.cli import build_parser, main, run_train_toy
+from qna.layer import QnAParams
 from qna.tensor import make_rng, save_qnat
 
-PERTURB = "QNA_CHECK_PERTURB"
 
-
-@pytest.fixture(autouse=True)
-def _no_leftover_perturbation(monkeypatch):
-    monkeypatch.delenv(PERTURB, raising=False)
+def _with_perturbed(fn, tensor):
+    """``fn`` evaluated on a copy of its params with one entry of ``tensor``
+    moved by 0.1, far above every tolerance of ``check``."""
+    def wrapped(x, cfg, params, *args):
+        bad = QnAParams(**{n: t.copy() for n, t in params.tensors().items()})
+        bad.tensors()[tensor].reshape(-1)[0] += 0.1
+        return fn(x, cfg, bad, *args)
+    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -74,17 +79,18 @@ def test_check_accepts_stringio_sink():
 
 @pytest.mark.parametrize("tensor", ["w_o", "bias"])
 def test_check_fault_injection_fails(tensor, capsys, monkeypatch):
-    monkeypatch.setenv(PERTURB, tensor)
+    # an oracle that disagrees with the layer must fail the grid
+    monkeypatch.setattr(cli, "qna_window_oracle", _with_perturbed(cli.qna_window_oracle, tensor))
     assert main(["check", "--grid", "small", "--dtype", "f32"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert f"(perturbed {tensor})" in out
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_check_gradcheck_fault_injection(capsys, monkeypatch):
-    monkeypatch.setenv(PERTURB, "w_v")
+    # analytic gradients of other weights must fail the finite-difference check
+    monkeypatch.setattr(cli, "qna_backward", _with_perturbed(cli.qna_backward, "w_v"))
     assert main(["check", "--grid", "small"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL gradcheck" in out and "FAIL grid" not in out
 
 
 def test_check_tiny_model(capsys):

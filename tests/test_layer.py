@@ -13,7 +13,6 @@ from qna.layer import (
     QnAConfig,
     QnAParams,
     attention_heatmap,
-    compute_scores,
     init_params,
     load_params,
     qna_backward,
@@ -22,7 +21,7 @@ from qna.layer import (
     save_params,
     used_queries,
 )
-from qna.layer import _wws_grad_kernel, _wws_grad_map
+from qna.layer import _query_key_map, _scores_from_map, _wws_grad_kernel, _wws_grad_map
 from qna.oracles import finite_diff_grad, qna_window_oracle
 from qna.tensor import (
     AllocationLedger,
@@ -104,13 +103,13 @@ def test_zero_norm_query_is_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_compute_scores_matches_unfused_loops():
+def test_scores_match_unfused_loops():
     rng = make_rng(3)
     cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=3, dim_in=5, dim_out=8)
     params = _rand_params(cfg, rng)
     x = rng.standard_normal((4, 6, 5))
-    s = compute_scores(x, cfg, params)
-    assert s.shape == (3, 2, 4, 6)
+    s = _scores_from_map(_query_key_map(cfg, params), x)
+    assert s.shape == (4, 6, 3, 2)
     q = used_queries(cfg, params) / np.sqrt(cfg.head_dim)
     for l in range(3):
         for g in range(2):
@@ -118,23 +117,7 @@ def test_compute_scores_matches_unfused_loops():
                 for j in range(6):
                     keys = x[i, j] @ params.w_k
                     want = q[l, g * 4 : (g + 1) * 4] @ keys[g * 4 : (g + 1) * 4]
-                    assert abs(s[l, g, i, j] - want) < 1e-12
-
-
-def test_compute_scores_respects_flags():
-    rng = make_rng(4)
-    base = dict(k=3, stride=1, heads=1, num_queries=1, dim_in=3, dim_out=4)
-    x = rng.standard_normal((3, 3, 3))
-    cfg_plain = QnAConfig(**base, scale_scores=False, normalize_queries=False)
-    params = _rand_params(cfg_plain, rng)
-    s_plain = compute_scores(x, cfg_plain, params)
-    s_scaled = compute_scores(x, QnAConfig(**base, scale_scores=True,
-                                           normalize_queries=False), params)
-    assert np.allclose(s_scaled, s_plain / 2.0, atol=1e-15)
-    s_norm = compute_scores(x, QnAConfig(**base, scale_scores=False,
-                                         normalize_queries=True), params)
-    norm = np.linalg.norm(params.queries[0])
-    assert np.allclose(s_norm, s_plain / norm, atol=1e-12)
+                    assert abs(s[i, j, l, g] - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +128,16 @@ def test_compute_scores_respects_flags():
 def test_forward_hand_computed_even_window():
     """1 x 2 input, k = 2: offsets {0, 1} per axis, so window (0,0) sees both
     sites and window (0,1) is half masked. Every number below is derived by
-    hand; out-of-bounds bias/mix entries are set to garbage on purpose."""
-    cfg = QnAConfig(k=2, stride=1, heads=1, num_queries=1, dim_in=1, dim_out=1,
-                    scale_scores=False, normalize_queries=False)
+    hand; out-of-bounds bias/mix entries are set to garbage on purpose. With
+    head_dim 1 and a unit query, scaling and normalization are exact."""
+    cfg = QnAConfig(k=2, stride=1, heads=1, num_queries=1, dim_in=1, dim_out=1)
     params = QnAParams(
-        w_k=np.array([[1.0]]),
+        w_k=np.array([[0.5]]),
         w_v=np.array([[3.0]]),
         b_v=np.array([1.0]),
         w_o=np.array([[2.0]]),
         b_o=np.array([-1.0]),
-        queries=np.array([[0.5]]),
+        queries=np.array([[1.0]]),
         mix=np.array([[0.7, 1.3, 9.0, 9.0]]),
         bias=np.array([[[0.2, -0.1], [5.0, 5.0]]]),
     )
@@ -224,15 +207,15 @@ def test_forward_stride_two_sites():
 
 def test_global_score_shift_is_bitwise_invariant_on_exact_scores():
     # integer-valued scores stay exact under the +c shift, and the shift
-    # cancels inside the max subtraction before exp ever runs
+    # cancels inside the max subtraction before exp ever runs; a one-hot query
+    # and head_dim 4 keep normalization and the 1/2 scale exact
     rng = make_rng(8)
-    cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=2, dim_out=2,
-                    scale_scores=False, normalize_queries=False)
+    cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=2, dim_out=4)
     params = init_params(cfg, rng)
-    params.w_k[...] = np.array([[1.0, 2.0], [0.0, 1.0]])
-    params.w_v[...] = np.array([[1.0, 0.0], [1.0, 1.0]])
-    params.w_o[...] = np.eye(2)
-    params.queries[...] = np.array([[1.0, 1.0]])
+    params.w_k[...] = np.array([[6.0, 5.0, 0.0, 1.0], [2.0, 0.0, 3.0, 0.0]])
+    params.w_v[...] = np.array([[1.0, 0.0, 2.0, 0.0], [1.0, 1.0, 0.0, 1.0]])
+    params.w_o[...] = np.eye(4)
+    params.queries[...] = np.array([[1.0, 0.0, 0.0, 0.0]])
     params.mix[...] = 1.0
     x = rng.integers(-3, 4, size=(5, 5, 2)).astype(np.float64)
     base = qna_forward(x, cfg, params)
@@ -270,8 +253,7 @@ def test_query_normalization_ignores_power_of_two_scaling():
 def test_forward_reports_window_underflow():
     # one spiked site dominates the global max; windows that cannot see it
     # underflow to an all-zero weight sum, which must be reported
-    cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=1, dim_out=1,
-                    scale_scores=False, normalize_queries=False)
+    cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=1, dim_out=1)
     params = QnAParams(
         w_k=np.array([[1.0]]), w_v=np.array([[1.0]]), b_v=np.zeros(1),
         w_o=np.array([[1.0]]), b_o=np.zeros(1), queries=np.array([[1.0]]),
@@ -335,7 +317,8 @@ def _assert_ledger_matches_heap_peak(call):
     try:
         start = tracemalloc.get_traced_memory()[0]
         out = call(ledger)
-        heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+        tensors = out.tensors().values() if isinstance(out, GradBundle) else [out]
+        heap = tracemalloc.get_traced_memory()[1] - start - sum(t.nbytes for t in tensors)
     finally:
         tracemalloc.stop()
     assert abs(ledger.peak_extra_bytes - heap) <= 0.1 * heap, (ledger.peak_extra_bytes, heap)
@@ -348,6 +331,19 @@ def test_forward_ledger_matches_heap_peak(k, heads, L):
     params = init_params(cfg, rng, dtype=np.float32)
     x = rng.standard_normal((128, 128, 64)).astype(np.float32)
     _assert_ledger_matches_heap_peak(lambda ledger: qna_forward(x, cfg, params, ledger))
+
+
+# The toy trainer's shape (f64), where numpy's fixed-size ufunc buffers are a
+# large share of the maps, and a larger f32 one.
+@pytest.mark.parametrize("size,dim_in,dim_out,heads,L,dtype", [(12, 4, 8, 2, 2, np.float64),
+                                                               (48, 16, 32, 4, 2, np.float32)])
+def test_backward_ledger_matches_heap_peak(size, dim_in, dim_out, heads, L, dtype):
+    rng = make_rng(16)
+    cfg = QnAConfig(k=3, stride=1, heads=heads, num_queries=L, dim_in=dim_in, dim_out=dim_out)
+    params = init_params(cfg, rng, dtype=dtype)
+    x = rng.standard_normal((size, size, dim_in)).astype(dtype)
+    d_out = rng.standard_normal((size, size, dim_out)).astype(dtype)
+    _assert_ledger_matches_heap_peak(lambda ledger: qna_backward(x, cfg, params, d_out, ledger))
 
 
 # Maps of at least 128 x 128: at 64 x 64 numpy's fixed-size ufunc buffers are
@@ -418,12 +414,6 @@ def _gradcheck_case(cfg, seed, H=4, W=4):
 def test_backward_gradcheck_even_window_strided():
     cfg = QnAConfig(k=2, stride=2, heads=2, num_queries=2, dim_in=3, dim_out=4)
     assert _gradcheck_case(cfg, 14) < 1e-6
-
-
-def test_backward_gradcheck_unnormalized_unscaled():
-    cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=2, dim_in=3, dim_out=3,
-                    scale_scores=False, normalize_queries=False)
-    assert _gradcheck_case(cfg, 15) < 1e-6
 
 
 def test_backward_validates_d_out():
@@ -537,30 +527,33 @@ def test_heatmap_mass_conservation_random_scores():
 
 
 def test_heatmap_matches_oracle_attention_sums():
-    # accumulate the oracle's per-window softmax weights site by site
+    # accumulate the oracle's per-window softmax weights site by site, for
+    # every (query, head) so that a swapped or shifted selection shows
     rng = make_rng(23)
     cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=2, dim_in=3, dim_out=6)
     params = _rand_params(cfg, rng)
     H, W = 4, 5
     x = rng.standard_normal((H, W, 3))
-    l, g = 1, 1
-    heat = attention_heatmap(x, cfg, params, l, g)
-    s = compute_scores(x, cfg, params)[l, g]
-    want = np.zeros((H, W))
-    for i in range(H):
-        for j in range(W):
-            logits, sites = [], []
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    r, c = i + di, j + dj
-                    if 0 <= r < H and 0 <= c < W:
-                        logits.append(s[r, c] + params.bias[l, di + 1, dj + 1])
-                        sites.append((r, c))
-            w = np.exp(np.array(logits) - np.max(logits))
-            w /= w.sum()
-            for wt, (r, c) in zip(w, sites):
-                want[r, c] += wt
-    assert np.allclose(heat, want, atol=1e-10)
+    scores = _scores_from_map(_query_key_map(cfg, params), x)
+    for l in range(cfg.num_queries):
+        for g in range(cfg.heads):
+            s = scores[:, :, l, g]
+            want = np.zeros((H, W))
+            for i in range(H):
+                for j in range(W):
+                    logits, sites = [], []
+                    for di in (-1, 0, 1):
+                        for dj in (-1, 0, 1):
+                            r, c = i + di, j + dj
+                            if 0 <= r < H and 0 <= c < W:
+                                logits.append(s[r, c] + params.bias[l, di + 1, dj + 1])
+                                sites.append((r, c))
+                    w = np.exp(np.array(logits) - np.max(logits))
+                    w /= w.sum()
+                    for wt, (r, c) in zip(w, sites):
+                        want[r, c] += wt
+            heat = attention_heatmap(x, cfg, params, l, g)
+            assert np.allclose(heat, want, atol=1e-10), (l, g)
 
 
 def test_heatmap_validation():
@@ -606,8 +599,7 @@ def test_num_scalars_counts_everything():
 
 def test_save_load_roundtrip(tmp_path):
     rng = make_rng(25)
-    cfg = QnAConfig(k=3, stride=2, heads=2, num_queries=2, dim_in=3, dim_out=4,
-                    scale_scores=False)
+    cfg = QnAConfig(k=3, stride=2, heads=2, num_queries=2, dim_in=3, dim_out=4)
     params = _rand_params(cfg, rng)
     x = rng.standard_normal((5, 5, 3))
     want = qna_forward(x, cfg, params)
@@ -642,6 +634,13 @@ def _saved_layer_with_config(tmp_path, edit):
 def test_load_names_missing_config_key(tmp_path, key):
     with pytest.raises(QnatFormatError, match=key):
         load_params(_saved_layer_with_config(tmp_path, lambda doc: doc.pop(key)))
+
+
+def test_load_rejects_unknown_config_key(tmp_path):
+    # a file that carries a key the config does not have (such as a removed
+    # option) would otherwise load as a different layer than the one saved
+    with pytest.raises(QnatFormatError, match="retired_flag"):
+        load_params(_saved_layer_with_config(tmp_path, lambda doc: doc.update(retired_flag=False)))
 
 
 @pytest.mark.parametrize("tag", ["f16", None, "f32"])

@@ -27,7 +27,6 @@ def _mini_arch(base_dim=8, vit=(0, 0, 1, 1), qna=(1, 1, 1, 0), classes=10, **kw)
     d = base_dim
     return ArchConfig(
         base_dim=d,
-        stage_dims=(d, 2 * d, 4 * d, 8 * d),
         vit_blocks=vit,
         qna_blocks=qna,
         qna_heads=kw.pop("qna_heads", (2, 2, 4, 4)),
@@ -65,10 +64,6 @@ def test_presets_match_reference_tables():
 def test_arch_validation():
     with pytest.raises(ShapeError):
         _mini_arch(base_dim=0)
-    with pytest.raises(ShapeError):
-        ArchConfig(base_dim=8, stage_dims=(8, 16, 32, 65), vit_blocks=(0, 0, 1, 1),
-                   qna_blocks=(1, 1, 1, 0), qna_heads=(2, 2, 2, 2), ds_heads=(2, 2, 2),
-                   sa_heads=(2, 2, 2, 2))
     # a stage without its downsampler truncates the model
     with pytest.raises(ShapeError):
         _mini_arch(qna=(1, 0, 1, 0))
@@ -78,7 +73,7 @@ def test_arch_validation():
 
 
 def test_arch_json_roundtrip():
-    arch = _mini_arch(window=5, num_queries=4, msa_rel_bias=True)
+    arch = _mini_arch(window=5, num_queries=4)
     assert ArchConfig.from_json_dict(arch.to_json_dict()) == arch
 
 
@@ -215,7 +210,7 @@ def test_count_flops_vit_block_formula():
     arch = _mini_arch(base_dim=d, vit=(0, 0, 0, 0), qna=(0, 0, 0, 0), classes=10)
     base_fl = count_flops(build_model(arch, seed=0), 32).flops
     arch1 = ArchConfig(
-        base_dim=d, stage_dims=(d, 2 * d, 4 * d, 8 * d), vit_blocks=(1, 0, 0, 0),
+        base_dim=d, vit_blocks=(1, 0, 0, 0),
         qna_blocks=(0, 0, 0, 0), qna_heads=(2, 2, 2, 2), ds_heads=(2, 2, 2),
         sa_heads=(2, 2, 2, 2), num_classes=10,
     )
@@ -273,20 +268,6 @@ def test_vit_block_matches_loop_oracle():
     gelu = 0.5 * hdn * (1 + np.tanh(np.sqrt(2 / np.pi) * (hdn + 0.044715 * hdn**3)))
     want = z1 + (gelu @ blk.ffn.w2 + blk.ffn.b2)
     assert np.allclose(got, want, atol=1e-10)
-
-
-def test_vit_block_relative_bias_hook():
-    rng = make_rng(6)
-    arch = _mini_arch(base_dim=8, vit=(1, 0, 0, 0), qna=(0, 0, 0, 0))
-    model = build_model(arch, seed=6, dtype=np.float64)
-    blk = model.stages[0][0]
-    z = rng.standard_normal((6, 8))
-    base = vit_block_forward(z, blk)
-    blk.msa_bias = rng.standard_normal((6, 6))
-    biased = vit_block_forward(z, blk)
-    assert not np.allclose(base, biased)
-    blk.msa_bias = np.full((6, 6), 3.0)  # constant additive bias cancels
-    assert np.allclose(vit_block_forward(z, blk), base, atol=1e-12)
 
 
 def test_qna_block_is_composition():
@@ -446,4 +427,19 @@ def test_load_rejects_malformed_arch_json(tmp_path, edit, match):
     edit(doc)
     (tmp_path / "m" / "arch.json").write_text(_json.dumps(doc))
     with pytest.raises(QnatFormatError, match=match):
+        load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("key,value", [("stage_dims", [8, 16, 32, 64]), ("patch_size", 2),
+                                       ("ffn_expansion", 4)])
+def test_load_rejects_unknown_arch_key(tmp_path, key, value):
+    # keys of removed architecture fields must not be dropped silently: a
+    # file that set one to another value described a different model
+    save_model(tmp_path / "m", build_model(_mini_arch(classes=9), seed=24))
+    import json as _json
+
+    doc = _json.loads((tmp_path / "m" / "arch.json").read_text())
+    doc["arch"][key] = value
+    (tmp_path / "m" / "arch.json").write_text(_json.dumps(doc))
+    with pytest.raises(QnatFormatError, match=key):
         load_model(tmp_path / "m")

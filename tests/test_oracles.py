@@ -274,21 +274,20 @@ def test_sasa_equals_pointwise_specialized_qna():
     )
     want = sasa_forward(x, k, sasa)
 
-    cfg = QnAConfig(
-        k=k, stride=1, heads=1, num_queries=1, dim_in=D, dim_out=D,
-        scale_scores=False, normalize_queries=False,
-    )
+    cfg = QnAConfig(k=k, stride=1, heads=1, num_queries=1, dim_in=D, dim_out=D)
     got = np.empty_like(want)
-    scale = 1.0 / np.sqrt(D)
     for i in range(H):
         for j in range(W):
+            # the layer unit-normalizes its query and scales by 1/sqrt(D) as
+            # SASA does; the query's norm moves into the key projection
+            q = x[i, j] @ sasa.w_q
             params = QnAParams(
-                w_k=sasa.w_k.copy(),
+                w_k=sasa.w_k * np.linalg.norm(q),
                 w_v=sasa.w_v.copy(),
                 b_v=np.zeros(D),
                 w_o=np.eye(D),
                 b_o=np.zeros(D),
-                queries=((x[i, j] @ sasa.w_q) * scale).reshape(1, D),
+                queries=q.reshape(1, D),
                 mix=np.ones((1, k * k)),
                 bias=np.zeros((1, k, k)),
             )
