@@ -33,7 +33,6 @@ from .tensor import (  # noqa: E402
     make_rng,
     matmul,
     offset_bounds,
-    reshape_permute,
     save_qnat,
     softmax_rows,
     truncated_normal,
@@ -125,7 +124,6 @@ __all__ = [
     "qna_forward",
     "qna_upsample_forward",
     "qna_window_oracle",
-    "reshape_permute",
     "run_sweep",
     "sasa_forward",
     "save_model",

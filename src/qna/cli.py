@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -234,7 +235,7 @@ def _cmd_model(args) -> int:
     show_flops = args.report in ("flops", "both")
     report = count_flops(model, args.resolution) if show_flops else count_params(model)
     if args.json:
-        doc = report.to_json_dict()
+        doc = asdict(report)
         doc["variant"] = args.variant
         doc["resolution"] = args.resolution
         if not show_params:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,12 +41,14 @@ from .tensor import (
     NumericalRangeError,
     QnatFormatError,
     ShapeError,
+    TensorSet,
     _record,
     check_dtype,
-    dtype_from_tag,
+    check_manifest,
     dtype_tag,
     load_qnat,
     make_rng,
+    read_config,
     require_finite,
     same_output_size,
     same_window_slices,
@@ -94,7 +96,7 @@ class QnAConfig:
 
 
 @dataclass
-class QnAParams:
+class QnAParams(TensorSet):
     """Learned tensors. ``queries`` rows are per-query, ``mix`` blends the
     per-query attention maps over window offsets (row-major k*k), and
     ``bias`` is the per-query additive score offset table."""
@@ -107,11 +109,6 @@ class QnAParams:
     queries: np.ndarray  # L x dim_out
     mix: np.ndarray      # L x k*k
     bias: np.ndarray     # L x k x k
-
-    _FIELDS = ("w_k", "w_v", "b_v", "w_o", "b_o", "queries", "mix", "bias")
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self._FIELDS}
 
     @property
     def dtype(self) -> np.dtype:
@@ -142,7 +139,7 @@ class QnAParams:
 
 
 @dataclass
-class GradBundle:
+class GradBundle(TensorSet):
     """Gradients of a scalar loss with respect to the input and every parameter."""
 
     d_input: np.ndarray
@@ -154,19 +151,6 @@ class GradBundle:
     d_queries: np.ndarray
     d_mix: np.ndarray
     d_bias: np.ndarray
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "d_input": self.d_input,
-            "d_w_k": self.d_w_k,
-            "d_w_v": self.d_w_v,
-            "d_b_v": self.d_b_v,
-            "d_w_o": self.d_w_o,
-            "d_b_o": self.d_b_o,
-            "d_queries": self.d_queries,
-            "d_mix": self.d_mix,
-            "d_bias": self.d_bias,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +213,11 @@ def _scores_from_map(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return flat.reshape(H, W, L, h)
 
 
-def _exp_scores(x, a: np.ndarray, score_shift: float = 0.0) -> np.ndarray:
+def _exp_scores(x, a: np.ndarray) -> np.ndarray:
     """E = exp(S - max S) for the query/key fold ``a`` (L x heads x dim_in),
     H x W x L x heads, with one max per (query, head) over all sites. E
     reuses the score buffer."""
     e = _scores_from_map(a, x)
-    if score_shift:
-        # Test hook: the output contract is invariant to a constant added to
-        # every score (global max subtraction plus per-window normalization).
-        e += np.asarray(score_shift, dtype=e.dtype)
     e -= e.max(axis=(0, 1))
     np.exp(e, out=e)
     return e
@@ -285,7 +265,6 @@ def qna_forward(
     cfg: QnAConfig,
     params: QnAParams,
     ledger: AllocationLedger | None = None,
-    score_shift: float = 0.0,
 ) -> np.ndarray:
     """Layer output of shape H' x W' x dim_out with H' = ceil(H / stride).
 
@@ -296,7 +275,7 @@ def qna_forward(
     weights fold into the numerator's reduction kernel.
     """
     _validate_layer_inputs(x, cfg, params)
-    e = _exp_scores(x, _query_key_map(cfg, params), score_shift)
+    e = _exp_scores(x, _query_key_map(cfg, params))
     v = _values(x, cfg, params)
     num_k, den_k = _reduction_kernels(cfg, params)
 
@@ -313,10 +292,12 @@ def qna_forward(
     # The ledger counts the heap high-water mark above the output. The mark
     # is reached inside a numerator reduction: the exponentiated scores, the
     # values, one query's weighted values, its normalizer and numerator, the
-    # reduction's scratch, and the accumulator when there are earlier queries.
+    # reduction's scratch, the accumulator when there are earlier queries,
+    # and the three ufunc buffers (up to getbufsize() elements each) of the
+    # reduction's strided accumulation.
     H, W, L, D = x.shape[0], x.shape[1], cfg.num_queries, cfg.dim_out
     peak = (H * W * (L * h + 2 * D) + Hp * Wp * (h + (3 if L > 1 else 2) * D)
-            + 2 * L * cfg.k * cfg.k)
+            + 3 * min(np.getbufsize(), Hp * Wp * D) + 2 * L * cfg.k * cfg.k)
     _record(ledger, "qna_forward", (peak - Hp * Wp * D) * x.dtype.itemsize)
     require_finite(out, "output")
     return out.reshape(Hp, Wp, cfg.dim_out)
@@ -359,6 +340,8 @@ def qna_upsample_forward(
         H * W * (L * h + D)             # exponentiated scores, values
         + H * W * (h + 3 * D)           # one query's normalizer, weighted values,
                                         # numerator and WWS scratch
+        + 3 * min(np.getbufsize(), H * W * D)  # ufunc buffers of the WWS
+                                        # strided accumulation
         + L * cfg.k * cfg.k             # reduction kernels
     ) * x.dtype.itemsize
     _record(ledger, "qna_upsample_forward", transient)
@@ -585,43 +568,21 @@ def init_params(cfg: QnAConfig, seed, dtype=np.float64) -> QnAParams:
 def save_params(dirpath, cfg: QnAConfig, params: QnAParams) -> None:
     params.validate(cfg)
     os.makedirs(dirpath, exist_ok=True)
-    doc = {
-        "k": cfg.k,
-        "stride": cfg.stride,
-        "heads": cfg.heads,
-        "num_queries": cfg.num_queries,
-        "dim_in": cfg.dim_in,
-        "dim_out": cfg.dim_out,
-        "dtype": dtype_tag(params.dtype),
-        "tensors": list(params._FIELDS),
-    }
+    tensors = params.tensors()
+    doc = {**asdict(cfg), "dtype": dtype_tag(params.dtype), "tensors": list(tensors)}
     with open(os.path.join(dirpath, "config.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
-    for name, t in params.tensors().items():
+    for name, t in tensors.items():
         save_qnat(os.path.join(dirpath, f"{name}.qnat"), t)
 
 
 def load_params(dirpath) -> tuple[QnAConfig, QnAParams]:
-    with open(os.path.join(dirpath, "config.json")) as f:
-        doc = json.load(f)
-    try:
-        cfg = QnAConfig(
-            k=doc["k"],
-            stride=doc["stride"],
-            heads=doc["heads"],
-            num_queries=doc["num_queries"],
-            dim_in=doc["dim_in"],
-            dim_out=doc["dim_out"],
-        )
-        dtype, names = dtype_from_tag(doc["dtype"]), doc["tensors"]
-    except KeyError as exc:
-        raise QnatFormatError(f"config.json is missing key {exc.args[0]!r}") from None
-    unknown = sorted(set(doc) - {f.name for f in fields(QnAConfig)} - {"dtype", "tensors"})
-    if unknown:
-        raise QnatFormatError(f"config.json has unknown key {unknown[0]!r}")
-    tensors = {name: load_qnat(os.path.join(dirpath, f"{name}.qnat")) for name in names}
-    params = QnAParams(**tensors)
+    path = os.path.join(dirpath, "config.json")
+    cfg, dtype, names = read_config(path, QnAConfig)
+    check_manifest(path, names, [f.name for f in fields(QnAParams)])
+    params = QnAParams(**{name: load_qnat(os.path.join(dirpath, f"{name}.qnat")) for name in names})
     params.validate(cfg)
     if params.dtype != dtype:
-        raise QnatFormatError(f"config.json says {doc['dtype']}, the tensors are {params.dtype}")
+        raise QnatFormatError(
+            f"{path}: key 'dtype' says {dtype_tag(dtype)}, the tensors are {params.dtype}")
     return cfg, params

@@ -16,25 +16,25 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .layer import QnAConfig, QnAParams, init_params, qna_forward
 from .tensor import (
     AllocationLedger,
-    QnatFormatError,
     ShapeError,
+    TensorSet,
     check_dtype,
+    check_manifest,
     conv2d,
-    dtype_from_tag,
     dtype_tag,
     layernorm,
     load_qnat,
     make_rng,
     matmul,
+    read_config,
     require_finite,
-    reshape_permute,
     save_qnat,
     softmax_rows,
     truncated_normal,
@@ -108,33 +108,6 @@ class ArchConfig:
                 return i + 1
         return 4
 
-    def to_json_dict(self) -> dict:
-        return {
-            "base_dim": self.base_dim,
-            "vit_blocks": list(self.vit_blocks),
-            "qna_blocks": list(self.qna_blocks),
-            "qna_heads": list(self.qna_heads),
-            "ds_heads": list(self.ds_heads),
-            "sa_heads": list(self.sa_heads),
-            "window": self.window,
-            "num_queries": self.num_queries,
-            "num_classes": self.num_classes,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "ArchConfig":
-        return ArchConfig(
-            base_dim=doc["base_dim"],
-            vit_blocks=tuple(doc["vit_blocks"]),
-            qna_blocks=tuple(doc["qna_blocks"]),
-            qna_heads=tuple(doc["qna_heads"]),
-            ds_heads=tuple(doc["ds_heads"]),
-            sa_heads=tuple(doc["sa_heads"]),
-            window=doc["window"],
-            num_queries=doc["num_queries"],
-            num_classes=doc["num_classes"],
-        )
-
 
 _PRESETS = {
     "tiny": dict(base_dim=64, vit_blocks=(0, 0, 4, 2), qna_blocks=(3, 4, 3, 0),
@@ -158,7 +131,7 @@ def make_arch(variant: str, window: int = 3) -> ArchConfig:
 
 
 @dataclass
-class MsaParams:
+class MsaParams(TensorSet):
     w_q: np.ndarray
     b_q: np.ndarray
     w_k: np.ndarray
@@ -168,23 +141,17 @@ class MsaParams:
     w_o: np.ndarray
     b_o: np.ndarray
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {n: getattr(self, n) for n in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o")}
-
 
 @dataclass
-class FfnParams:
+class FfnParams(TensorSet):
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {n: getattr(self, n) for n in ("w1", "b1", "w2", "b2")}
-
 
 @dataclass
-class BlockParams:
+class BlockParams(TensorSet):
     """One residual block: attention sub-block and FFN sub-block, both
     pre-norm. kind is "vit" (global attention, w_q housed in msa) or "qna"
     (local shared-query attention, no w_q). Stride-2 local blocks carry the
@@ -203,21 +170,9 @@ class BlockParams:
     skip_w: np.ndarray | None = None
     skip_b: np.ndarray | None = None
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {"ln1_g": self.ln1_g, "ln1_b": self.ln1_b, "ln2_g": self.ln2_g, "ln2_b": self.ln2_b}
-        if self.msa is not None:
-            out.update({f"msa.{n}": t for n, t in self.msa.tensors().items()})
-        if self.qna is not None:
-            out.update({f"qna.{n}": t for n, t in self.qna.tensors().items()})
-        if self.skip_w is not None:
-            out["skip_w"] = self.skip_w
-            out["skip_b"] = self.skip_b
-        out.update({f"ffn.{n}": t for n, t in self.ffn.tensors().items()})
-        return out
-
 
 @dataclass
-class Model:
+class Model(TensorSet):
     arch: ArchConfig
     patch_w: np.ndarray
     patch_b: np.ndarray
@@ -232,15 +187,11 @@ class Model:
         return self.patch_w.dtype
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {"patch_w": self.patch_w, "patch_b": self.patch_b}
+        """Every tensor of the model, each block's under ``stage{i}.block{j}.``."""
+        out = self.tensors()
         for i, blocks in enumerate(self.stages):
             for j, blk in enumerate(blocks):
-                for name, t in blk.tensors().items():
-                    out[f"stage{i}.block{j}.{name}"] = t
-        out["final_ln_g"] = self.final_ln_g
-        out["final_ln_b"] = self.final_ln_b
-        out["head_w"] = self.head_w
-        out["head_b"] = self.head_b
+                out.update({f"stage{i}.block{j}.{name}": t for name, t in blk.tensors().items()})
         return out
 
 
@@ -442,8 +393,7 @@ def _patch_embed(model: Model, image: np.ndarray) -> np.ndarray:
     p = PATCH_SIZE
     H, W, c = image.shape
     hp, wp = H // p, W // p
-    tiles = reshape_permute(image, (hp, p, wp, p, c), (0, 2, 1, 3, 4))
-    flat = tiles.reshape(hp * wp, p * p * c)
+    flat = image.reshape(hp, p, wp, p, c).transpose(0, 2, 1, 3, 4).reshape(hp * wp, p * p * c)
     return (matmul(flat, model.patch_w) + model.patch_b).reshape(hp, wp, model.arch.base_dim)
 
 
@@ -502,13 +452,6 @@ class CostReport:
     params: int
     flops: int
     rows: list[CostRow] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "flops": self.flops,
-            "rows": [{"name": r.name, "params": r.params, "flops": r.flops} for r in self.rows],
-        }
 
 
 def _block_param_count(blk: BlockParams) -> int:
@@ -600,11 +543,7 @@ def count_flops(model: Model, resolution: int) -> CostReport:
 def save_model(dirpath, model: Model) -> None:
     os.makedirs(dirpath, exist_ok=True)
     named = model.named_tensors()
-    doc = {
-        "arch": model.arch.to_json_dict(),
-        "dtype": dtype_tag(model.dtype),
-        "tensors": sorted(named),
-    }
+    doc = {"arch": asdict(model.arch), "dtype": dtype_tag(model.dtype), "tensors": sorted(named)}
     with open(os.path.join(dirpath, "arch.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
     weights = os.path.join(dirpath, "weights")
@@ -614,20 +553,11 @@ def save_model(dirpath, model: Model) -> None:
 
 
 def load_model(dirpath) -> Model:
-    with open(os.path.join(dirpath, "arch.json")) as f:
-        doc = json.load(f)
-    try:
-        arch = ArchConfig.from_json_dict(doc["arch"])
-        dtype, names = dtype_from_tag(doc["dtype"]), doc["tensors"]
-    except KeyError as exc:
-        raise QnatFormatError(f"arch.json is missing key {exc.args[0]!r}") from None
-    unknown = sorted(set(doc["arch"]) - {f.name for f in fields(ArchConfig)})
-    if unknown:
-        raise QnatFormatError(f"arch.json has unknown key {unknown[0]!r}")
+    path = os.path.join(dirpath, "arch.json")
+    arch, dtype, names = read_config(path, ArchConfig, section="arch")
     model = build_model(arch, seed=0, dtype=dtype)
     named = model.named_tensors()
-    if sorted(named) != names:
-        raise ShapeError("stored tensor manifest does not match the architecture")
+    check_manifest(path, names, sorted(named))
     weights = os.path.join(dirpath, "weights")
     for name, t in named.items():
         loaded = load_qnat(os.path.join(weights, f"{name}.qnat"))

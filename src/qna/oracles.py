@@ -151,7 +151,6 @@ class SasaParams:
     w_q: np.ndarray  # D x D_att
     w_k: np.ndarray  # D x D_att
     w_v: np.ndarray  # D x D_val
-    rel_bias: np.ndarray | None = None  # k x k additive score table, off by default
 
 
 def sasa_forward(
@@ -179,8 +178,6 @@ def sasa_forward(
         raise ShapeError("projection rows must match input channels")
     if params.w_q.shape[1] != params.w_k.shape[1]:
         raise ShapeError("W_Q and W_K must agree on the attention dimension")
-    if params.rel_bias is not None and params.rel_bias.shape != (k, k):
-        raise ShapeError(f"rel_bias must be {k} x {k}, got {params.rel_bias.shape}")
 
     x2 = x.reshape(H * W, D)
     d_att = params.w_q.shape[1]
@@ -191,8 +188,6 @@ def sasa_forward(
 
     kp = unfold((x2 @ params.w_k).reshape(H, W, d_att), k, stride, ledger)
     logits = np.matmul(kp.patches.reshape(n_out, k * k, d_att), q.reshape(n_out, d_att, 1))[:, :, 0]
-    if params.rel_bias is not None:
-        logits += params.rel_bias.reshape(k * k)
     logits = np.where(kp.mask.reshape(n_out, k * k), logits, np.asarray(-np.inf, dtype=x.dtype))
     del kp
     att = softmax_rows(logits, ledger)

@@ -206,21 +206,22 @@ def test_forward_stride_two_sites():
 
 
 def test_global_score_shift_is_bitwise_invariant_on_exact_scores():
-    # integer-valued scores stay exact under the +c shift, and the shift
-    # cancels inside the max subtraction before exp ever runs; a one-hot query
-    # and head_dim 4 keep normalization and the 1/2 scale exact
+    # a one-hot query and head_dim 4 keep normalization and the 1/2 scale
+    # exact, so the scores are the integers 3*x0 + x1; channel 1 feeds no
+    # values, so adding c to it at every site adds c to every score, which
+    # cancels inside the max subtraction before exp ever runs
     rng = make_rng(8)
     cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=2, dim_out=4)
     params = init_params(cfg, rng)
     params.w_k[...] = np.array([[6.0, 5.0, 0.0, 1.0], [2.0, 0.0, 3.0, 0.0]])
-    params.w_v[...] = np.array([[1.0, 0.0, 2.0, 0.0], [1.0, 1.0, 0.0, 1.0]])
+    params.w_v[...] = np.array([[1.0, -1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0]])
     params.w_o[...] = np.eye(4)
     params.queries[...] = np.array([[1.0, 0.0, 0.0, 0.0]])
     params.mix[...] = 1.0
     x = rng.integers(-3, 4, size=(5, 5, 2)).astype(np.float64)
     base = qna_forward(x, cfg, params)
     for shift in (1.0, 7.0, -4.0):
-        assert np.array_equal(qna_forward(x, cfg, params, score_shift=shift), base)
+        assert np.array_equal(qna_forward(x + np.array([0.0, shift]), cfg, params), base)
 
 
 def test_query_order_is_irrelevant():
@@ -324,13 +325,29 @@ def _assert_ledger_matches_heap_peak(call):
     assert abs(ledger.peak_extra_bytes - heap) <= 0.1 * heap, (ledger.peak_extra_bytes, heap)
 
 
-@pytest.mark.parametrize("k,heads,L", [(3, 1, 1), (15, 1, 1), (7, 4, 2)])
-def test_forward_ledger_matches_heap_peak(k, heads, L):
+# 128 x 128 x 64 f32 maps, and small f64 maps (the toy trainer's shape among
+# them) where numpy's fixed-size ufunc buffers are a large share of the maps.
+@pytest.mark.parametrize("size,dim_in,dim_out,k,heads,L,dtype", [
+    (128, 64, 64, 3, 1, 1, np.float32),
+    (128, 64, 64, 15, 1, 1, np.float32),
+    (128, 64, 64, 7, 4, 2, np.float32),
+    (12, 4, 8, 3, 2, 2, np.float64),
+    (24, 8, 16, 5, 4, 2, np.float64),
+], ids=["3-1-1", "15-1-1", "7-4-2", "12-4-8-3-2-2-float64", "24-8-16-5-4-2-float64"])
+def test_forward_ledger_matches_heap_peak(size, dim_in, dim_out, k, heads, L, dtype):
     rng = make_rng(14)
-    cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=64, dim_out=64)
-    params = init_params(cfg, rng, dtype=np.float32)
-    x = rng.standard_normal((128, 128, 64)).astype(np.float32)
+    cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=dim_in, dim_out=dim_out)
+    params = init_params(cfg, rng, dtype=dtype)
+    x = rng.standard_normal((size, size, dim_in)).astype(dtype)
     _assert_ledger_matches_heap_peak(lambda ledger: qna_forward(x, cfg, params, ledger))
+
+
+def test_upsample_ledger_matches_heap_peak():
+    rng = make_rng(17)
+    cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=4, dim_in=4, dim_out=8)
+    params = init_params(cfg, rng)
+    x = rng.standard_normal((12, 12, 4))
+    _assert_ledger_matches_heap_peak(lambda ledger: qna_upsample_forward(x, cfg, params, ledger))
 
 
 # The toy trainer's shape (f64), where numpy's fixed-size ufunc buffers are a
@@ -620,31 +637,65 @@ def test_load_rejects_mismatched_tensor(tmp_path):
         load_params(tmp_path / "layer")
 
 
+def test_save_params_config_text(tmp_path):
+    # the on-disk format: sorted keys, two-space indent, tensors in field order
+    cfg = QnAConfig(k=5, stride=2, heads=2, num_queries=3, dim_in=3, dim_out=4)
+    save_params(tmp_path, cfg, init_params(cfg, 27))
+    assert (tmp_path / "config.json").read_text() == (
+        '{\n  "dim_in": 3,\n  "dim_out": 4,\n  "dtype": "f64",\n  "heads": 2,\n  "k": 5,\n'
+        '  "num_queries": 3,\n  "stride": 2,\n  "tensors": [\n    "w_k",\n    "w_v",\n'
+        '    "b_v",\n    "w_o",\n    "b_o",\n    "queries",\n    "mix",\n    "bias"\n  ]\n}')
+
+
 def _saved_layer_with_config(tmp_path, edit):
+    """A saved layer whose config.json is replaced by ``edit(document)``."""
     cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=3, dim_out=4)
     save_params(tmp_path / "layer", cfg, init_params(cfg, 27))
     path = tmp_path / "layer" / "config.json"
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     return tmp_path / "layer"
 
 
 @pytest.mark.parametrize("key", ["stride", "dtype", "tensors"])
 def test_load_names_missing_config_key(tmp_path, key):
     with pytest.raises(QnatFormatError, match=key):
-        load_params(_saved_layer_with_config(tmp_path, lambda doc: doc.pop(key)))
+        load_params(_saved_layer_with_config(
+            tmp_path, lambda doc: {k: v for k, v in doc.items() if k != key}))
 
 
 def test_load_rejects_unknown_config_key(tmp_path):
     # a file that carries a key the config does not have (such as a removed
     # option) would otherwise load as a different layer than the one saved
     with pytest.raises(QnatFormatError, match="retired_flag"):
-        load_params(_saved_layer_with_config(tmp_path, lambda doc: doc.update(retired_flag=False)))
+        load_params(_saved_layer_with_config(tmp_path, lambda doc: {**doc, "retired_flag": False}))
 
 
 @pytest.mark.parametrize("tag", ["f16", None, "f32"])
 def test_load_rejects_unknown_or_wrong_dtype_tag(tmp_path, tag):
     # "f32" is a known tag, but these tensors are float64
     with pytest.raises(QnatFormatError):
-        load_params(_saved_layer_with_config(tmp_path, lambda doc: doc.update(dtype=tag)))
+        load_params(_saved_layer_with_config(tmp_path, lambda doc: {**doc, "dtype": tag}))
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda doc: [doc], "JSON object"),
+    (lambda doc: {**doc, "k": "3"}, "'k'"),
+    (lambda doc: {**doc, "k": 3.0}, "'k'"),
+    (lambda doc: {**doc, "heads": True}, "'heads'"),
+    (lambda doc: {**doc, "dtype": ["f64"]}, "'dtype'"),
+    (lambda doc: {**doc, "tensors": doc["tensors"][:-1]}, "'tensors'"),
+    (lambda doc: {**doc, "tensors": doc["tensors"] + ["w_q"]}, "'tensors'"),
+    (lambda doc: {**doc, "tensors": "w_k"}, "'tensors'"),
+], ids=["top-level-list", "k-string", "k-float", "heads-bool", "dtype-list",
+        "tensors-missing-one", "tensors-unknown-name", "tensors-string"])
+def test_load_params_rejects_malformed_config(tmp_path, edit, match):
+    with pytest.raises(QnatFormatError, match=match) as info:
+        load_params(_saved_layer_with_config(tmp_path, edit))
+    assert "config.json" in str(info.value)
+
+
+def test_load_params_rejects_non_json_config(tmp_path):
+    layer = _saved_layer_with_config(tmp_path, lambda doc: doc)
+    (layer / "config.json").write_text('{"k": 3,')
+    with pytest.raises(QnatFormatError, match="config.json"):
+        load_params(layer)

@@ -1,6 +1,8 @@
 """Backbone assembly: architecture validation, deterministic construction,
 block forwards against loop oracles, cost accounting, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -72,9 +74,10 @@ def test_arch_validation():
     assert _mini_arch().num_stages() == 4
 
 
-def test_arch_json_roundtrip():
+def test_arch_json_roundtrip(tmp_path):
     arch = _mini_arch(window=5, num_queries=4)
-    assert ArchConfig.from_json_dict(arch.to_json_dict()) == arch
+    save_model(tmp_path / "m", build_model(arch, seed=0))
+    assert load_model(tmp_path / "m").arch == arch
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,21 @@ def test_build_model_structure_and_determinism():
     assert all(np.array_equal(named[n], named2[n]) for n in named)
     other = build_model("tiny", seed=2)
     assert not np.array_equal(model.patch_w, other.patch_w)
+
+
+def test_block_tensor_names_come_from_the_fields():
+    # the names are the on-disk file names: nested sets under dotted names,
+    # absent (None) sub-blocks contribute none
+    model = build_model(_mini_arch(), seed=0)
+    downsampler, vit = model.stages[0][-1], model.stages[2][0]
+    common = ["ln1_g", "ln1_b", "ln2_g", "ln2_b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"]
+    qna = ["w_k", "w_v", "b_v", "w_o", "b_o", "queries", "mix", "bias"]
+    assert list(downsampler.tensors()) == common + [f"qna.{n}" for n in qna] + ["skip_w", "skip_b"]
+    msa = ["w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"]
+    assert list(vit.tensors()) == common + [f"msa.{n}" for n in msa]
+    assert list(model.tensors()) == ["patch_w", "patch_b", "final_ln_g", "final_ln_b",
+                                     "head_w", "head_b"]
+    assert "stage0.block0.qna.w_k" in model.named_tensors()
 
 
 def test_build_model_skip_projection_only_on_downsamplers():
@@ -393,41 +411,55 @@ def test_save_load_roundtrip_preserves_logits(tmp_path):
     assert np.array_equal(forward_inference(loaded, img), want)
 
 
-def test_load_rejects_manifest_mismatch(tmp_path):
-    model = build_model(_mini_arch(classes=9), seed=22)
-    save_model(tmp_path / "m", model)
-    import json as _json
+def _saved_model_with_arch_json(tmp_path, edit, seed):
+    """A saved mini model whose arch.json is replaced by ``edit(document)``."""
+    save_model(tmp_path / "m", build_model(_mini_arch(classes=9), seed=seed))
+    path = tmp_path / "m" / "arch.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return tmp_path / "m"
 
-    doc = _json.loads((tmp_path / "m" / "arch.json").read_text())
-    doc["tensors"] = doc["tensors"][:-1]
-    (tmp_path / "m" / "arch.json").write_text(_json.dumps(doc))
-    with pytest.raises(ShapeError):
-        load_model(tmp_path / "m")
+
+def test_load_rejects_manifest_mismatch(tmp_path):
+    with pytest.raises(QnatFormatError, match="tensors"):
+        load_model(_saved_model_with_arch_json(
+            tmp_path, lambda doc: {**doc, "tensors": doc["tensors"][:-1]}, seed=22))
 
 
 def _drop_key(*path):
     def edit(doc):
+        inner = doc
         for key in path[:-1]:
-            doc = doc[key]
-        del doc[path[-1]]
+            inner = inner[key]
+        del inner[path[-1]]
+        return doc
     return edit
+
+
+def _set_arch_key(key, value):
+    return lambda doc: {**doc, "arch": {**doc["arch"], key: value}}
 
 
 @pytest.mark.parametrize("edit,match", [
     (_drop_key("dtype"), "dtype"),
     (_drop_key("tensors"), "tensors"),
     (_drop_key("arch", "window"), "window"),
-    (lambda doc: doc.update(dtype="f16"), "f16"),
-], ids=["no-dtype", "no-tensors", "no-arch.window", "tag-f16"])
+    (lambda doc: {**doc, "dtype": "f16"}, "f16"),
+    (lambda doc: [doc], "JSON object"),
+    (lambda doc: {**doc, "arch": [doc["arch"]]}, "'arch'"),
+    (_set_arch_key("vit_blocks", 3), "'vit_blocks'"),
+    (_set_arch_key("vit_blocks", [0, 0, 1.0, 1]), "'vit_blocks'"),
+    (_set_arch_key("qna_heads", [2, 2, True, 4]), "'qna_heads'"),
+    (_set_arch_key("window", "3"), "'window'"),
+    (_set_arch_key("window", 3.0), "'window'"),
+    (_set_arch_key("num_queries", True), "'num_queries'"),
+    (lambda doc: {**doc, "tensors": doc["tensors"] + ["stage0.block0.msa.w_q"]}, "'tensors'"),
+], ids=["no-dtype", "no-tensors", "no-arch.window", "tag-f16", "top-level-list", "arch-list",
+        "vit_blocks-int", "vit_blocks-float-item", "qna_heads-bool-item", "window-string",
+        "window-float", "num_queries-bool", "tensors-unknown-name"])
 def test_load_rejects_malformed_arch_json(tmp_path, edit, match):
-    save_model(tmp_path / "m", build_model(_mini_arch(classes=9), seed=23))
-    import json as _json
-
-    doc = _json.loads((tmp_path / "m" / "arch.json").read_text())
-    edit(doc)
-    (tmp_path / "m" / "arch.json").write_text(_json.dumps(doc))
-    with pytest.raises(QnatFormatError, match=match):
-        load_model(tmp_path / "m")
+    with pytest.raises(QnatFormatError, match=match) as info:
+        load_model(_saved_model_with_arch_json(tmp_path, edit, seed=23))
+    assert "arch.json" in str(info.value)
 
 
 @pytest.mark.parametrize("key,value", [("stage_dims", [8, 16, 32, 64]), ("patch_size", 2),
@@ -435,11 +467,5 @@ def test_load_rejects_malformed_arch_json(tmp_path, edit, match):
 def test_load_rejects_unknown_arch_key(tmp_path, key, value):
     # keys of removed architecture fields must not be dropped silently: a
     # file that set one to another value described a different model
-    save_model(tmp_path / "m", build_model(_mini_arch(classes=9), seed=24))
-    import json as _json
-
-    doc = _json.loads((tmp_path / "m" / "arch.json").read_text())
-    doc["arch"][key] = value
-    (tmp_path / "m" / "arch.json").write_text(_json.dumps(doc))
     with pytest.raises(QnatFormatError, match=key):
-        load_model(tmp_path / "m")
+        load_model(_saved_model_with_arch_json(tmp_path, _set_arch_key(key, value), seed=24))

@@ -203,22 +203,6 @@ def test_sasa_k1_is_value_projection():
     assert np.allclose(got, (x.reshape(-1, 4) @ params.w_v).reshape(3, 3, 4), atol=1e-12)
 
 
-def test_sasa_rel_bias_changes_weights_not_values():
-    rng = make_rng(33)
-    x = rng.standard_normal((4, 4, 3))
-    params = SasaParams(
-        w_q=rng.standard_normal((3, 3)),
-        w_k=rng.standard_normal((3, 3)),
-        w_v=rng.standard_normal((3, 3)),
-    )
-    base = sasa_forward(x, 3, params)
-    params.rel_bias = rng.standard_normal((3, 3))
-    biased = sasa_forward(x, 3, params)
-    assert not np.allclose(base, biased)
-    params.rel_bias = np.full((3, 3), 7.0)  # constant bias cancels in softmax
-    assert np.allclose(sasa_forward(x, 3, params), base, atol=1e-12)
-
-
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_sasa_stride_two_samples_stride_one(k):
     rng = make_rng(35 + k)
@@ -227,7 +211,6 @@ def test_sasa_stride_two_samples_stride_one(k):
         w_q=rng.standard_normal((4, 3)),
         w_k=rng.standard_normal((4, 3)),
         w_v=rng.standard_normal((4, 5)),
-        rel_bias=rng.standard_normal((k, k)),
     )
     got = sasa_forward(x, k, params, stride=2)
     assert got.shape == (4, 3, 5)
@@ -247,10 +230,6 @@ def test_sasa_validates():
         sasa_forward(x, 3, SasaParams(w_q=np.zeros((4, 2)), w_k=np.zeros((4, 3)), w_v=np.zeros((4, 3))))
     with pytest.raises(ShapeError):
         sasa_forward(x, 3, SasaParams(w_q=np.zeros((3, 2)), w_k=np.zeros((3, 2)), w_v=np.zeros((3, 3))))
-    bad = SasaParams(w_q=np.zeros((4, 2)), w_k=np.zeros((4, 2)), w_v=np.zeros((4, 3)),
-                     rel_bias=np.zeros((5, 5)))
-    with pytest.raises(ShapeError):
-        sasa_forward(x, 3, bad)
 
 
 # ---------------------------------------------------------------------------

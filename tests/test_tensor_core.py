@@ -17,7 +17,6 @@ from qna.tensor import (
     matmul,
     offset_bounds,
     require_finite,
-    reshape_permute,
     same_output_size,
     same_window_slices,
     save_qnat,
@@ -338,24 +337,6 @@ def test_layernorm_affine_and_eps():
         layernorm(x, g, b, eps=0.0)
     with pytest.raises(ShapeError):
         layernorm(x, np.ones(2), np.zeros(3))
-
-
-# ---------------------------------------------------------------------------
-# reshape_permute
-# ---------------------------------------------------------------------------
-
-
-def test_reshape_permute_matches_numpy_and_is_contiguous():
-    rng = make_rng(6)
-    x = rng.standard_normal((2, 3, 4))
-    out = reshape_permute(x, (2, 3, 2, 2), (1, 0, 3, 2))
-    want = x.reshape(2, 3, 2, 2).transpose(1, 0, 3, 2)
-    assert np.array_equal(out, want)
-    assert out.flags["C_CONTIGUOUS"]
-    with pytest.raises(ShapeError):
-        reshape_permute(x, (5, 5), (0, 1))
-    with pytest.raises(ShapeError):
-        reshape_permute(x, (2, 12), (0, 0))
 
 
 # ---------------------------------------------------------------------------
