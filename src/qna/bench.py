@@ -29,7 +29,6 @@ from .tensor import (
     ShapeError,
     make_rng,
     conv2d,
-    same_output_size,
     truncated_normal,
 )
 
@@ -47,32 +46,24 @@ class BenchCase:
     W: int
     D: int
     k: int
-    stride: int = 1
-    heads: int = 1
-    num_queries: int = 1
     dtype: str = "f32"
 
     def __post_init__(self) -> None:
         if self.impl not in IMPLS:
             raise ShapeError(f"unknown impl {self.impl!r}; expected one of {IMPLS}")
-        if min(self.H, self.W, self.D, self.k, self.stride, self.heads, self.num_queries) < 1:
+        if min(self.H, self.W, self.D, self.k) < 1:
             raise ShapeError("case dimensions must be >= 1")
         if self.dtype not in DTYPE_TAGS:
             raise ShapeError(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
-        if self.D % self.heads != 0:
-            raise ShapeError(f"D {self.D} not divisible by heads {self.heads}")
 
 
 @dataclass
 class BenchRow:
     impl: str
     k: int
-    stride: int
     H: int
     W: int
     D: int
-    heads: int
-    num_queries: int
     dtype: str
     latency_ms_mean: float
     latency_ms_std: float
@@ -82,17 +73,14 @@ class BenchRow:
 
 
 def _build_runner(case: BenchCase, rng):
-    """(callable(ledger) -> output, mac_count) with inputs drawn from rng."""
+    """(callable(ledger) -> output, mac_count) with inputs drawn from rng.
+    Every implementation runs at stride 1 with one head and one query."""
     dt = DTYPE_TAGS[case.dtype]
     x = rng.standard_normal((case.H, case.W, case.D)).astype(dt)
-    hp = same_output_size(case.H, case.stride)
-    wp = same_output_size(case.W, case.stride)
+    n = case.H * case.W
 
     if case.impl in ("qna_efficient", "qna_unfold"):
-        cfg = QnAConfig(
-            k=case.k, stride=case.stride, heads=case.heads,
-            num_queries=case.num_queries, dim_in=case.D, dim_out=case.D,
-        )
+        cfg = QnAConfig(k=case.k, stride=1, heads=1, num_queries=1, dim_in=case.D, dim_out=case.D)
         params = init_params(cfg, rng, dtype=dt)
         macs = qna_flops(cfg, case.H, case.W)
         if case.impl == "qna_efficient":
@@ -105,13 +93,12 @@ def _build_runner(case: BenchCase, rng):
             w_k=truncated_normal(rng, (case.D, case.D), dtype=dt),
             w_v=truncated_normal(rng, (case.D, case.D), dtype=dt),
         )
-        d2 = case.D * case.D
-        macs = (2 * case.H * case.W + hp * wp) * d2 + 2 * case.k * case.k * hp * wp * case.D
-        return (lambda ledger: sasa_forward(x, case.k, params, ledger, stride=case.stride)), macs
+        macs = 3 * n * case.D * case.D + 2 * case.k * case.k * n * case.D
+        return (lambda ledger: sasa_forward(x, case.k, params, ledger)), macs
 
     w = truncated_normal(rng, (case.k, case.k, case.D, case.D), dtype=dt)
-    macs = hp * wp * case.k * case.k * case.D * case.D
-    return (lambda ledger: conv2d(x, w, case.stride, ledger)), macs
+    macs = n * case.k * case.k * case.D * case.D
+    return (lambda ledger: conv2d(x, w, ledger=ledger)), macs
 
 
 def run_sweep(cases, seed: int = 42, progress=None) -> list[BenchRow]:
@@ -141,9 +128,7 @@ def run_sweep(cases, seed: int = 42, progress=None) -> list[BenchRow]:
             times_ms.append((time.perf_counter() - t0) * 1e3)
 
         row = BenchRow(
-            impl=case.impl, k=case.k, stride=case.stride,
-            H=case.H, W=case.W, D=case.D,
-            heads=case.heads, num_queries=case.num_queries, dtype=case.dtype,
+            impl=case.impl, k=case.k, H=case.H, W=case.W, D=case.D, dtype=case.dtype,
             latency_ms_mean=statistics.fmean(times_ms),
             latency_ms_std=statistics.pstdev(times_ms),
             latency_ms_median=statistics.median(times_ms),
@@ -158,7 +143,7 @@ def run_sweep(cases, seed: int = 42, progress=None) -> list[BenchRow]:
     return rows
 
 
-CSV_HEADER = "impl,k,stride,H,W,D,heads,L,dtype,latency_ms_mean,latency_ms_std,peak_extra_bytes,mac_count"
+CSV_HEADER = "impl,k,H,W,D,dtype,latency_ms_mean,latency_ms_std,peak_extra_bytes,mac_count"
 
 
 def emit_csv(rows, path) -> None:
@@ -166,9 +151,8 @@ def emit_csv(rows, path) -> None:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{r.impl},{r.k},{r.stride},{r.H},{r.W},{r.D},{r.heads},{r.num_queries},"
-            f"{r.dtype},{r.latency_ms_mean!r},{r.latency_ms_std!r},"
-            f"{r.peak_extra_bytes},{r.mac_count}"
+            f"{r.impl},{r.k},{r.H},{r.W},{r.D},{r.dtype},"
+            f"{r.latency_ms_mean!r},{r.latency_ms_std!r},{r.peak_extra_bytes},{r.mac_count}"
         )
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")

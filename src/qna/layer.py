@@ -19,10 +19,12 @@ where E_l (H x W x heads) holds exp(S_lg - max S_lg), the stabilized score
 maps of query l, V = x W_V + b_V (H x W x heads x head_dim), E_l * V scales
 each head's values by its own map, and the quotient divides each head's
 channels by that head's normalizer. B_l is the learned per-offset score bias
-of query l, mix_l blends the L attention maps, and WWS is
-``tensor.window_weighted_sum``. The concatenated heads z are projected by
-W_O. Out-of-bounds window positions carry exactly zero weight because the
-exponentiated maps are never padded with fabricated keys (masked softmax).
+of query l (the kernels use exp(B_l - max B_l), which leaves the quotient
+unchanged and keeps any finite table in range), mix_l blends the L
+attention maps, and WWS is ``tensor.window_weighted_sum``. The concatenated
+heads z are projected by W_O. Out-of-bounds window positions carry exactly
+zero weight because the exponentiated maps are never padded with fabricated
+keys (masked softmax).
 ``_window_sums`` is that per-query core; the forward pass, the upsampling
 head, the heatmap and the backward pass all run on it.
 """
@@ -114,9 +116,6 @@ class QnAParams(TensorSet):
     def dtype(self) -> np.dtype:
         return self.w_k.dtype
 
-    def num_scalars(self) -> int:
-        return sum(t.size for t in self.tensors().values())
-
     def validate(self, cfg: QnAConfig) -> None:
         L, k = cfg.num_queries, cfg.k
         expected = {
@@ -172,7 +171,7 @@ def _validate_layer_inputs(x: np.ndarray, cfg: QnAConfig, params: QnAParams) -> 
         require_finite(t, f"params.{name}")
 
 
-def used_queries(cfg: QnAConfig, params: QnAParams) -> np.ndarray:
+def used_queries(params: QnAParams) -> np.ndarray:
     """Query rows as the layer consumes them: unit-normalized."""
     q = params.queries
     norms = np.sqrt(np.sum(q * q, axis=1, keepdims=True))
@@ -186,7 +185,7 @@ def _query_key_map(cfg: QnAConfig, params: QnAParams) -> np.ndarray:
     L x heads x dim_in, so scores need only a dot with each input vector.
     The keys themselves are never materialized."""
     dh = cfg.head_dim
-    q = used_queries(cfg, params).reshape(cfg.num_queries, cfg.heads, dh)
+    q = used_queries(params).reshape(cfg.num_queries, cfg.heads, dh)
     wk3 = params.w_k.reshape(cfg.dim_in, cfg.heads, dh)
     a = np.einsum("lgd,cgd->lgc", q, wk3)
     a /= np.sqrt(np.asarray(dh, dtype=a.dtype))
@@ -194,10 +193,12 @@ def _query_key_map(cfg: QnAConfig, params: QnAParams) -> np.ndarray:
 
 
 def _reduction_kernels(cfg: QnAConfig, params: QnAParams):
-    """(numerator kernels mix_l * exp(B_l), denominator kernels exp(B_l)),
-    each L x k x k."""
-    exp_b = np.exp(params.bias)
-    require_finite(exp_b, "exp(bias)")
+    """(numerator kernels mix_l * exp(B_l - max B_l), denominator kernels
+    exp(B_l - max B_l)), each L x k x k. Shifting each query's table by its
+    own max is exact, because the numerator and the denominator carry the
+    same factor; it keeps every kernel entry in (0, 1], with a 1 at the max."""
+    exp_b = params.bias - params.bias.max(axis=(1, 2), keepdims=True)
+    np.exp(exp_b, out=exp_b)
     num_k = params.mix.reshape(cfg.num_queries, cfg.k, cfg.k) * exp_b
     return num_k, exp_b
 
@@ -449,7 +450,7 @@ def qna_backward(
     d_a = (d_s.T @ x2).reshape(L, h, Din)
 
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
-    q_used = used_queries(cfg, params)
+    q_used = used_queries(params)
     qh = q_used.reshape(L, h, dh)
     wk3 = params.w_k.reshape(Din, h, dh)
     d_qh = np.einsum("lgc,cgd->lgd", d_a, wk3) * scale

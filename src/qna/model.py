@@ -35,6 +35,7 @@ from .tensor import (
     matmul,
     read_config,
     require_finite,
+    same_output_size,
     save_qnat,
     softmax_rows,
     truncated_normal,
@@ -132,6 +133,10 @@ def make_arch(variant: str, window: int = 3) -> ArchConfig:
 
 @dataclass
 class MsaParams(TensorSet):
+    """Global multi-head self-attention over all tokens, with ``heads``
+    heads of width dim / heads."""
+
+    heads: int
     w_q: np.ndarray
     b_q: np.ndarray
     w_k: np.ndarray
@@ -153,22 +158,25 @@ class FfnParams(TensorSet):
 @dataclass
 class BlockParams(TensorSet):
     """One residual block: attention sub-block and FFN sub-block, both
-    pre-norm. kind is "vit" (global attention, w_q housed in msa) or "qna"
-    (local shared-query attention, no w_q). Stride-2 local blocks carry the
-    1x1 stride-2 convolution of the skip path."""
+    pre-norm. The attention is either global (``msa``) or local shared-query
+    (``qna_cfg`` and ``qna``). Stride-2 local blocks carry the 1x1 stride-2
+    convolution of the skip path."""
 
-    kind: str
     ln1_g: np.ndarray
     ln1_b: np.ndarray
     ln2_g: np.ndarray
     ln2_b: np.ndarray
     ffn: FfnParams
-    heads: int = 1
     msa: MsaParams | None = None
     qna_cfg: QnAConfig | None = None
     qna: QnAParams | None = None
     skip_w: np.ndarray | None = None
     skip_b: np.ndarray | None = None
+
+    @property
+    def kind(self) -> str:
+        """The block's attention: "vit" (global) or "qna" (local shared-query)."""
+        return "qna" if self.msa is None else "vit"
 
 
 @dataclass
@@ -212,6 +220,7 @@ def _init_ffn(rng, dim: int, dtype) -> FfnParams:
 
 def _init_vit_block(rng, dim: int, heads: int, dtype) -> BlockParams:
     msa = MsaParams(
+        heads=heads,
         w_q=truncated_normal(rng, (dim, dim), dtype=dtype),
         b_q=np.zeros(dim, dtype=dtype),
         w_k=truncated_normal(rng, (dim, dim), dtype=dtype),
@@ -222,13 +231,11 @@ def _init_vit_block(rng, dim: int, heads: int, dtype) -> BlockParams:
         b_o=np.zeros(dim, dtype=dtype),
     )
     return BlockParams(
-        kind="vit",
         ln1_g=np.ones(dim, dtype=dtype),
         ln1_b=np.zeros(dim, dtype=dtype),
         ln2_g=np.ones(dim, dtype=dtype),
         ln2_b=np.zeros(dim, dtype=dtype),
         ffn=_init_ffn(rng, dim, dtype),
-        heads=heads,
         msa=msa,
     )
 
@@ -249,13 +256,11 @@ def _init_qna_block(rng, dim_in: int, dim_out: int, heads: int, stride: int,
         skip_w = truncated_normal(rng, (dim_in, dim_out), dtype=dtype)
         skip_b = np.zeros(dim_out, dtype=dtype)
     return BlockParams(
-        kind="qna",
         ln1_g=np.ones(dim_in, dtype=dtype),
         ln1_b=np.zeros(dim_in, dtype=dtype),
         ln2_g=np.ones(dim_out, dtype=dtype),
         ln2_b=np.zeros(dim_out, dtype=dtype),
         ffn=_init_ffn(rng, dim_out, dtype),
-        heads=heads,
         qna_cfg=cfg,
         qna=qna,
         skip_w=skip_w,
@@ -335,30 +340,27 @@ def _ffn_forward(z: np.ndarray, ffn: FfnParams) -> np.ndarray:
 def vit_block_forward(z: np.ndarray, params: BlockParams, ledger: AllocationLedger | None = None) -> np.ndarray:
     """Pre-norm residual block over N tokens: global multi-head attention,
     then the feed-forward sub-block."""
-    if params.kind != "vit":
+    m = params.msa
+    if m is None:
         raise ShapeError("vit_block_forward needs a vit block")
     if z.ndim != 2:
         raise ShapeError(f"tokens must be N x D, got shape {z.shape}")
     n, d = z.shape
-    h = params.heads
+    h = m.heads
     if d % h != 0:
         raise ShapeError(f"token dim {d} not divisible by heads {h}")
     dh = d // h
-    m = params.msa
 
+    # Heads are the batch axis of two stacked products: the transposes are
+    # strided views, so no head is copied out of the projections.
     u = layernorm(z, params.ln1_g, params.ln1_b, ledger=ledger)
-    q = (matmul(u, m.w_q) + m.b_q).reshape(n, h, dh)
-    k = (matmul(u, m.w_k) + m.b_k).reshape(n, h, dh)
-    v = (matmul(u, m.w_v) + m.b_v).reshape(n, h, dh)
+    q = (matmul(u, m.w_q) + m.b_q).reshape(n, h, dh).transpose(1, 0, 2)
+    k = (matmul(u, m.w_k) + m.b_k).reshape(n, h, dh).transpose(1, 2, 0)
+    v = (matmul(u, m.w_v) + m.b_v).reshape(n, h, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=z.dtype)
-
-    att_out = np.empty((n, h, dh), dtype=z.dtype)
-    for g in range(h):
-        scores = matmul(q[:, g, :], np.ascontiguousarray(k[:, g, :].T)) * scale
-        att = softmax_rows(scores, ledger)
-        att_out[:, g, :] = matmul(att, np.ascontiguousarray(v[:, g, :]))
-    y = matmul(att_out.reshape(n, d), m.w_o) + m.b_o
-    z = z + y
+    att = softmax_rows(matmul(q, k) * scale, ledger)
+    y = matmul(att, v).transpose(1, 0, 2).reshape(n, d)
+    z = z + (matmul(y, m.w_o) + m.b_o)
 
     u2 = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger)
     return z + _ffn_forward(u2, params.ffn)
@@ -372,9 +374,9 @@ def qna_block_forward(
 ) -> np.ndarray:
     """Pre-norm residual block on the H x W grid. With stride 2 the skip is
     the 1x1 stride-2 convolution of the unnormalized input."""
-    if params.kind != "qna":
-        raise ShapeError("qna_block_forward needs a qna block")
     cfg = params.qna_cfg
+    if cfg is None:
+        raise ShapeError("qna_block_forward needs a qna block")
     u = layernorm(x, params.ln1_g, params.ln1_b, ledger=ledger)
     y = qna_fn(u, cfg, params.qna, ledger)
     if cfg.stride == 1:
@@ -463,8 +465,8 @@ def qna_flops(cfg: QnAConfig, h_in: int, w_in: int) -> int:
     accounting: value projection, query/key fold, one score map per query
     (head-free), the k**2 window reductions over value channels plus one
     normalizer channel per (query, head), and the output projection."""
-    hp = -(-h_in // cfg.stride)
-    wp = -(-w_in // cfg.stride)
+    hp = same_output_size(h_in, cfg.stride)
+    wp = same_output_size(w_in, cfg.stride)
     n_in = h_in * w_in
     n_out = hp * wp
     L, k = cfg.num_queries, cfg.k
@@ -485,8 +487,8 @@ def _block_flops(blk: BlockParams, h_in: int, w_in: int) -> int:
         ffn = 2 * n * d * (blk.ffn.w1.shape[1])
         return msa + ffn
     cfg = blk.qna_cfg
-    hp = -(-h_in // cfg.stride)
-    wp = -(-w_in // cfg.stride)
+    hp = same_output_size(h_in, cfg.stride)
+    wp = same_output_size(w_in, cfg.stride)
     total = qna_flops(cfg, h_in, w_in)
     if cfg.stride != 1:
         total += hp * wp * cfg.dim_in * cfg.dim_out
@@ -507,9 +509,9 @@ def _walk_costs(model: Model, resolution: int | None) -> CostReport:
         for j, blk in enumerate(blocks):
             fl = _block_flops(blk, h, w) if resolution else 0
             rows.append(CostRow(f"stage{i + 1}.block{j + 1}.{blk.kind}", _block_param_count(blk), fl))
-            if blk.kind == "qna" and blk.qna_cfg.stride != 1:
-                h = -(-h // blk.qna_cfg.stride)
-                w = -(-w // blk.qna_cfg.stride)
+            if blk.kind == "qna":
+                h = same_output_size(h, blk.qna_cfg.stride)
+                w = same_output_size(w, blk.qna_cfg.stride)
 
     rows.append(CostRow("final_norm", model.final_ln_g.size + model.final_ln_b.size, 0))
     head_flops = model.head_w.shape[0] * model.head_w.shape[1] if resolution else 0

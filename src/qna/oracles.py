@@ -102,7 +102,7 @@ def qna_window_oracle(
     L, h, dh, Dout = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out
     kk = cfg.k * cfg.k
     x2 = x.reshape(H * W, Din)
-    q = used_queries(cfg, params) / np.sqrt(np.asarray(dh, dtype=x.dtype))
+    q = used_queries(params) / np.sqrt(np.asarray(dh, dtype=x.dtype))
     neg_inf = np.asarray(-np.inf, dtype=x.dtype)
 
     kp = unfold((x2 @ params.w_k).reshape(H, W, Dout), cfg.k, cfg.stride, ledger)
@@ -158,19 +158,17 @@ def sasa_forward(
     k: int,
     params: SasaParams,
     ledger: AllocationLedger | None = None,
-    stride: int = 1,
 ) -> np.ndarray:
     """Window attention where each window's single query comes from its own
-    center: q = x_center W_Q / sqrt(D_att), with windows centered every
-    ``stride`` sites.
+    center: q = x_center W_Q / sqrt(D_att), with one window per site.
     Masked softmax at borders, values aggregated per window, and no output
     projection. The key patches are freed before the value patches are
     extracted, so one k**2-sized patch buffer is alive at a time."""
     check_dtype(x, "x")
     if x.ndim != 3:
         raise ShapeError(f"x must be H x W x D, got shape {x.shape}")
-    if k < 1 or stride < 1:
-        raise ShapeError("k and stride must be >= 1")
+    if k < 1:
+        raise ShapeError("k must be >= 1")
     H, W, D = x.shape
     if params.w_q.ndim != 2 or params.w_k.ndim != 2 or params.w_v.ndim != 2:
         raise ShapeError("projections must be rank-2")
@@ -181,27 +179,25 @@ def sasa_forward(
 
     x2 = x.reshape(H * W, D)
     d_att = params.w_q.shape[1]
-    q = (x2 @ params.w_q).reshape(H, W, d_att)[::stride, ::stride]
-    q = q / np.sqrt(np.asarray(d_att, dtype=x.dtype))
-    Hp, Wp = q.shape[0], q.shape[1]
-    n_out = Hp * Wp
+    n = H * W
+    q = (x2 @ params.w_q) / np.sqrt(np.asarray(d_att, dtype=x.dtype))
 
-    kp = unfold((x2 @ params.w_k).reshape(H, W, d_att), k, stride, ledger)
-    logits = np.matmul(kp.patches.reshape(n_out, k * k, d_att), q.reshape(n_out, d_att, 1))[:, :, 0]
-    logits = np.where(kp.mask.reshape(n_out, k * k), logits, np.asarray(-np.inf, dtype=x.dtype))
+    kp = unfold((x2 @ params.w_k).reshape(H, W, d_att), k, ledger=ledger)
+    logits = np.matmul(kp.patches.reshape(n, k * k, d_att), q.reshape(n, d_att, 1))[:, :, 0]
+    logits = np.where(kp.mask.reshape(n, k * k), logits, np.asarray(-np.inf, dtype=x.dtype))
     del kp
     att = softmax_rows(logits, ledger)
 
     values = (x2 @ params.w_v).reshape(H, W, -1)
     d_val = values.shape[2]
-    vp = unfold(values, k, stride, ledger).patches.reshape(n_out, k * k, d_val)
+    vp = unfold(values, k, ledger=ledger).patches.reshape(n, k * k, d_val)
     out = np.matmul(att[:, None, :], vp)[:, 0, :]
     _record(
         ledger,
         "sasa_forward",
-        (3 * n_out * k * k + H * W * max(d_att, d_val) + n_out * (d_att + d_val)) * x.dtype.itemsize,
+        (3 * n * k * k + H * W * max(d_att, d_val) + n * (d_att + d_val)) * x.dtype.itemsize,
     )
-    return out.reshape(Hp, Wp, -1)
+    return out.reshape(H, W, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ Conventions shared by every windowed operation:
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import typing
@@ -44,6 +45,13 @@ DTYPE_TAGS = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 _QNAT_MAGIC = b"QNAT"
 _QNAT_CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _QNAT_DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+
+# Added to the variance before layernorm takes its square root.
+LAYERNORM_EPS = 1e-6
+# Every truncated-normal draw has std INIT_STD and is resampled beyond
+# INIT_CLIP standard deviations.
+INIT_STD = 0.02
+INIT_CLIP = 2.0
 
 
 class ShapeError(ValueError):
@@ -167,9 +175,6 @@ class AllocationLedger:
     def record(self, label: str, nbytes: int) -> None:
         self.events.append((label, int(nbytes)))
 
-    def reset(self) -> None:
-        self.events.clear()
-
     @property
     def peak_extra_bytes(self) -> int:
         return max((b for _, b in self.events), default=0)
@@ -230,14 +235,17 @@ def same_output_size(size: int, stride: int) -> int:
     return _ceil_div(size, stride)
 
 
-def same_window_slices(H: int, W: int, k: int, stride: int):
+@functools.lru_cache(maxsize=256)
+def same_window_slices(H: int, W: int, k: int, stride: int) -> tuple:
     """Geometry of a same-padded k x k window reduction over an H x W map.
 
-    Yields ``(i, j, dst, src)`` for each kernel offset in row-major order,
+    A tuple of ``(i, j, dst, src)``, one per kernel offset in row-major order,
     skipping offsets whose window positions all fall outside the map.
     ``(i, j)`` indexes the kernel; ``dst`` is the (row, col) slice pair of the
     H' x W' output sites whose windows see that offset in bounds, and ``src``
     the strided slice pair of the input positions those sites read there.
+    Computed once per shape: the training loop asks for the same small
+    geometry thousands of times per step.
     """
     lo, _ = offset_bounds(k)
 
@@ -254,12 +262,11 @@ def same_window_slices(H: int, W: int, k: int, stride: int):
         return slices
 
     cols = axis(W)
-    for i, rows in enumerate(axis(H)):
-        if rows is None:
-            continue
-        for j, cc in enumerate(cols):
-            if cc is not None:
-                yield i, j, (rows[0], cc[0]), (rows[1], cc[1])
+    return tuple(
+        (i, j, (rows[0], cc[0]), (rows[1], cc[1]))
+        for i, rows in enumerate(axis(H)) if rows is not None
+        for j, cc in enumerate(cols) if cc is not None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +275,14 @@ def same_window_slices(H: int, W: int, k: int, stride: int):
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product of a [M x K] by b [K x N]."""
+    """Matrix product of a [M x K] by b [K x N], or of each pair in two
+    equal-shaped stacks of them ([... x M x K] by [... x K x N])."""
     check_dtype(a, "a")
     check_dtype(b, "b")
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(
+            f"matmul expects equal-shaped stacks of matrices, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     return a @ b
 
@@ -382,7 +391,6 @@ def layernorm(
     x: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
-    eps: float = 1e-6,
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance, then affine."""
@@ -392,12 +400,10 @@ def layernorm(
     D = x.shape[-1]
     if gamma.shape != (D,) or beta.shape != (D,):
         raise ShapeError(f"gamma/beta must have shape ({D},), got {gamma.shape} and {beta.shape}")
-    if eps <= 0.0:
-        raise ShapeError(f"eps must be positive, got {eps}")
     mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    centered /= np.sqrt(var + eps)
+    centered /= np.sqrt(var + LAYERNORM_EPS)
     out = centered * gamma + beta
     _record(ledger, "layernorm", 2 * x.nbytes)
     return out
@@ -415,20 +421,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def truncated_normal(
-    rng: np.random.Generator,
-    shape,
-    std: float = 0.02,
-    clip: float = 2.0,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Zero-mean normal with std ``std``, resampled until |x| <= clip*std."""
-    out = rng.normal(0.0, std, size=shape)
-    bound = clip * std
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > bound
+def truncated_normal(rng: np.random.Generator, shape, dtype=np.float64) -> np.ndarray:
+    """Zero-mean normal with std INIT_STD, resampled until
+    |x| <= INIT_CLIP * INIT_STD. Redraws fill the out-of-bound entries in
+    ascending index order, and only redrawn entries are checked again."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    flat = out.reshape(-1)
+    bound = INIT_CLIP * INIT_STD
+    bad = np.flatnonzero(np.abs(flat) > bound)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, INIT_STD, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > bound]
     return out.astype(dtype)
 
 

@@ -109,7 +109,7 @@ def test_bench_writes_csv(tmp_path, capsys):
                  "--impls", "qna_efficient,conv", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("impl,k,stride")
+    assert lines[0].startswith("impl,k,H")
     assert len(lines) == 5
     assert lines[1].split(",")[0] == "qna_efficient"
     assert "wrote 4 rows" in capsys.readouterr().out

@@ -260,9 +260,14 @@ def test_window_size_flop_insensitivity_presets():
 
 
 def test_vit_block_matches_loop_oracle():
+    # the second case has more heads and a stage-4-like token count (7 x 7)
+    for d, h, n in [(8, 2, 12), (16, 4, 49)]:
+        _check_vit_block_against_loops(d, h, n)
+
+
+def _check_vit_block_against_loops(d, h, n):
     rng = make_rng(5)
-    d, h, n = 8, 2, 12
-    arch = _mini_arch(base_dim=8, vit=(1, 0, 0, 0), qna=(0, 0, 0, 0))
+    arch = _mini_arch(base_dim=d, vit=(1, 0, 0, 0), qna=(0, 0, 0, 0), sa_heads=(h, 2, 2, 4))
     model = build_model(arch, seed=5, dtype=np.float64)
     blk = model.stages[0][0]
     z = rng.standard_normal((n, d))

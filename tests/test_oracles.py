@@ -203,20 +203,6 @@ def test_sasa_k1_is_value_projection():
     assert np.allclose(got, (x.reshape(-1, 4) @ params.w_v).reshape(3, 3, 4), atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_sasa_stride_two_samples_stride_one(k):
-    rng = make_rng(35 + k)
-    x = rng.standard_normal((7, 6, 4))
-    params = SasaParams(
-        w_q=rng.standard_normal((4, 3)),
-        w_k=rng.standard_normal((4, 3)),
-        w_v=rng.standard_normal((4, 5)),
-    )
-    got = sasa_forward(x, k, params, stride=2)
-    assert got.shape == (4, 3, 5)
-    assert np.allclose(got, sasa_forward(x, k, params)[::2, ::2], atol=1e-12)
-
-
 def test_sasa_validates():
     x = np.zeros((3, 3, 4))
     good = SasaParams(w_q=np.zeros((4, 2)), w_k=np.zeros((4, 2)), w_v=np.zeros((4, 3)))
@@ -224,8 +210,6 @@ def test_sasa_validates():
         sasa_forward(np.zeros((3, 3)), 3, good)
     with pytest.raises(ShapeError):
         sasa_forward(x, 0, good)
-    with pytest.raises(ShapeError):
-        sasa_forward(x, 3, good, stride=0)
     with pytest.raises(ShapeError):
         sasa_forward(x, 3, SasaParams(w_q=np.zeros((4, 2)), w_k=np.zeros((4, 3)), w_v=np.zeros((4, 3))))
     with pytest.raises(ShapeError):

@@ -86,6 +86,8 @@ def test_same_window_slices_match_enumeration(hw, stride, k):
         got[i, j] = {((p, q), (r, c)) for p, r in rows for q, c in cols}
     assert list(got) == list(want)  # row-major offset order
     assert got == want
+    # computed once per shape
+    assert same_window_slices(H, W, k, stride) is same_window_slices(H, W, k, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,9 @@ def test_matmul_matches_loop():
         for j in range(5):
             want[i, j] = sum(a[i, t] * b[t, j] for t in range(4))
     assert np.allclose(matmul(a, b), want, atol=1e-12)
+    # equal-shaped stacks multiply pairwise
+    stacked = matmul(np.stack([a, 2 * a]), np.stack([b, b]))
+    assert np.allclose(stacked, np.stack([want, 2 * want]), atol=1e-12)
 
 
 def test_matmul_validates_shapes_and_dtype():
@@ -133,6 +138,10 @@ def test_matmul_validates_shapes_and_dtype():
         matmul(a64, np.zeros(3))
     with pytest.raises(ShapeError):
         matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ShapeError):  # stacks of different lengths
+        matmul(np.zeros((2, 2, 3)), np.zeros((3, 3, 2)))
+    with pytest.raises(ShapeError):  # a stack against a single matrix
+        matmul(np.zeros((2, 2, 3)), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +343,6 @@ def test_layernorm_affine_and_eps():
     base = layernorm(x, np.ones(3), np.zeros(3))
     assert np.allclose(layernorm(x, g, b), base * 2 + 1, atol=1e-12)
     with pytest.raises(ShapeError):
-        layernorm(x, g, b, eps=0.0)
-    with pytest.raises(ShapeError):
         layernorm(x, np.ones(2), np.zeros(3))
 
 
@@ -357,11 +364,11 @@ def test_make_rng_contract():
 
 
 def test_truncated_normal_bounds_and_determinism():
-    out = truncated_normal(make_rng(7), (2000,), std=0.02, clip=2.0)
+    out = truncated_normal(make_rng(7), (2000,))
     assert out.dtype == np.float64
     assert np.all(np.abs(out) <= 0.04)
     assert np.std(out) > 0.01
-    again = truncated_normal(make_rng(7), (2000,), std=0.02, clip=2.0)
+    again = truncated_normal(make_rng(7), (2000,))
     assert np.array_equal(out, again)
 
 
@@ -378,8 +385,6 @@ def test_ledger_peak_is_max_single_event():
     ledger.record("c", 200)
     assert ledger.peak_extra_bytes == 300
     assert [e[0] for e in ledger.events] == ["a", "b", "c"]
-    ledger.reset()
-    assert ledger.events == [] and ledger.peak_extra_bytes == 0
 
 
 # ---------------------------------------------------------------------------
