@@ -27,6 +27,12 @@ zero weight because the exponentiated maps are never padded with fabricated
 keys (masked softmax).
 ``_window_sums`` is that per-query core; the forward pass, the upsampling
 head, the heatmap and the backward pass all run on it.
+
+Samples are just more rows of the same reductions, so ``qna_forward`` and
+``qna_backward`` take an optional leading batch axis: x is ``[N x] H x W x
+dim_in``. Each sample's scores are shifted by its own max per (query, head),
+never by a max across the batch, so a sample's output does not depend on the
+other samples, and the parameter gradients are sums over the batch.
 """
 
 from __future__ import annotations
@@ -159,16 +165,22 @@ class GradBundle(TensorSet):
 
 def _validate_layer_inputs(x: np.ndarray, cfg: QnAConfig, params: QnAParams) -> None:
     check_dtype(x, "x")
-    if x.ndim != 3:
-        raise ShapeError(f"x must be H x W x dim_in, got shape {x.shape}")
-    if x.shape[2] != cfg.dim_in:
-        raise ShapeError(f"x has {x.shape[2]} channels, config expects {cfg.dim_in}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"x must be [N x] H x W x dim_in, got shape {x.shape}")
+    if x.shape[-1] != cfg.dim_in:
+        raise ShapeError(f"x has {x.shape[-1]} channels, config expects {cfg.dim_in}")
     params.validate(cfg)
     if params.dtype != x.dtype:
         raise ShapeError(f"params dtype {params.dtype} differs from input dtype {x.dtype}")
     require_finite(x, "x")
     for name, t in params.tensors().items():
         require_finite(t, f"params.{name}")
+
+
+def _require_one_map(x: np.ndarray) -> None:
+    """Reject a batch where an operation takes a single H x W x dim_in map."""
+    if x.ndim != 3:
+        raise ShapeError(f"x must be one H x W x dim_in map, got shape {x.shape}")
 
 
 def used_queries(params: QnAParams) -> np.ndarray:
@@ -204,52 +216,53 @@ def _reduction_kernels(cfg: QnAConfig, params: QnAParams):
 
 
 def _scores_from_map(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Score maps S[i, j, l, g] = A[l, g] . x[i, j], laid out H x W x L x heads."""
+    """Score maps S[..., i, j, l, g] = A[l, g] . x[..., i, j], laid out
+    [N x] H x W x L x heads."""
     # Sites-as-rows orientation: each site's score row depends only on that
     # site's input vector, which keeps the per-site reduction order (and so
-    # the shift-equivariance guarantee) independent of the site's position.
+    # the shift-equivariance guarantee, and the equality of a batched call
+    # with per-sample calls) independent of the site's position.
     L, h, Din = a.shape
-    H, W, _ = x.shape
-    flat = x.reshape(H * W, Din) @ np.ascontiguousarray(a.reshape(L * h, Din).T)
-    return flat.reshape(H, W, L, h)
+    flat = x.reshape(-1, Din) @ np.ascontiguousarray(a.reshape(L * h, Din).T)
+    return flat.reshape(*x.shape[:-1], L, h)
 
 
 def _exp_scores(x, a: np.ndarray) -> np.ndarray:
     """E = exp(S - max S) for the query/key fold ``a`` (L x heads x dim_in),
-    H x W x L x heads, with one max per (query, head) over all sites. E
-    reuses the score buffer."""
+    [N x] H x W x L x heads, with one max per sample and (query, head) over
+    that sample's sites. E reuses the score buffer."""
     e = _scores_from_map(a, x)
-    e -= e.max(axis=(0, 1))
+    e -= e.max(axis=(-4, -3), keepdims=True)
     np.exp(e, out=e)
     return e
 
 
 def _values(x, cfg: QnAConfig, params: QnAParams) -> np.ndarray:
-    """V = x W_V + b_V as H x W x heads x head_dim."""
-    H, W, _ = x.shape
-    v = x.reshape(H * W, cfg.dim_in) @ params.w_v
+    """V = x W_V + b_V as [N x] H x W x heads x head_dim."""
+    v = x.reshape(-1, cfg.dim_in) @ params.w_v
     v += params.b_v
-    return v.reshape(H, W, cfg.heads, cfg.head_dim)
+    return v.reshape(*x.shape[:-1], cfg.heads, cfg.head_dim)
 
 
 def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
     """Per-window softmax quotients of one query, with its heads as channels.
 
-    ``e_l`` (H x W x heads) holds the query's stabilized exponentials and
-    ``v`` (H x W x heads x head_dim) the values. All heads of a query share
-    its k x k kernels, so two window reductions serve every head:
+    ``e_l`` ([N x] H x W x heads) holds the query's stabilized exponentials
+    and ``v`` ([N x] H x W x heads x head_dim) the values. All heads of a
+    query share its k x k kernels, so two window reductions serve every head:
 
         quotient = WWS(E_l * V ; num_kernel) / WWS(E_l ; den_kernel)
 
     Returns (quotient, normalizer, weighted values) of shapes
-    H' x W' x heads x head_dim, H' x W' x heads x 1 and H x W x heads*head_dim.
-    A normalizer that underflowed to zero is an error.
+    [N x] H' x W' x heads x head_dim, [N x] H' x W' x heads x 1 and
+    [N x] H x W x heads*head_dim. A normalizer that underflowed to zero is an
+    error.
     """
-    H, W, h, dh = v.shape
+    *sites, h, dh = v.shape
     den = window_weighted_sum(e_l, den_kernel, stride, ledger)
     if np.any(den == 0.0):
         raise NumericalRangeError("window weight sum underflowed to zero (scores out of range)")
-    ev = (e_l[..., None] * v).reshape(H, W, h * dh)
+    ev = (e_l[..., None] * v).reshape(*sites, h * dh)
     quotient = window_weighted_sum(ev, num_kernel, stride, ledger).reshape(*den.shape, dh)
     den = den[..., None]
     np.divide(quotient, den, out=quotient)
@@ -267,7 +280,9 @@ def qna_forward(
     params: QnAParams,
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
-    """Layer output of shape H' x W' x dim_out with H' = ceil(H / stride).
+    """Layer output of shape [N x] H' x W' x dim_out with H' = ceil(H / stride)
+    for x of shape [N x] H x W x dim_in; sample n of a batch gets, bitwise,
+    the output of the call on x[n] alone.
 
     Transient memory is independent of the window size k: the exponentiated
     score maps, the value map, and per-query output-sized sums. The
@@ -281,13 +296,13 @@ def qna_forward(
     num_k, den_k = _reduction_kernels(cfg, params)
 
     def quotient(l):
-        return _window_sums(e[:, :, l], v, num_k[l], den_k[l], cfg.stride, ledger)[0]
+        return _window_sums(e[..., l, :], v, num_k[l], den_k[l], cfg.stride, ledger)[0]
 
     y = quotient(0)  # its buffer accumulates the other queries' quotients
     for l in range(1, cfg.num_queries):
         y += quotient(l)
-    Hp, Wp, h, _ = y.shape
-    out = y.reshape(Hp * Wp, cfg.dim_out) @ params.w_o
+    out_shape = (*y.shape[:-2], cfg.dim_out)
+    out = y.reshape(-1, cfg.dim_out) @ params.w_o
     out += params.b_o
 
     # The ledger counts the heap high-water mark above the output. The mark
@@ -295,13 +310,14 @@ def qna_forward(
     # values, one query's weighted values, its normalizer and numerator, the
     # reduction's scratch, the accumulator when there are earlier queries,
     # and the three ufunc buffers (up to getbufsize() elements each) of the
-    # reduction's strided accumulation.
-    H, W, L, D = x.shape[0], x.shape[1], cfg.num_queries, cfg.dim_out
-    peak = (H * W * (L * h + 2 * D) + Hp * Wp * (h + (3 if L > 1 else 2) * D)
-            + 3 * min(np.getbufsize(), Hp * Wp * D) + 2 * L * cfg.k * cfg.k)
-    _record(ledger, "qna_forward", (peak - Hp * Wp * D) * x.dtype.itemsize)
+    # reduction's strided accumulation. Map sizes count the sites of every
+    # sample.
+    n, n_out, L, h, D = x.size // cfg.dim_in, out.shape[0], cfg.num_queries, cfg.heads, cfg.dim_out
+    peak = (n * (L * h + 2 * D) + n_out * (h + (3 if L > 1 else 2) * D)
+            + 3 * min(np.getbufsize(), n_out * D) + 2 * L * cfg.k * cfg.k)
+    _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
     require_finite(out, "output")
-    return out.reshape(Hp, Wp, cfg.dim_out)
+    return out.reshape(out_shape)
 
 
 def qna_upsample_forward(
@@ -314,8 +330,9 @@ def qna_upsample_forward(
 
     Every window emits s*s head-concatenated, W_O-projected rows (the mixing
     weights are unused here); row l of window (i, j) lands at output position
-    (s*i + l // s, s*j + l % s). Requires stride 1.
+    (s*i + l // s, s*j + l % s). Requires stride 1 and one H x W x dim_in map.
     """
+    _require_one_map(x)
     if cfg.stride != 1:
         raise ShapeError("upsampling requires stride 1")
     s = math.isqrt(cfg.num_queries)
@@ -358,9 +375,10 @@ def qna_upsample_forward(
 
 def _wws_grad_map(grad_out: np.ndarray, kernel: np.ndarray, stride: int, in_hw) -> np.ndarray:
     """Adjoint of window_weighted_sum w.r.t. its input map: scatter each
-    output gradient back to the window positions it read."""
+    output gradient back to the window positions it read. ``in_hw`` is the
+    (H, W) of the input map; leading batch axes carry through."""
     H, W = in_hw
-    out = np.zeros((H, W, grad_out.shape[2]), dtype=grad_out.dtype)
+    out = np.zeros((*grad_out.shape[:-3], H, W, grad_out.shape[-1]), dtype=grad_out.dtype)
     for i, j, dst, src in same_window_slices(H, W, kernel.shape[0], stride):
         w = kernel[i, j]
         if w == 0.0:
@@ -371,11 +389,13 @@ def _wws_grad_map(grad_out: np.ndarray, kernel: np.ndarray, stride: int, in_hw) 
 
 
 def _wws_grad_kernel(grad_out: np.ndarray, map_: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Adjoint of window_weighted_sum w.r.t. its kernel."""
-    H, W, _ = map_.shape
+    """Adjoint of window_weighted_sum w.r.t. its kernel, summed over any
+    leading batch axes."""
+    H, W = map_.shape[-3:-1]
+    axes = "nijc"[4 - map_.ndim:]  # an einsum cannot sum away an ellipsis
     out = np.zeros((k, k), dtype=grad_out.dtype)
     for i, j, dst, src in same_window_slices(H, W, k, stride):
-        out[i, j] = np.einsum("ijc,ijc->", grad_out[dst], map_[src])
+        out[i, j] = np.einsum(f"{axes},{axes}->", grad_out[dst], map_[src])
     return out
 
 
@@ -388,7 +408,9 @@ def qna_backward(
 ) -> GradBundle:
     """Exact gradients of sum(d_out * qna_forward(x)) for x and every parameter.
 
-    The per-window softmax Jacobian enters through the quotient rule on the
+    x is [N x] H x W x dim_in and d_out has the output's shape. d_input has
+    x's shape; each parameter gradient is the sum over the batch. The
+    per-window softmax Jacobian enters through the quotient rule on the
     numerator/denominator reductions; the stabilizing max shift contributes
     nothing because the quotient is invariant to it. The query normalization
     enters through its Jacobian: projection onto the tangent of the unit
@@ -397,11 +419,11 @@ def qna_backward(
     _validate_layer_inputs(x, cfg, params)
     a = _query_key_map(cfg, params)
     e = _exp_scores(x, a)
-    H, W, Din = x.shape
+    *lead, H, W, Din = x.shape
     L, h, dh, Dout, k = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out, cfg.k
-    Hp, Wp = same_output_size(H, cfg.stride), same_output_size(W, cfg.stride)
-    if d_out.shape != (Hp, Wp, Dout):
-        raise ShapeError(f"d_out has shape {d_out.shape}, expected {(Hp, Wp, Dout)}")
+    out_shape = (*lead, same_output_size(H, cfg.stride), same_output_size(W, cfg.stride), Dout)
+    if d_out.shape != out_shape:
+        raise ShapeError(f"d_out has shape {d_out.shape}, expected {out_shape}")
     if d_out.dtype != x.dtype:
         raise ShapeError(f"d_out dtype {d_out.dtype} differs from input dtype {x.dtype}")
     require_finite(d_out, "d_out")
@@ -409,9 +431,9 @@ def qna_backward(
     num_k, exp_b = _reduction_kernels(cfg, params)
     mix_k = params.mix.reshape(L, k, k)
 
-    g_flat = d_out.reshape(Hp * Wp, Dout)
-    d_y = (g_flat @ params.w_o.T).reshape(Hp, Wp, h, dh)
-    y_pre = np.zeros((Hp, Wp, h, dh), dtype=x.dtype)
+    g_flat = d_out.reshape(-1, Dout)
+    d_y = (g_flat @ params.w_o.T).reshape(*out_shape[:-1], h, dh)
+    d_w_o = np.zeros_like(params.w_o)
     d_e = np.empty_like(e)
     d_v = np.zeros_like(v)
     d_mix = np.empty_like(params.mix)
@@ -420,33 +442,34 @@ def qna_backward(
     # One pass per query over all its heads. The kernel adjoints sum over
     # channels, which is the sum over the heads sharing the kernel.
     for l in range(L):
-        e_l = e[:, :, l]
+        e_l = e[..., l, :]
         ratio, den, ev = _window_sums(e_l, v, num_k[l], exp_b[l], cfg.stride, ledger)
-        y_pre += ratio
-        d_num = (d_y / den).reshape(Hp, Wp, Dout)
-        d_den = (-np.sum(d_y * ratio, axis=-1, keepdims=True) / den)[..., 0]
+        d_w_o += ratio.reshape(-1, Dout).T @ g_flat  # the output sums the quotients
+        d_num = (d_y / den).reshape(out_shape)
+        d_den = -np.einsum("...d,...d->...", d_y, ratio) / den[..., 0]
 
-        d_ev = _wws_grad_map(d_num, num_k[l], cfg.stride, (H, W)).reshape(H, W, h, dh)
+        d_ev = _wws_grad_map(d_num, num_k[l], cfg.stride, (H, W)).reshape(v.shape)
         d_nk = _wws_grad_kernel(d_num, ev, k, cfg.stride)
         d_e1 = _wws_grad_map(d_den, exp_b[l], cfg.stride, (H, W))
         d_dk = _wws_grad_kernel(d_den, e_l, k, cfg.stride)
 
-        d_e[:, :, l] = np.sum(d_ev * v, axis=-1) + d_e1
-        d_v += d_ev * e_l[..., None]
+        d_e_l = np.einsum("...d,...d->...", d_ev, v, out=d_e[..., l, :])
+        d_e_l += d_e1
+        d_ev *= e_l[..., None]  # in place: the value-map adjoint's last use
+        d_v += d_ev
         d_mix[l] = (d_nk * exp_b[l]).ravel()
         d_exp_b[l] = d_nk * mix_k[l] + d_dk
         del ratio, den, d_num, d_den, ev, d_ev, d_e1  # free before the next query
 
     d_b_o = g_flat.sum(axis=0)
-    d_w_o = y_pre.reshape(Hp * Wp, Dout).T @ g_flat
     d_bias = d_exp_b * exp_b
 
-    # Through the stabilized exponentials; the global max shift has zero
+    # Through the stabilized exponentials; the per-sample max shift has zero
     # total derivative because the normalized output is invariant to it.
     d_e *= e
-    d_s = d_e.reshape(H * W, L * h)
+    d_s = d_e.reshape(-1, L * h)
 
-    x2 = x.reshape(H * W, Din)
+    x2 = x.reshape(-1, Din)
     d_a = (d_s.T @ x2).reshape(L, h, Din)
 
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
@@ -461,7 +484,7 @@ def qna_backward(
     inner = np.sum(d_q_used * q_used, axis=1, keepdims=True)
     d_queries = (d_q_used - q_used * inner) / norms
 
-    d_v2 = d_v.reshape(H * W, Dout)
+    d_v2 = d_v.reshape(-1, Dout)
     d_w_v = x2.T @ d_v2
     d_b_v = d_v2.sum(axis=0)
     d_input = d_s @ a.reshape(L * h, Din)
@@ -469,18 +492,19 @@ def qna_backward(
 
     # The ledger counts the heap high-water mark above the returned gradients.
     # The mark is reached inside a query's terms (scores, values, their
-    # gradients, d_y and the summed quotients, plus the query's quotient,
+    # gradients and d_y, plus the query's quotient,
     # normalizer, weighted values, their gradients, one product and the two
     # ufunc buffers, up to getbufsize() elements each, of the strided
     # accumulation into the value-map adjoint) or at the end (the input
-    # gradient and one product beside them).
-    n, n_out = H * W, Hp * Wp
-    in_loop = (n * (2 * L * h + 5 * Dout + h - Din) + n_out * (4 * Dout + 2 * h)
+    # gradient and one product beside them). Map sizes count the sites of
+    # every sample.
+    n, n_out = x2.shape[0], g_flat.shape[0]
+    in_loop = (n * (2 * L * h + 5 * Dout + h - Din) + n_out * (3 * Dout + 2 * h)
                + 2 * min(np.getbufsize(), n_out * Dout))
     at_end = n * (2 * L * h + 2 * Dout + Din) + n_out * 2 * Dout
     _record(ledger, "qna_backward", (max(in_loop, at_end) + 2 * L * k * k) * x.dtype.itemsize)
     return GradBundle(
-        d_input=d_input.reshape(H, W, Din),
+        d_input=d_input.reshape(x.shape),
         d_w_k=d_w_k,
         d_w_v=d_w_v,
         d_b_v=d_b_v,
@@ -503,7 +527,8 @@ def attention_heatmap(
     """Per-site total attention mass: heat[n, m] sums, over every window that
     contains (n, m), the normalized weight that window assigns to (n, m) for
     the chosen query and head. Interior sites of a uniform-attention layer
-    get exactly 1. Requires stride 1."""
+    get exactly 1. Requires stride 1 and one H x W x dim_in map."""
+    _require_one_map(x)
     if cfg.stride != 1:
         raise ShapeError("attention_heatmap requires stride 1")
     if not 0 <= query_index < cfg.num_queries:
@@ -542,14 +567,20 @@ def init_params(cfg: QnAConfig, seed, dtype=np.float64) -> QnAParams:
     mixing weights all-ones divided by the query count. The draw order
     (w_k, w_v, w_o, queries) is part of the determinism contract.
 
-    ``seed`` is an integer or an already-constructed numpy Generator (the
-    model builder threads one generator through every block)."""
+    ``seed`` is an integer or an already-constructed numpy Generator (a
+    caller may thread one generator through many layers)."""
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
+    return draw_params(cfg, lambda shape: truncated_normal(rng, shape, dtype=dtype), dtype)
+
+
+def draw_params(cfg: QnAConfig, draw, dtype) -> QnAParams:
+    """Layer tensors with the fixed values of :func:`init_params`; each
+    drawn tensor (w_k, w_v, w_o, queries, in that order) is ``draw(shape)``."""
     L, k = cfg.num_queries, cfg.k
-    w_k = truncated_normal(rng, (cfg.dim_in, cfg.dim_out), dtype=dtype)
-    w_v = truncated_normal(rng, (cfg.dim_in, cfg.dim_out), dtype=dtype)
-    w_o = truncated_normal(rng, (cfg.dim_out, cfg.dim_out), dtype=dtype)
-    queries = truncated_normal(rng, (L, cfg.dim_out), dtype=dtype)
+    w_k = draw((cfg.dim_in, cfg.dim_out))
+    w_v = draw((cfg.dim_in, cfg.dim_out))
+    w_o = draw((cfg.dim_out, cfg.dim_out))
+    queries = draw((L, cfg.dim_out))
     return QnAParams(
         w_k=w_k,
         w_v=w_v,

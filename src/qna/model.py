@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .layer import QnAConfig, QnAParams, init_params, qna_forward
+from .layer import QnAConfig, QnAParams, draw_params, qna_forward
 from .tensor import (
     AllocationLedger,
     ShapeError,
@@ -206,28 +206,32 @@ class Model(TensorSet):
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
+# Every builder below takes ``draw(shape)``, which makes each drawn tensor in
+# the order of the determinism contract: build_model draws them from one
+# seeded generator, load_model only allocates them before filling them from
+# disk.
 
 
-def _init_ffn(rng, dim: int, dtype) -> FfnParams:
+def _init_ffn(draw, dim: int, dtype) -> FfnParams:
     hidden = FFN_EXPANSION * dim
     return FfnParams(
-        w1=truncated_normal(rng, (dim, hidden), dtype=dtype),
+        w1=draw((dim, hidden)),
         b1=np.zeros(hidden, dtype=dtype),
-        w2=truncated_normal(rng, (hidden, dim), dtype=dtype),
+        w2=draw((hidden, dim)),
         b2=np.zeros(dim, dtype=dtype),
     )
 
 
-def _init_vit_block(rng, dim: int, heads: int, dtype) -> BlockParams:
+def _init_vit_block(draw, dim: int, heads: int, dtype) -> BlockParams:
     msa = MsaParams(
         heads=heads,
-        w_q=truncated_normal(rng, (dim, dim), dtype=dtype),
+        w_q=draw((dim, dim)),
         b_q=np.zeros(dim, dtype=dtype),
-        w_k=truncated_normal(rng, (dim, dim), dtype=dtype),
+        w_k=draw((dim, dim)),
         b_k=np.zeros(dim, dtype=dtype),
-        w_v=truncated_normal(rng, (dim, dim), dtype=dtype),
+        w_v=draw((dim, dim)),
         b_v=np.zeros(dim, dtype=dtype),
-        w_o=truncated_normal(rng, (dim, dim), dtype=dtype),
+        w_o=draw((dim, dim)),
         b_o=np.zeros(dim, dtype=dtype),
     )
     return BlockParams(
@@ -235,12 +239,12 @@ def _init_vit_block(rng, dim: int, heads: int, dtype) -> BlockParams:
         ln1_b=np.zeros(dim, dtype=dtype),
         ln2_g=np.ones(dim, dtype=dtype),
         ln2_b=np.zeros(dim, dtype=dtype),
-        ffn=_init_ffn(rng, dim, dtype),
+        ffn=_init_ffn(draw, dim, dtype),
         msa=msa,
     )
 
 
-def _init_qna_block(rng, dim_in: int, dim_out: int, heads: int, stride: int,
+def _init_qna_block(draw, dim_in: int, dim_out: int, heads: int, stride: int,
                     arch: ArchConfig, dtype) -> BlockParams:
     cfg = QnAConfig(
         k=arch.window,
@@ -250,17 +254,17 @@ def _init_qna_block(rng, dim_in: int, dim_out: int, heads: int, stride: int,
         dim_in=dim_in,
         dim_out=dim_out,
     )
-    qna = init_params(cfg, rng, dtype=dtype)
+    qna = draw_params(cfg, draw, dtype)
     skip_w = skip_b = None
     if stride != 1:
-        skip_w = truncated_normal(rng, (dim_in, dim_out), dtype=dtype)
+        skip_w = draw((dim_in, dim_out))
         skip_b = np.zeros(dim_out, dtype=dtype)
     return BlockParams(
         ln1_g=np.ones(dim_in, dtype=dtype),
         ln1_b=np.zeros(dim_in, dtype=dtype),
         ln2_g=np.ones(dim_out, dtype=dtype),
         ln2_b=np.zeros(dim_out, dtype=dtype),
-        ffn=_init_ffn(rng, dim_out, dtype),
+        ffn=_init_ffn(draw, dim_out, dtype),
         qna_cfg=cfg,
         qna=qna,
         skip_w=skip_w,
@@ -268,25 +272,25 @@ def _init_qna_block(rng, dim_in: int, dim_out: int, heads: int, stride: int,
     )
 
 
-def _stage_blocks(rng, arch: ArchConfig, i: int, dtype) -> list[BlockParams]:
+def _stage_blocks(draw, arch: ArchConfig, i: int, dtype) -> list[BlockParams]:
     dim = arch.stage_dims[i]
     n_local = arch.qna_blocks[i]
     has_ds = i < 3 and n_local > 0
     n_stride1 = n_local - 1 if has_ds else n_local
 
     local = [
-        _init_qna_block(rng, dim, dim, arch.qna_heads[i], 1, arch, dtype)
+        _init_qna_block(draw, dim, dim, arch.qna_heads[i], 1, arch, dtype)
         for _ in range(n_stride1)
     ]
     glob = [
-        _init_vit_block(rng, dim, arch.sa_heads[i], dtype)
+        _init_vit_block(draw, dim, arch.sa_heads[i], dtype)
         for _ in range(arch.vit_blocks[i])
     ]
     # Stage 3 runs its global blocks before its local ones.
     blocks = glob + local if i == 2 else local + glob
     if has_ds:
         blocks.append(
-            _init_qna_block(rng, dim, arch.stage_dims[i + 1], arch.ds_heads[i], 2, arch, dtype)
+            _init_qna_block(draw, dim, arch.stage_dims[i + 1], arch.ds_heads[i], 2, arch, dtype)
         )
     return blocks
 
@@ -299,12 +303,16 @@ def build_model(variant_or_arch, seed: int, dtype=np.float32) -> Model:
     else:
         arch = make_arch(variant_or_arch)
     rng = make_rng(seed)
+    return _assemble(arch, lambda shape: truncated_normal(rng, shape, dtype=dtype), dtype)
+
+
+def _assemble(arch: ArchConfig, draw, dtype) -> Model:
     d0 = arch.base_dim
     in_feats = PATCH_SIZE * PATCH_SIZE * 3
-    patch_w = truncated_normal(rng, (in_feats, d0), dtype=dtype)
+    patch_w = draw((in_feats, d0))
     patch_b = np.zeros(d0, dtype=dtype)
     n_stages = arch.num_stages()
-    stages = [_stage_blocks(rng, arch, i, dtype) for i in range(n_stages)]
+    stages = [_stage_blocks(draw, arch, i, dtype) for i in range(n_stages)]
     d_last = arch.stage_dims[n_stages - 1]
     return Model(
         arch=arch,
@@ -313,7 +321,7 @@ def build_model(variant_or_arch, seed: int, dtype=np.float32) -> Model:
         stages=stages,
         final_ln_g=np.ones(d_last, dtype=dtype),
         final_ln_b=np.zeros(d_last, dtype=dtype),
-        head_w=truncated_normal(rng, (d_last, arch.num_classes), dtype=dtype),
+        head_w=draw((d_last, arch.num_classes)),
         head_b=np.zeros(arch.num_classes, dtype=dtype),
     )
 
@@ -557,7 +565,8 @@ def save_model(dirpath, model: Model) -> None:
 def load_model(dirpath) -> Model:
     path = os.path.join(dirpath, "arch.json")
     arch, dtype, names = read_config(path, ArchConfig, section="arch")
-    model = build_model(arch, seed=0, dtype=dtype)
+    # The skeleton only allocates: every tensor is overwritten from disk.
+    model = _assemble(arch, lambda shape: np.empty(shape, dtype=dtype), dtype)
     named = model.named_tensors()
     check_manifest(path, names, sorted(named))
     weights = os.path.join(dirpath, "weights")

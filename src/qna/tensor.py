@@ -241,11 +241,12 @@ def same_window_slices(H: int, W: int, k: int, stride: int) -> tuple:
 
     A tuple of ``(i, j, dst, src)``, one per kernel offset in row-major order,
     skipping offsets whose window positions all fall outside the map.
-    ``(i, j)`` indexes the kernel; ``dst`` is the (row, col) slice pair of the
-    H' x W' output sites whose windows see that offset in bounds, and ``src``
-    the strided slice pair of the input positions those sites read there.
-    Computed once per shape: the training loop asks for the same small
-    geometry thousands of times per step.
+    ``(i, j)`` indexes the kernel; ``dst`` indexes the H' x W' output sites
+    whose windows see that offset in bounds, and ``src`` the strided input
+    positions those sites read there. Both are index tuples
+    ``(..., rows, cols, slice(None))``, so they select the same sites of a
+    ``[N x] H x W x C`` map of any leading shape. Computed once per shape: the
+    training loop asks for the same small geometry many times per step.
     """
     lo, _ = offset_bounds(k)
 
@@ -262,8 +263,9 @@ def same_window_slices(H: int, W: int, k: int, stride: int) -> tuple:
         return slices
 
     cols = axis(W)
+    every = slice(None)
     return tuple(
-        (i, j, (rows[0], cc[0]), (rows[1], cc[1]))
+        (i, j, (..., rows[0], cc[0], every), (..., rows[1], cc[1], every))
         for i, rows in enumerate(axis(H)) if rows is not None
         for j, cc in enumerate(cols) if cc is not None
     )
@@ -293,18 +295,19 @@ def window_weighted_sum(
     stride: int = 1,
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
-    """Per-offset weighted reduction over k x k windows of a [H x W x C] map.
+    """Per-offset weighted reduction over k x k windows of a [N x] H x W x C map.
 
-    out[i, j, c] = sum over in-bounds offsets d of
-    kernel[d] * map[i*stride + d_row, j*stride + d_col, c].
+    out[n, i, j, c] = sum over in-bounds offsets d of
+    kernel[d] * map[n, i*stride + d_row, j*stride + d_col, c].
 
     This is a cross-correlation with a fixed small kernel, computed by
-    accumulating one shifted slice per offset. The only transient is one
-    output-shaped scratch buffer, so the extra space is independent of k.
+    accumulating one shifted slice per offset; the N maps of a batch share
+    every pass. The only transient is one output-shaped scratch buffer, so
+    the extra space is independent of k.
     """
     check_dtype(map_, "map")
-    if map_.ndim != 3:
-        raise ShapeError(f"map must be H x W x C, got shape {map_.shape}")
+    if map_.ndim not in (3, 4):
+        raise ShapeError(f"map must be [N x] H x W x C, got shape {map_.shape}")
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise ShapeError(f"kernel must be k x k, got shape {kernel.shape}")
     if kernel.dtype != map_.dtype:
@@ -312,10 +315,10 @@ def window_weighted_sum(
     if stride < 1:
         raise ShapeError(f"stride must be positive, got {stride}")
 
-    H, W, C = map_.shape
+    *lead, H, W, C = map_.shape
     Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-    out = np.zeros((Hp, Wp, C), dtype=map_.dtype)
-    tmp = np.empty((Hp, Wp, C), dtype=map_.dtype)
+    out = np.zeros((*lead, Hp, Wp, C), dtype=map_.dtype)
+    tmp = np.empty_like(out)
     for i, j, dst, src in same_window_slices(H, W, kernel.shape[0], stride):
         w = kernel[i, j]
         if w == 0.0:
@@ -356,34 +359,34 @@ def conv2d(
     stride: int = 1,
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
-    """Direct 2-D convolution of x [H x W x Din] with w [k x k x Din x Dout].
+    """Direct 2-D convolution of x [N x] H x W x Din with w [k x k x Din x Dout].
 
     True convolution: the tap multiplying the input at window offset d is
     w[k//2 - d_row, k//2 - d_col]. Computed as one GEMM per kernel tap.
     """
     check_dtype(x, "x")
     check_dtype(w, "w")
-    if x.ndim != 3:
-        raise ShapeError(f"x must be H x W x Din, got shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"x must be [N x] H x W x Din, got shape {x.shape}")
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"w must be k x k x Din x Dout, got shape {w.shape}")
-    if w.shape[2] != x.shape[2]:
-        raise ShapeError(f"channel mismatch: x has {x.shape[2]}, w expects {w.shape[2]}")
+    if w.shape[2] != x.shape[-1]:
+        raise ShapeError(f"channel mismatch: x has {x.shape[-1]}, w expects {w.shape[2]}")
     if w.dtype != x.dtype:
         raise ShapeError(f"w dtype {w.dtype} must match x dtype {x.dtype}")
     if stride < 1:
         raise ShapeError(f"stride must be positive, got {stride}")
 
-    H, W, Din = x.shape
+    *lead, H, W, Din = x.shape
     k, Dout = w.shape[0], w.shape[3]
     Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-    out = np.zeros((Hp, Wp, Dout), dtype=x.dtype)
+    out = np.zeros((*lead, Hp, Wp, Dout), dtype=x.dtype)
     for i, j, dst, src in same_window_slices(H, W, k, stride):
         patch = np.ascontiguousarray(x[src]).reshape(-1, Din)
         o = out[dst]
         np.add(o, (patch @ w[k - 1 - i, k - 1 - j]).reshape(o.shape), out=o)
     # Per-tap scratch: one input-slice copy plus one GEMM result.
-    _record(ledger, "conv2d", (Hp * Wp * (Din + Dout)) * x.dtype.itemsize)
+    _record(ledger, "conv2d", (out.size // Dout * (Din + Dout)) * x.dtype.itemsize)
     return out
 
 

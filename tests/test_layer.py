@@ -81,6 +81,8 @@ def test_forward_input_validation():
         qna_forward(np.zeros((4, 4, 2)), cfg, params)
     with pytest.raises(ShapeError):
         qna_forward(np.zeros((4, 4, 3), dtype=np.float32), cfg, params)  # dtype mismatch
+    with pytest.raises(ShapeError):
+        qna_forward(np.zeros((1, 2, 4, 4, 3)), cfg, params)  # rank 5
     bad = np.zeros((4, 4, 3))
     bad[0, 0, 0] = np.nan
     with pytest.raises(NumericalRangeError):
@@ -343,19 +345,22 @@ def _assert_ledger_matches_heap_peak(call):
 
 
 # 128 x 128 x 64 f32 maps, and small f64 maps (the toy trainer's shape among
-# them) where numpy's fixed-size ufunc buffers are a large share of the maps.
-@pytest.mark.parametrize("size,dim_in,dim_out,k,heads,L,dtype", [
-    (128, 64, 64, 3, 1, 1, np.float32),
-    (128, 64, 64, 15, 1, 1, np.float32),
-    (128, 64, 64, 7, 4, 2, np.float32),
-    (12, 4, 8, 3, 2, 2, np.float64),
-    (24, 8, 16, 5, 4, 2, np.float64),
-], ids=["3-1-1", "15-1-1", "7-4-2", "12-4-8-3-2-2-float64", "24-8-16-5-4-2-float64"])
-def test_forward_ledger_matches_heap_peak(size, dim_in, dim_out, k, heads, L, dtype):
+# them, alone and as its 16-sample batch) where numpy's fixed-size ufunc
+# buffers are a large share of the maps. ``batch`` is the leading N, if any.
+@pytest.mark.parametrize("batch,size,dim_in,dim_out,k,heads,L,dtype", [
+    ((), 128, 64, 64, 3, 1, 1, np.float32),
+    ((), 128, 64, 64, 15, 1, 1, np.float32),
+    ((), 128, 64, 64, 7, 4, 2, np.float32),
+    ((), 12, 4, 8, 3, 2, 2, np.float64),
+    ((), 24, 8, 16, 5, 4, 2, np.float64),
+    ((16,), 12, 4, 8, 3, 2, 2, np.float64),
+], ids=["3-1-1", "15-1-1", "7-4-2", "12-4-8-3-2-2-float64", "24-8-16-5-4-2-float64",
+        "16x12-4-8-3-2-2-float64"])
+def test_forward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, k, heads, L, dtype):
     rng = make_rng(14)
     cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=dim_in, dim_out=dim_out)
     params = init_params(cfg, rng, dtype=dtype)
-    x = rng.standard_normal((size, size, dim_in)).astype(dtype)
+    x = rng.standard_normal((*batch, size, size, dim_in)).astype(dtype)
     _assert_ledger_matches_heap_peak(lambda ledger: qna_forward(x, cfg, params, ledger))
 
 
@@ -367,16 +372,20 @@ def test_upsample_ledger_matches_heap_peak():
     _assert_ledger_matches_heap_peak(lambda ledger: qna_upsample_forward(x, cfg, params, ledger))
 
 
-# The toy trainer's shape (f64), where numpy's fixed-size ufunc buffers are a
-# large share of the maps, and a larger f32 one.
-@pytest.mark.parametrize("size,dim_in,dim_out,heads,L,dtype", [(12, 4, 8, 2, 2, np.float64),
-                                                               (48, 16, 32, 4, 2, np.float32)])
-def test_backward_ledger_matches_heap_peak(size, dim_in, dim_out, heads, L, dtype):
+# The toy trainer's shape (f64), alone and as its 16-sample batch, where
+# numpy's fixed-size ufunc buffers are a large share of the maps, and a
+# larger f32 one. ``batch`` is the leading N, if any.
+@pytest.mark.parametrize("batch,size,dim_in,dim_out,heads,L,dtype", [
+    ((), 12, 4, 8, 2, 2, np.float64),
+    ((), 48, 16, 32, 4, 2, np.float32),
+    ((16,), 12, 4, 8, 2, 2, np.float64),
+], ids=["12-4-8-2-2-float64", "48-16-32-4-2-float32", "16x12-4-8-2-2-float64"])
+def test_backward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, heads, L, dtype):
     rng = make_rng(16)
     cfg = QnAConfig(k=3, stride=1, heads=heads, num_queries=L, dim_in=dim_in, dim_out=dim_out)
     params = init_params(cfg, rng, dtype=dtype)
-    x = rng.standard_normal((size, size, dim_in)).astype(dtype)
-    d_out = rng.standard_normal((size, size, dim_out)).astype(dtype)
+    x = rng.standard_normal((*batch, size, size, dim_in)).astype(dtype)
+    d_out = rng.standard_normal((*batch, size, size, dim_out)).astype(dtype)
     _assert_ledger_matches_heap_peak(lambda ledger: qna_backward(x, cfg, params, d_out, ledger))
 
 
@@ -400,7 +409,7 @@ def test_heatmap_ledger_matches_heap_peak(size, dim, k, heads, L):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("hw", [(6, 7), (5, 4), (2, 3)])
+@pytest.mark.parametrize("hw", [(6, 7), (5, 4), (2, 3), (3, 5, 4)])  # the last: a batch of 3
 def test_window_reduction_adjoints(hw, stride, k):
     # <WWS(m, K), g> = <m, grad_map(g, K)> = <K, grad_kernel(g, m)>
     rng = make_rng(100 * k + 10 * stride + hw[0])
@@ -409,7 +418,7 @@ def test_window_reduction_adjoints(hw, stride, k):
     out = window_weighted_sum(m, kernel, stride)
     g = rng.standard_normal(out.shape)
     lhs = np.vdot(out, g)
-    via_map = np.vdot(m, _wws_grad_map(g, kernel, stride, hw))
+    via_map = np.vdot(m, _wws_grad_map(g, kernel, stride, hw[-2:]))
     via_kernel = np.vdot(kernel, _wws_grad_kernel(g, m, k, stride))
     assert np.isclose(via_map, lhs, rtol=1e-12, atol=0.0)
     assert np.isclose(via_kernel, lhs, rtol=1e-12, atol=0.0)
@@ -470,6 +479,11 @@ def test_backward_validates_d_out():
     bad[0, 0, 0] = np.inf
     with pytest.raises(NumericalRangeError):
         qna_backward(x, cfg, params, bad)
+    # a batch's d_out must have the same leading N as x
+    with pytest.raises(ShapeError):
+        qna_backward(np.stack([x, x]), cfg, params, np.zeros((3, 4, 4, 4)))
+    with pytest.raises(ShapeError):
+        qna_backward(x, cfg, params, np.zeros((1, 4, 4, 4)))
 
 
 def test_backward_grad_bundle_names():
@@ -485,6 +499,61 @@ def test_backward_grad_bundle_names():
     for name, t in grads.tensors().items():
         ref = x if name == "d_input" else params.tensors()[name[2:]]
         assert t.shape == ref.shape
+
+
+# ---------------------------------------------------------------------------
+# A leading batch axis
+# ---------------------------------------------------------------------------
+
+
+def _batch_cases():
+    """(cfg, N) over stride 1/2, k 2/3, heads 1/2, L 1/2 and N 1/5."""
+    for stride in (1, 2):
+        for k in (2, 3):
+            for heads in (1, 2):
+                for L in (1, 2):
+                    for n in (1, 5):
+                        yield QnAConfig(k=k, stride=stride, heads=heads, num_queries=L,
+                                        dim_in=3, dim_out=4), n
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_forward_equals_per_sample_calls(dtype):
+    rng = make_rng(30)
+    for cfg, n in _batch_cases():
+        params = _rand_params(cfg, rng, dtype=dtype)
+        x = rng.standard_normal((n, 7, 6, 3)).astype(dtype)
+        want = np.stack([qna_forward(sample, cfg, params) for sample in x])
+        assert np.array_equal(qna_forward(x, cfg, params), want), (cfg, n)
+
+
+def test_batched_backward_sums_per_sample_gradients():
+    rng = make_rng(31)
+    for cfg, n in _batch_cases():
+        params = _rand_params(cfg, rng)
+        x = rng.standard_normal((n, 7, 6, 3))
+        d_out = rng.standard_normal(qna_forward(x, cfg, params).shape)
+        got = qna_backward(x, cfg, params, d_out).tensors()
+        per = [qna_backward(s, cfg, params, g).tensors() for s, g in zip(x, d_out)]
+        assert np.array_equal(got.pop("d_input"), np.stack([p["d_input"] for p in per])), (cfg, n)
+        for name, t in got.items():
+            want = sum(p[name] for p in per)
+            assert np.max(np.abs(t - want)) <= 1e-12 * np.max(np.abs(want)), (cfg, n, name)
+
+
+def test_batched_forward_shifts_each_sample_by_its_own_max():
+    # sample 1's scores grow 40-fold; one shift across the batch would move
+    # the other samples' exponentials, and so their last bits
+    rng = make_rng(32)
+    cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=2, dim_in=4, dim_out=8)
+    params = _rand_params(cfg, rng)
+    params.w_k *= 25.0
+    x = rng.standard_normal((3, 8, 8, 4))
+    base = qna_forward(x, cfg, params)
+    x[1] *= 40.0
+    scaled = qna_forward(x, cfg, params)
+    assert np.array_equal(scaled[[0, 2]], base[[0, 2]])
+    assert not np.array_equal(scaled[1], base[1])
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +601,9 @@ def test_upsample_validation():
     cfg3 = QnAConfig(k=3, stride=1, heads=1, num_queries=3, dim_in=3, dim_out=4)
     with pytest.raises(ShapeError):
         qna_upsample_forward(np.zeros((4, 4, 3)), cfg3, init_params(cfg3, rng))
+    cfg4 = QnAConfig(k=3, stride=1, heads=1, num_queries=4, dim_in=3, dim_out=4)
+    with pytest.raises(ShapeError, match="one H x W"):
+        qna_upsample_forward(np.zeros((2, 4, 4, 3)), cfg4, init_params(cfg4, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +681,8 @@ def test_heatmap_validation():
     cfg2 = QnAConfig(k=3, stride=2, heads=2, num_queries=2, dim_in=3, dim_out=4)
     with pytest.raises(ShapeError):
         attention_heatmap(x, cfg2, init_params(cfg2, rng), 0, 0)
+    with pytest.raises(ShapeError, match="one H x W"):
+        attention_heatmap(np.stack([x, x]), cfg, params, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from qna import layer as layer_mod
+from qna import model as model_mod
 from qna.layer import qna_forward
 from qna.model import (
     ArchConfig,
@@ -414,6 +416,23 @@ def test_save_load_roundtrip_preserves_logits(tmp_path):
     loaded = load_model(tmp_path / "m")
     assert loaded.arch == arch
     assert np.array_equal(forward_inference(loaded, img), want)
+
+
+def test_load_model_fills_an_undrawn_skeleton(tmp_path, monkeypatch):
+    # loading allocates the tensors it overwrites instead of drawing them
+    model = build_model(_mini_arch(classes=9), seed=25)
+    save_model(tmp_path / "m", model)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model drew random numbers")
+
+    monkeypatch.setattr(model_mod, "truncated_normal", no_draws)
+    monkeypatch.setattr(layer_mod, "truncated_normal", no_draws)
+    loaded = load_model(tmp_path / "m").named_tensors()
+    want = model.named_tensors()
+    assert list(loaded) == list(want)
+    for name, t in want.items():
+        assert loaded[name].dtype == t.dtype and loaded[name].tobytes() == t.tobytes(), name
 
 
 def _saved_model_with_arch_json(tmp_path, edit, seed):

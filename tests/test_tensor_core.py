@@ -78,7 +78,7 @@ def test_same_window_slices_match_enumeration(hw, stride, k):
             if pairs:
                 want[i, j] = pairs
     got = {}
-    for i, j, (dr, dc), (sr, sc) in same_window_slices(H, W, k, stride):
+    for i, j, (_, dr, dc, _), (_, sr, sc, _) in same_window_slices(H, W, k, stride):
         rows = zip(range(Hp)[dr], range(H)[sr])
         cols = list(zip(range(Wp)[dc], range(W)[sc]))
         assert len(range(Hp)[dr]) == len(range(H)[sr])
@@ -179,6 +179,10 @@ def test_wws_matches_loop(k, stride):
     want = _wws_loop(map_, kernel, stride)
     assert got.shape == want.shape
     assert np.allclose(got, want, atol=1e-12)
+    # a batch of maps shares every pass: sample n is bitwise the call on it alone
+    batch = np.stack([map_, rng.standard_normal(map_.shape)])
+    got = window_weighted_sum(batch, kernel, stride)
+    assert np.array_equal(got, np.stack([window_weighted_sum(m, kernel, stride) for m in batch]))
 
 
 def test_wws_zero_weights_are_exact_skips():
@@ -204,6 +208,8 @@ def test_wws_validates_inputs():
     m = np.zeros((4, 4, 1))
     with pytest.raises(ShapeError):
         window_weighted_sum(np.zeros((4, 4)), np.ones((3, 3)))
+    with pytest.raises(ShapeError):
+        window_weighted_sum(np.zeros((1, 1, 4, 4, 1)), np.ones((3, 3)))
     with pytest.raises(ShapeError):
         window_weighted_sum(m, np.ones((3, 2)))
     with pytest.raises(ShapeError):
@@ -288,6 +294,9 @@ def test_conv2d_matches_loop(k, stride):
     want = _conv_loop(x, w, stride)
     assert got.shape == want.shape
     assert np.allclose(got, want, atol=1e-12)
+    batch = np.stack([x, rng.standard_normal(x.shape)])
+    got = conv2d(batch, w, stride)
+    assert np.array_equal(got, np.stack([conv2d(m, w, stride) for m in batch]))
 
 
 def test_conv2d_is_true_convolution():
