@@ -21,10 +21,11 @@ each head's values by its own map, and the quotient divides each head's
 channels by that head's normalizer. B_l is the learned per-offset score bias
 of query l (the kernels use exp(B_l - max B_l), which leaves the quotient
 unchanged and keeps any finite table in range), mix_l blends the L
-attention maps, and WWS is ``tensor.window_weighted_sum``. The concatenated
-heads z are projected by W_O. Out-of-bounds window positions carry exactly
-zero weight because the exponentiated maps are never padded with fabricated
-keys (masked softmax).
+attention maps, and WWS is ``tensor.window_weighted_sum``, which walks its
+output in cache-sized row bands and needs one band of scratch, not a map.
+The concatenated heads z are projected by W_O. Out-of-bounds window
+positions carry exactly zero weight because the exponentiated maps are never
+padded with fabricated keys (masked softmax).
 ``_window_sums`` is that per-query core; the forward pass, the upsampling
 head, the heatmap and the backward pass all run on it.
 
@@ -63,6 +64,7 @@ from .tensor import (
     save_qnat,
     truncated_normal,
     window_weighted_sum,
+    wws_band_shape,
 )
 
 # ---------------------------------------------------------------------------
@@ -308,13 +310,14 @@ def qna_forward(
     # The ledger counts the heap high-water mark above the output. The mark
     # is reached inside a numerator reduction: the exponentiated scores, the
     # values, one query's weighted values, its normalizer and numerator, the
-    # reduction's scratch, the accumulator when there are earlier queries,
-    # and the three ufunc buffers (up to getbufsize() elements each) of the
-    # reduction's strided accumulation. Map sizes count the sites of every
-    # sample.
+    # reduction's band of scratch, the accumulator when there are earlier
+    # queries, and the three ufunc buffers (up to getbufsize() elements each)
+    # of the reduction's strided accumulation over a band. Map sizes count
+    # the sites of every sample.
     n, n_out, L, h, D = x.size // cfg.dim_in, out.shape[0], cfg.num_queries, cfg.heads, cfg.dim_out
-    peak = (n * (L * h + 2 * D) + n_out * (h + (3 if L > 1 else 2) * D)
-            + 3 * min(np.getbufsize(), n_out * D) + 2 * L * cfg.k * cfg.k)
+    scratch = math.prod(wws_band_shape((*y.shape[:-2], D), x.itemsize))
+    peak = (n * (L * h + 2 * D) + n_out * (h + (2 if L > 1 else 1) * D) + scratch
+            + 3 * min(np.getbufsize(), scratch) + 2 * L * cfg.k * cfg.k)
     _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
     require_finite(out, "output")
     return out.reshape(out_shape)
@@ -348,18 +351,24 @@ def qna_upsample_forward(
 
     def rows(l):
         q = _window_sums(e[:, :, l], v, den_k[l], den_k[l], 1, ledger)[0]
-        return (q.reshape(H * W, D) @ params.w_o + params.b_o).reshape(H, W, D)
+        # The bias is added in place, so that projecting holds less than the
+        # reduction before it (the ledger's peak).
+        r = q.reshape(H * W, D) @ params.w_o
+        r += params.b_o
+        return r.reshape(H, W, D)
 
     out = np.empty((H, s, W, s, D), dtype=x.dtype)
     for l in range(L):
         out[:, l // s, :, l % s] = rows(l)
 
+    scratch = math.prod(wws_band_shape((H, W, D), x.itemsize))
     transient = (
         H * W * (L * h + D)             # exponentiated scores, values
-        + H * W * (h + 3 * D)           # one query's normalizer, weighted values,
-                                        # numerator and WWS scratch
-        + 3 * min(np.getbufsize(), H * W * D)  # ufunc buffers of the WWS
-                                        # strided accumulation
+        + H * W * (h + 2 * D)           # one query's normalizer, weighted values
+                                        # and numerator
+        + scratch                       # the numerator WWS's band of scratch
+        + 3 * min(np.getbufsize(), scratch)  # ufunc buffers of the WWS
+                                        # strided accumulation over a band
         + L * cfg.k * cfg.k             # reduction kernels
     ) * x.dtype.itemsize
     _record(ledger, "qna_upsample_forward", transient)

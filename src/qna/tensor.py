@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 import typing
 from dataclasses import dataclass, field, fields
@@ -52,6 +53,11 @@ LAYERNORM_EPS = 1e-6
 # INIT_CLIP standard deviations.
 INIT_STD = 0.02
 INIT_CLIP = 2.0
+# Output bytes per row band of window_weighted_sum. A band, its scratch and
+# the input rows a 15 x 15 window reads for it then fit well inside a 2 MiB
+# per-core L2 cache. In a sweep at 128 x 128 x 64 f32 (BENCH_8.json), bands
+# of 256 and 512 KiB ran equally fast, and 1 MiB bands lost most of the gain.
+WWS_BAND_BYTES = 256 * 1024
 
 
 class ShapeError(ValueError):
@@ -236,7 +242,7 @@ def same_output_size(size: int, stride: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def same_window_slices(H: int, W: int, k: int, stride: int) -> tuple:
+def same_window_slices(H: int, W: int, k: int, stride: int, band_rows: int | None = None) -> tuple:
     """Geometry of a same-padded k x k window reduction over an H x W map.
 
     A tuple of ``(i, j, dst, src)``, one per kernel offset in row-major order,
@@ -247,28 +253,47 @@ def same_window_slices(H: int, W: int, k: int, stride: int) -> tuple:
     ``(..., rows, cols, slice(None))``, so they select the same sites of a
     ``[N x] H x W x C`` map of any leading shape. Computed once per shape: the
     training loop asks for the same small geometry many times per step.
+
+    With ``band_rows``, the output rows are cut into bands of that many rows
+    (the last band may be shorter) and the result is one ``(rows, taps)`` pair
+    per band, top to bottom: ``rows`` slices the band's output rows and
+    ``taps`` is the tuple above clipped to them, with ``dst`` counting rows
+    from the band's first. Across the bands, each in-bounds (output site,
+    input position) pair of an offset appears exactly once.
     """
     lo, _ = offset_bounds(k)
 
-    def axis(size):
-        # (dst slice, src slice) per kernel index, or None when out of bounds
+    def axis(size, b0=0, b1=None):
+        # (dst slice counted from b0, src slice) per kernel index, for the
+        # output positions in [b0, b1); None when none is in bounds
         out_size = same_output_size(size, stride)
+        b1 = out_size if b1 is None else b1
         slices = []
         for t in range(k):
             r = _same_axis_ranges(size, out_size, lo + t, stride)
             if r is not None:
-                d0, d1, s0 = r
-                r = slice(d0, d1), slice(s0, s0 + (d1 - d0 - 1) * stride + 1, stride)
+                d0, d1 = max(r[0], b0), min(r[1], b1)
+                s0 = d0 * stride + lo + t
+                r = None if d0 >= d1 else (
+                    slice(d0 - b0, d1 - b0), slice(s0, s0 + (d1 - d0 - 1) * stride + 1, stride))
             slices.append(r)
         return slices
 
     cols = axis(W)
     every = slice(None)
-    return tuple(
-        (i, j, (..., rows[0], cc[0], every), (..., rows[1], cc[1], every))
-        for i, rows in enumerate(axis(H)) if rows is not None
-        for j, cc in enumerate(cols) if cc is not None
-    )
+
+    def taps(b0=0, b1=None):
+        return tuple(
+            (i, j, (..., rows[0], cc[0], every), (..., rows[1], cc[1], every))
+            for i, rows in enumerate(axis(H, b0, b1)) if rows is not None
+            for j, cc in enumerate(cols) if cc is not None
+        )
+
+    if band_rows is None:
+        return taps()
+    Hp = same_output_size(H, stride)
+    return tuple((slice(b0, min(b0 + band_rows, Hp)), taps(b0, b0 + band_rows))
+                 for b0 in range(0, Hp, band_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +314,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def wws_band_shape(out_shape, itemsize: int) -> tuple:
+    """Shape of the scratch band of a :func:`window_weighted_sum` whose output
+    has ``out_shape`` ([N x] H' x W' x C): as many whole output rows, across
+    the leading axes, as fit in WWS_BAND_BYTES, and at least one."""
+    *lead, Hp, Wp, C = out_shape
+    row_bytes = math.prod(lead) * Wp * C * itemsize
+    rows = min(Hp, max(1, WWS_BAND_BYTES // max(row_bytes, 1)))
+    return (*lead, rows, Wp, C)
+
+
 def window_weighted_sum(
     map_: np.ndarray,
     kernel: np.ndarray,
@@ -302,8 +337,12 @@ def window_weighted_sum(
 
     This is a cross-correlation with a fixed small kernel, computed by
     accumulating one shifted slice per offset; the N maps of a batch share
-    every pass. The only transient is one output-shaped scratch buffer, so
-    the extra space is independent of k.
+    every pass. The output is walked in bands of whole rows sized by
+    :func:`wws_band_shape`, so that a band, its scratch and the input rows
+    it reads stay in cache while every offset passes over them. Within a
+    band the offsets run in row-major order, so each output element adds its
+    terms in the same order whatever the band size. The only transient is
+    one band-sized scratch buffer, independent of k.
     """
     check_dtype(map_, "map")
     if map_.ndim not in (3, 4):
@@ -318,14 +357,16 @@ def window_weighted_sum(
     *lead, H, W, C = map_.shape
     Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
     out = np.zeros((*lead, Hp, Wp, C), dtype=map_.dtype)
-    tmp = np.empty_like(out)
-    for i, j, dst, src in same_window_slices(H, W, kernel.shape[0], stride):
-        w = kernel[i, j]
-        if w == 0.0:
-            continue
-        t, o = tmp[dst], out[dst]
-        np.multiply(map_[src], w, out=t)
-        np.add(o, t, out=o)
+    tmp = np.empty(wws_band_shape(out.shape, out.itemsize), dtype=map_.dtype)
+    for rows, taps in same_window_slices(H, W, kernel.shape[0], stride, tmp.shape[-3]):
+        band = out[..., rows, :, :]
+        for i, j, dst, src in taps:
+            w = kernel[i, j]
+            if w == 0.0:
+                continue
+            t, o = tmp[dst], band[dst]
+            np.multiply(map_[src], w, out=t)
+            np.add(o, t, out=o)
     _record(ledger, "window_weighted_sum", tmp.nbytes)
     return out
 

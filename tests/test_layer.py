@@ -346,7 +346,9 @@ def _assert_ledger_matches_heap_peak(call):
 
 # 128 x 128 x 64 f32 maps, and small f64 maps (the toy trainer's shape among
 # them, alone and as its 16-sample batch) where numpy's fixed-size ufunc
-# buffers are a large share of the maps. ``batch`` is the leading N, if any.
+# buffers are a large share of the maps. The 128 x 128 maps and the 64 x 64
+# f64 one span several row bands of the window reduction; the others fit
+# one. ``batch`` is the leading N, if any.
 @pytest.mark.parametrize("batch,size,dim_in,dim_out,k,heads,L,dtype", [
     ((), 128, 64, 64, 3, 1, 1, np.float32),
     ((), 128, 64, 64, 15, 1, 1, np.float32),
@@ -354,8 +356,9 @@ def _assert_ledger_matches_heap_peak(call):
     ((), 12, 4, 8, 3, 2, 2, np.float64),
     ((), 24, 8, 16, 5, 4, 2, np.float64),
     ((16,), 12, 4, 8, 3, 2, 2, np.float64),
+    ((), 64, 16, 32, 5, 2, 2, np.float64),
 ], ids=["3-1-1", "15-1-1", "7-4-2", "12-4-8-3-2-2-float64", "24-8-16-5-4-2-float64",
-        "16x12-4-8-3-2-2-float64"])
+        "16x12-4-8-3-2-2-float64", "64-16-32-5-2-2-float64"])
 def test_forward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, k, heads, L, dtype):
     rng = make_rng(14)
     cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=dim_in, dim_out=dim_out)
@@ -366,10 +369,13 @@ def test_forward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, k, heads
 
 def test_upsample_ledger_matches_heap_peak():
     rng = make_rng(17)
-    cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=4, dim_in=4, dim_out=8)
-    params = init_params(cfg, rng)
-    x = rng.standard_normal((12, 12, 4))
-    _assert_ledger_matches_heap_peak(lambda ledger: qna_upsample_forward(x, cfg, params, ledger))
+    # f64 maps that fit one row band of the window reduction, and that span four
+    for size, k, dim_in, dim_out in [(12, 3, 4, 8), (64, 5, 16, 32)]:
+        cfg = QnAConfig(k=k, stride=1, heads=2, num_queries=4, dim_in=dim_in, dim_out=dim_out)
+        params = init_params(cfg, rng)
+        x = rng.standard_normal((size, size, dim_in))
+        _assert_ledger_matches_heap_peak(
+            lambda ledger: qna_upsample_forward(x, cfg, params, ledger))
 
 
 # The toy trainer's shape (f64), alone and as its 16-sample batch, where

@@ -1,10 +1,14 @@
 """Tensor primitives against independent loop oracles, plus the allocation
 ledger contract and the QNAT container format."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qna import tensor
 from qna.tensor import (
     AllocationLedger,
     NumericalRangeError,
@@ -57,6 +61,20 @@ def test_same_output_size_is_ceil(size, stride):
     assert same_output_size(size, stride) == -(-size // stride)
 
 
+def _tap_pairs(taps, out_rows, H, W, Wp):
+    """{offset: set of (output site, input position)} the taps pair up;
+    ``out_rows`` are the output rows a tap's dst rows count from."""
+    got = {}
+    for i, j, (_, dr, dc, _), (_, sr, sc, _) in taps:
+        rows = list(zip(out_rows[dr], range(H)[sr]))
+        cols = list(zip(range(Wp)[dc], range(W)[sc]))
+        assert len(rows) == len(out_rows[dr]) == len(range(H)[sr]) > 0
+        assert len(cols) == len(range(Wp)[dc]) == len(range(W)[sc]) > 0
+        assert (i, j) not in got
+        got[i, j] = {((p, q), (r, c)) for p, r in rows for q, c in cols}
+    return got
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("hw", [(6, 7), (2, 3), (1, 1), (5, 4)])
@@ -77,17 +95,28 @@ def test_same_window_slices_match_enumeration(hw, stride, k):
             }
             if pairs:
                 want[i, j] = pairs
-    got = {}
-    for i, j, (_, dr, dc, _), (_, sr, sc, _) in same_window_slices(H, W, k, stride):
-        rows = zip(range(Hp)[dr], range(H)[sr])
-        cols = list(zip(range(Wp)[dc], range(W)[sc]))
-        assert len(range(Hp)[dr]) == len(range(H)[sr])
-        assert len(cols) == len(range(W)[sc])
-        got[i, j] = {((p, q), (r, c)) for p, r in rows for q, c in cols}
+    got = _tap_pairs(same_window_slices(H, W, k, stride), range(Hp), H, W, Wp)
     assert list(got) == list(want)  # row-major offset order
     assert got == want
     # computed once per shape
     assert same_window_slices(H, W, k, stride) is same_window_slices(H, W, k, stride)
+
+    # Cut into bands of any row count, the output rows are covered top to
+    # bottom once, and across the bands the taps pair up each in-bounds pair
+    # exactly once, in row-major offset order within each band.
+    for band_rows in range(1, Hp + 1):
+        bands = same_window_slices(H, W, k, stride, band_rows)
+        assert [rows.indices(Hp) for rows, _ in bands] == [
+            (r, min(r + band_rows, Hp), 1) for r in range(0, Hp, band_rows)]
+        seen = {}
+        for rows, taps in bands:
+            band = _tap_pairs(taps, range(Hp)[rows], H, W, Wp)
+            assert list(band) == sorted(band)
+            for offset, pairs in band.items():
+                assert not pairs & seen.get(offset, set())
+                seen[offset] = seen.get(offset, set()) | pairs
+        assert seen == want
+        assert same_window_slices(H, W, k, stride, band_rows) is bands
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +225,67 @@ def test_wws_zero_weights_are_exact_skips():
     )
 
 
-def test_wws_ledger_is_one_output_shaped_buffer():
+def _band_bytes(map_, rows, stride):
+    """WWS_BAND_BYTES that makes window_weighted_sum on map_ use bands of
+    ``rows`` output rows."""
+    return rows * math.prod(map_.shape[:-3]) * same_output_size(map_.shape[-2], stride) \
+        * map_.shape[-1] * map_.itemsize
+
+
+# Output rows per band: one, a count that divides neither H' = 11 nor H' = 6,
+# and more than H'. Kernels up to 7 reach beyond a band of one to four rows.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["hwc", "nhwc"])
+@pytest.mark.parametrize("stride", [1, 2], ids=_SAME_IDS)
+def test_wws_row_bands_match_one_band_bitwise(stride, lead, dtype):
+    rng = make_rng(40 + stride)
+    map_ = rng.standard_normal((*lead, 11, 6, 3)).astype(dtype)
+    for k in (1, 3, 4, 7):
+        kernel = rng.standard_normal((k, k)).astype(dtype)
+        kernel[k // 2, 0] = 0.0
+        whole = window_weighted_sum(map_, kernel, stride)
+        want = np.stack([_wws_loop(m, kernel, stride) for m in map_.reshape(-1, 11, 6, 3)])
+        assert np.allclose(whole.reshape(want.shape), want, atol=1e-5)
+        for rows in (1, 4, 12):
+            ledger = AllocationLedger()
+            with mock.patch.object(tensor, "WWS_BAND_BYTES", _band_bytes(map_, rows, stride)):
+                got = window_weighted_sum(map_, kernel, stride, ledger)
+            assert np.array_equal(got, whole), (k, rows)
+            assert ledger.events == [
+                ("window_weighted_sum", min(rows, whole.shape[-3]) * whole.nbytes // whole.shape[-3])]
+
+
+@given(
+    st.integers(1, 16), st.integers(1, 9), st.integers(1, 3), st.sampled_from([(), (1,), (2,)]),
+    st.integers(1, 6), st.integers(1, 3), st.integers(1, 16), st.sampled_from([np.float32, np.float64]),
+)
+def test_wws_bands_property(H, W, C, lead, k, stride, rows, dtype):
+    # any band size gives the one-band result bitwise, and the loop's within rounding
+    rng = make_rng(H * 1000 + W * 100 + k * 10 + stride)
+    map_ = rng.standard_normal((*lead, H, W, C)).astype(dtype)
+    kernel = rng.standard_normal((k, k)).astype(dtype)
+    whole = window_weighted_sum(map_, kernel, stride)
+    with mock.patch.object(tensor, "WWS_BAND_BYTES", _band_bytes(map_, rows, stride)):
+        got = window_weighted_sum(map_, kernel, stride)
+    assert np.array_equal(got, whole)
+    want = np.stack([_wws_loop(m, kernel, stride) for m in map_.reshape(-1, H, W, C)])
+    assert np.allclose(got.reshape(want.shape), want, atol=1e-5)
+
+
+def test_wws_ledger_is_one_band_of_scratch():
     ledger = AllocationLedger()
     map_ = np.ones((6, 6, 3), dtype=np.float32)
     window_weighted_sum(map_, np.ones((3, 3), dtype=np.float32), 2, ledger)
-    # transient scratch has the output's shape regardless of k
+    # an output that fits one band: the scratch has the output's shape regardless of k
     assert ledger.events == [("window_weighted_sum", 3 * 3 * 3 * 4)]
+    # a larger output: the scratch is as many whole rows as fit the band bytes
+    map_ = np.ones((100, 100, 16), dtype=np.float32)
+    row = 100 * 16 * 4
+    assert 100 * row > tensor.WWS_BAND_BYTES
+    for k in (3, 15):
+        ledger = AllocationLedger()
+        window_weighted_sum(map_, np.ones((k, k), dtype=np.float32), 1, ledger)
+        assert ledger.events == [("window_weighted_sum", tensor.WWS_BAND_BYTES // row * row)]
 
 
 def test_wws_validates_inputs():
