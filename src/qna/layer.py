@@ -21,8 +21,10 @@ each head's values by its own map, and the quotient divides each head's
 channels by that head's normalizer. B_l is the learned per-offset score bias
 of query l (the kernels use exp(B_l - max B_l), which leaves the quotient
 unchanged and keeps any finite table in range), mix_l blends the L
-attention maps, and WWS is ``tensor.window_weighted_sum``, which walks its
-output in cache-sized row bands and needs one band of scratch, not a map.
+attention maps, and WWS is ``tensor.window_weighted_sum``, which computes
+each band of output rows as one small GEMM per kernel column (a banded
+Toeplitz matrix times the band's input rows) and needs scratch that does
+not grow with the map.
 The concatenated heads z are projected by W_O. Out-of-bounds window
 positions carry exactly zero weight because the exponentiated maps are never
 padded with fabricated keys (masked softmax).
@@ -64,7 +66,7 @@ from .tensor import (
     save_qnat,
     truncated_normal,
     window_weighted_sum,
-    wws_band_shape,
+    wws_scratch,
 )
 
 # ---------------------------------------------------------------------------
@@ -271,6 +273,15 @@ def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
     return quotient, den, ev
 
 
+def _wws_peak(shape, k: int, stride: int, itemsize: int) -> int:
+    """Elements a window reduction over a map of ``shape`` holds beyond its
+    input and output: its scratch (``tensor.wws_scratch``) and the three
+    ufunc buffers, up to getbufsize() elements each, of its strided adds
+    into a band."""
+    band, *rest = wws_scratch(shape, k, stride, itemsize)
+    return sum(map(math.prod, (band, *rest))) + 3 * min(np.getbufsize(), math.prod(band))
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -286,8 +297,10 @@ def qna_forward(
     for x of shape [N x] H x W x dim_in; sample n of a batch gets, bitwise,
     the output of the call on x[n] alone.
 
-    Transient memory is independent of the window size k: the exponentiated
-    score maps, the value map, and per-query output-sized sums. The
+    The map-sized transients do not depend on the window size k: the
+    exponentiated score maps, the value map, and per-query output-sized
+    sums; only the reduction kernels and the window reductions' bounded
+    scratch do. The
     per-window softmax over in-bounds offsets (with additive score bias) is
     realized as a quotient of two window reductions per query; the mixing
     weights fold into the numerator's reduction kernel.
@@ -310,14 +323,12 @@ def qna_forward(
     # The ledger counts the heap high-water mark above the output. The mark
     # is reached inside a numerator reduction: the exponentiated scores, the
     # values, one query's weighted values, its normalizer and numerator, the
-    # reduction's band of scratch, the accumulator when there are earlier
-    # queries, and the three ufunc buffers (up to getbufsize() elements each)
-    # of the reduction's strided accumulation over a band. Map sizes count
-    # the sites of every sample.
+    # accumulator when there are earlier queries, the reduction's own
+    # transients and the reduction kernels. Map sizes count the sites of
+    # every sample.
     n, n_out, L, h, D = x.size // cfg.dim_in, out.shape[0], cfg.num_queries, cfg.heads, cfg.dim_out
-    scratch = math.prod(wws_band_shape((*y.shape[:-2], D), x.itemsize))
-    peak = (n * (L * h + 2 * D) + n_out * (h + (2 if L > 1 else 1) * D) + scratch
-            + 3 * min(np.getbufsize(), scratch) + 2 * L * cfg.k * cfg.k)
+    peak = (n * (L * h + 2 * D) + n_out * (h + (2 if L > 1 else 1) * D)
+            + _wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize) + 2 * L * cfg.k * cfg.k)
     _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
     require_finite(out, "output")
     return out.reshape(out_shape)
@@ -361,14 +372,11 @@ def qna_upsample_forward(
     for l in range(L):
         out[:, l // s, :, l % s] = rows(l)
 
-    scratch = math.prod(wws_band_shape((H, W, D), x.itemsize))
     transient = (
         H * W * (L * h + D)             # exponentiated scores, values
         + H * W * (h + 2 * D)           # one query's normalizer, weighted values
                                         # and numerator
-        + scratch                       # the numerator WWS's band of scratch
-        + 3 * min(np.getbufsize(), scratch)  # ufunc buffers of the WWS
-                                        # strided accumulation over a band
+        + _wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
         + L * cfg.k * cfg.k             # reduction kernels
     ) * x.dtype.itemsize
     _record(ledger, "qna_upsample_forward", transient)
@@ -559,13 +567,16 @@ def attention_heatmap(
     spread = _wws_grad_map(inv, dk, 1, (H, W))
     heat = e[:, :, 0] * spread[:, :, 0]
     # The ledger counts the heap high-water mark above the output. The mark
-    # is reached inside the scatter, before the output exists: the chosen
-    # exponentiated score map, the normalizer, its reciprocal, the scatter's
-    # accumulator, one scaled slice, the kernels, and the two ufunc buffers
-    # (up to getbufsize() elements each) of the strided accumulation, not
-    # negligible beside one-channel maps.
+    # is reached inside the normalizer's reduction (the chosen exponentiated
+    # score map, the normalizer and the reduction's own transients) or, on
+    # the maps the tests measure, inside the scatter, before the output
+    # exists: the score map, the normalizer, its reciprocal, the scatter's
+    # accumulator, one scaled slice and the two ufunc buffers (up to
+    # getbufsize() elements each) of the strided accumulation, not negligible
+    # beside one-channel maps. The kernels are held throughout.
     n = H * W
-    peak = 5 * n + 2 * cfg.num_queries * cfg.k * cfg.k + 2 * min(np.getbufsize(), n)
+    peak = (max(2 * n + _wws_peak((H, W, 1), cfg.k, 1, x.itemsize),
+                5 * n + 2 * min(np.getbufsize(), n)) + 2 * cfg.num_queries * cfg.k * cfg.k)
     _record(ledger, "attention_heatmap", (peak - heat.size) * x.dtype.itemsize)
     return heat
 

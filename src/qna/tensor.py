@@ -19,9 +19,10 @@ Conventions shared by every windowed operation:
 * Padding is always "same": the output keeps ``H' = ceil(H / stride)`` and
   out-of-bounds window positions contribute exactly zero.
 * Which output sites each kernel offset touches, and which strided input
-  slice they read, is worked out in one place, :func:`same_window_slices`;
-  the window reduction, the convolution and the layer's adjoints all loop
-  over it.
+  slice they read, is worked out per axis in one place,
+  :func:`_same_axis_ranges`. :func:`same_window_slices` combines the two
+  axes for the convolution and the layer's adjoints, which loop over it; the
+  window reduction uses the column ranges for its banded products.
 * Inputs are expected to be finite. Layer-level entry points validate this;
   the primitives trust their callers so that benchmark loops are not
   dominated by scans. A deliberate exception: ``softmax_rows`` accepts
@@ -53,11 +54,21 @@ LAYERNORM_EPS = 1e-6
 # INIT_CLIP standard deviations.
 INIT_STD = 0.02
 INIT_CLIP = 2.0
-# Output bytes per row band of window_weighted_sum. A band, its scratch and
-# the input rows a 15 x 15 window reads for it then fit well inside a 2 MiB
-# per-core L2 cache. In a sweep at 128 x 128 x 64 f32 (BENCH_8.json), bands
-# of 256 and 512 KiB ran equally fast, and 1 MiB bands lost most of the gain.
-WWS_BAND_BYTES = 256 * 1024
+# window_weighted_sum contracts no GEMM over K elements with
+# K * itemsize >= WWS_GEMM_BYTES. Below that bound, for the product shapes it
+# issues (see WWS_GEMM_MACS), OpenBLAS 0.3.31 (SkylakeX kernels) adds each
+# output's K products in order, one fused multiply-add apiece, wherever in K
+# the nonzero terms sit; at K = 16 in f64 and K = 32 in f32 it no longer did.
+# That order keeps the window reduction's results independent of a site's
+# position (test_blas_adds_toeplitz_rows_in_order checks it).
+WWS_GEMM_BYTES = 128
+# A band is cut so that each of its products makes at most this many
+# multiply-adds, unless only one-row bands fit. OpenBLAS runs such products
+# in its unpacked small-matrix kernel. Just above the bound the same product
+# took 1.5 to 4 times as long (f32 and f64, K 10 to 20, N 4096 and 8192),
+# and the f64 kernel used there summed some last columns of products of 12
+# or more rows in another order.
+WWS_GEMM_MACS = 100**3
 
 
 class ShapeError(ValueError):
@@ -242,7 +253,7 @@ def same_output_size(size: int, stride: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def same_window_slices(H: int, W: int, k: int, stride: int, band_rows: int | None = None) -> tuple:
+def same_window_slices(H: int, W: int, k: int, stride: int) -> tuple:
     """Geometry of a same-padded k x k window reduction over an H x W map.
 
     A tuple of ``(i, j, dst, src)``, one per kernel offset in row-major order,
@@ -253,47 +264,28 @@ def same_window_slices(H: int, W: int, k: int, stride: int, band_rows: int | Non
     ``(..., rows, cols, slice(None))``, so they select the same sites of a
     ``[N x] H x W x C`` map of any leading shape. Computed once per shape: the
     training loop asks for the same small geometry many times per step.
-
-    With ``band_rows``, the output rows are cut into bands of that many rows
-    (the last band may be shorter) and the result is one ``(rows, taps)`` pair
-    per band, top to bottom: ``rows`` slices the band's output rows and
-    ``taps`` is the tuple above clipped to them, with ``dst`` counting rows
-    from the band's first. Across the bands, each in-bounds (output site,
-    input position) pair of an offset appears exactly once.
     """
     lo, _ = offset_bounds(k)
 
-    def axis(size, b0=0, b1=None):
-        # (dst slice counted from b0, src slice) per kernel index, for the
-        # output positions in [b0, b1); None when none is in bounds
+    def axis(size):
+        # (dst slice, src slice) per kernel index; None when out of bounds
         out_size = same_output_size(size, stride)
-        b1 = out_size if b1 is None else b1
         slices = []
         for t in range(k):
             r = _same_axis_ranges(size, out_size, lo + t, stride)
             if r is not None:
-                d0, d1 = max(r[0], b0), min(r[1], b1)
-                s0 = d0 * stride + lo + t
-                r = None if d0 >= d1 else (
-                    slice(d0 - b0, d1 - b0), slice(s0, s0 + (d1 - d0 - 1) * stride + 1, stride))
+                d0, d1, s0 = r
+                r = (slice(d0, d1), slice(s0, s0 + (d1 - d0 - 1) * stride + 1, stride))
             slices.append(r)
         return slices
 
-    cols = axis(W)
     every = slice(None)
-
-    def taps(b0=0, b1=None):
-        return tuple(
-            (i, j, (..., rows[0], cc[0], every), (..., rows[1], cc[1], every))
-            for i, rows in enumerate(axis(H, b0, b1)) if rows is not None
-            for j, cc in enumerate(cols) if cc is not None
-        )
-
-    if band_rows is None:
-        return taps()
-    Hp = same_output_size(H, stride)
-    return tuple((slice(b0, min(b0 + band_rows, Hp)), taps(b0, b0 + band_rows))
-                 for b0 in range(0, Hp, band_rows))
+    cols = axis(W)
+    return tuple(
+        (i, j, (..., rows[0], cc[0], every), (..., rows[1], cc[1], every))
+        for i, rows in enumerate(axis(H)) if rows is not None
+        for j, cc in enumerate(cols) if cc is not None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +306,44 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def wws_band_shape(out_shape, itemsize: int) -> tuple:
-    """Shape of the scratch band of a :func:`window_weighted_sum` whose output
-    has ``out_shape`` ([N x] H' x W' x C): as many whole output rows, across
-    the leading axes, as fit in WWS_BAND_BYTES, and at least one."""
-    *lead, Hp, Wp, C = out_shape
-    row_bytes = math.prod(lead) * Wp * C * itemsize
-    rows = min(Hp, max(1, WWS_BAND_BYTES // max(row_bytes, 1)))
-    return (*lead, rows, Wp, C)
+def wws_plan(k: int, stride: int, itemsize: int, width: int) -> tuple[int, int]:
+    """The band rule of :func:`window_weighted_sum`: (output rows per band,
+    kernel rows per group) for a size-k kernel whose output rows hold
+    ``width`` elements per sample.
+
+    One product of a band covers one kernel column and one group of kernel
+    rows, and contracts over the (rows - 1) * stride + group input rows the
+    band's windows reach there. The kernel rows form the fewest equal groups
+    that keep a two-row band's contraction under WWS_GEMM_BYTES; the bands
+    get as many rows as that bound and WWS_GEMM_MACS allow, and at least one.
+    """
+    kmax = (WWS_GEMM_BYTES - 1) // itemsize
+    group = _ceil_div(k, _ceil_div(k, max(1, kmax - stride)))
+    rows = (kmax - group) // stride + 1
+    while rows > 1 and rows * ((rows - 1) * stride + group) * width > WWS_GEMM_MACS:
+        rows -= 1
+    return rows, group
+
+
+def wws_scratch(shape, k: int, stride: int, itemsize: int, in_place: bool | None = None) -> tuple:
+    """Shapes of the transient buffers of a :func:`window_weighted_sum` over a
+    map of ``shape`` ([N x] H x W x C) with a size-k kernel: one band of
+    products, the Toeplitz stack, and, unless the map's rows are read in
+    place (by default: at stride 1 with rows of two or more elements), one
+    band's input rows with their columns grouped by phase mod stride."""
+    *lead, H, W, C = shape
+    width = same_output_size(W, stride) * C
+    rows, group = wws_plan(k, stride, itemsize, width)
+    groups = _ceil_div(k, group)
+    m = max(rows, 2)  # one-row and one-column products are padded to two
+    shapes = ((*lead, m, max(width, 2)), (k, groups, m, (rows - 1) * stride + group))
+    if in_place is None:
+        in_place = stride == 1 and W * C > 1
+    if in_place:
+        return shapes
+    # a one-column, one-channel map gets a zero column: products have two
+    span = min(H, (rows - 1) * stride + groups * group)
+    return (*shapes, (*lead, span, max(W, 2) if C == 1 else W, C))
 
 
 def window_weighted_sum(
@@ -335,14 +357,21 @@ def window_weighted_sum(
     out[n, i, j, c] = sum over in-bounds offsets d of
     kernel[d] * map[n, i*stride + d_row, j*stride + d_col, c].
 
-    This is a cross-correlation with a fixed small kernel, computed by
-    accumulating one shifted slice per offset; the N maps of a batch share
-    every pass. The output is walked in bands of whole rows sized by
-    :func:`wws_band_shape`, so that a band, its scratch and the input rows
-    it reads stay in cache while every offset passes over them. Within a
-    band the offsets run in row-major order, so each output element adds its
-    terms in the same order whatever the band size. The only transient is
-    one band-sized scratch buffer, independent of k.
+    Every channel shares the kernel, so for one kernel column the sum over
+    the kernel rows is a matrix product: a banded Toeplitz matrix (band
+    output rows x the input rows they reach) times those input rows seen as
+    a matrix of W'*C columns. The output is walked in bands of whole rows
+    (:func:`wws_plan`), and each band takes one GEMM per kernel column and
+    group of kernel rows, added into the band. Each product contracts over
+    fewer than WWS_GEMM_BYTES bytes, where the BLAS adds a site's terms one
+    after another; bands at the map's edges use column slices of the same
+    Toeplitz stack, and one-row or one-column products are padded to two,
+    which keeps them off GEMV. So each output element adds its terms in one
+    order (kernel columns outer, kernel rows inner) whatever its position,
+    band or batch. The N maps of a batch share every pass. At stride 1 a
+    C-contiguous map's rows are read in place; otherwise each band's input
+    rows are first copied with their columns grouped by phase mod stride.
+    The transients (:func:`wws_scratch`) do not grow with the map.
     """
     check_dtype(map_, "map")
     if map_.ndim not in (3, 4):
@@ -355,19 +384,73 @@ def window_weighted_sum(
         raise ShapeError(f"stride must be positive, got {stride}")
 
     *lead, H, W, C = map_.shape
+    k, dt = kernel.shape[0], map_.dtype
+    lo, _ = offset_bounds(k)
     Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-    out = np.zeros((*lead, Hp, Wp, C), dtype=map_.dtype)
-    tmp = np.empty(wws_band_shape(out.shape, out.itemsize), dtype=map_.dtype)
-    for rows, taps in same_window_slices(H, W, kernel.shape[0], stride, tmp.shape[-3]):
-        band = out[..., rows, :, :]
-        for i, j, dst, src in taps:
-            w = kernel[i, j]
-            if w == 0.0:
-                continue
-            t, o = tmp[dst], band[dst]
-            np.multiply(map_[src], w, out=t)
-            np.add(o, t, out=o)
-    _record(ledger, "window_weighted_sum", tmp.nbytes)
+    rows, group = wws_plan(k, stride, dt.itemsize, Wp * C)
+    groups = _ceil_div(k, group)
+    in_place = stride == 1 and W * C > 1 and map_.flags.c_contiguous
+    scratch = wws_scratch(map_.shape, k, stride, dt.itemsize, in_place)
+    prod_shape, stack_shape, *copy_shape = scratch
+
+    # stack[j, g, r] holds, from column r * stride on, the taps of kernel
+    # column j in the kernel rows of group g (the last group is zero-padded);
+    # one write through a view of those diagonals fills every row
+    taps = np.zeros((groups * group, k), dtype=dt)
+    taps[:k] = kernel
+    stack = np.zeros(stack_shape, dtype=dt)
+    diagonals = np.lib.stride_tricks.as_strided(
+        stack, (k, groups, rows, group),
+        (*stack.strides[:2], stack.strides[2] + stride * dt.itemsize, dt.itemsize))
+    diagonals[...] = taps.T.reshape(k, groups, 1, group)
+    prod = np.empty(prod_shape, dtype=dt)
+    if in_place:
+        src, phase_col = map_, [0]
+    else:
+        src = np.zeros(copy_shape[0], dtype=dt)
+        phase_col = [0]  # the first copy column of each phase, and the end
+        for p in range(stride):
+            phase_col.append(phase_col[-1] + len(range(p, W, stride)))
+
+    # per kernel column: its index, the output columns it reaches, the src
+    # columns its products read (at least two when C == 1: a one-column
+    # product reads a neighbour column too), the product columns kept, and
+    # the product's width
+    cols = []
+    for j in range(k):
+        reach = _same_axis_ranges(W, Wp, lo + j, stride)
+        if reach is not None:
+            d0, d1, c = reach
+            c = phase_col[c % stride] + c // stride
+            w = max(d1 - d0, 2) if C == 1 else d1 - d0
+            c0 = min(c, src.shape[-2] - w)
+            kept = slice((c - c0) * C, (c - c0 + d1 - d0) * C)
+            cols.append((j, slice(d0, d1), slice(c0, c0 + w), kept, w * C))
+
+    out = np.zeros((*lead, Hp, Wp, C), dtype=dt)
+    for b0 in range(0, Hp, rows):
+        m = min(rows, Hp - b0)
+        m2 = max(m, 2)  # a one-row product gets a second row, dropped
+        top = b0 * stride + lo  # input row of the band's first window row
+        base = 0
+        if not in_place:
+            base, end = max(top, 0), min(H, top + (m - 1) * stride + groups * group)
+            for p in range(stride):
+                np.copyto(src[..., :end - base, phase_col[p]:phase_col[p + 1], :],
+                          map_[..., base:end, p::stride, :])
+        band = out[..., b0:b0 + m, :, :]
+        for j, dst, src_cols, kept, n in cols:
+            for g in range(groups):
+                first = top + g * group
+                r0, r1 = max(0, -first), min((m - 1) * stride + group, H - first)
+                if r0 >= r1:
+                    continue
+                b = src[..., first + r0 - base:first + r1 - base, src_cols, :]
+                t = prod[..., :m2, :n]
+                np.matmul(stack[j, g, :m2, r0:r1], b.reshape(*b.shape[:-2], n), out=t)
+                o = band[..., dst, :]
+                o += t[..., :m, kept].reshape(o.shape)
+    _record(ledger, "window_weighted_sum", sum(map(math.prod, scratch)) * dt.itemsize)
     return out
 
 

@@ -21,7 +21,13 @@ from qna.layer import (
     save_params,
     used_queries,
 )
-from qna.layer import _query_key_map, _scores_from_map, _wws_grad_kernel, _wws_grad_map
+from qna.layer import (
+    _query_key_map,
+    _scores_from_map,
+    _wws_grad_kernel,
+    _wws_grad_map,
+    _wws_peak,
+)
 from qna.oracles import finite_diff_grad, qna_window_oracle
 from qna.tensor import (
     AllocationLedger,
@@ -303,7 +309,9 @@ def test_forward_f32_matches_f64_reference():
 
 
 def test_forward_ledger_aggregate_is_k_independent_up_to_kernels():
-    # transient bytes may grow only through the k x k reduction kernels
+    # Beside the window reduction's own transients, whose band rows and
+    # Toeplitz stack depend on k and the map's width but not on its height,
+    # transient bytes may grow only through the k x k reduction kernels.
     rng = make_rng(12)
     peaks = {}
     for k in (3, 9):
@@ -312,7 +320,7 @@ def test_forward_ledger_aggregate_is_k_independent_up_to_kernels():
         x = rng.standard_normal((32, 32, 8)).astype(np.float32)
         ledger = AllocationLedger()
         qna_forward(x, cfg, params, ledger)
-        peaks[k] = max(b for _, b in ledger.events)
+        peaks[k] = max(b for _, b in ledger.events) - _wws_peak((32, 32, 8), k, 1, 4) * 4
     kernel_bytes = (3 * 2 * 81 + 3 * 2 * 9) * 4
     assert 0 <= peaks[9] - peaks[3] <= kernel_bytes
 

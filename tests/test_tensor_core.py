@@ -2,11 +2,12 @@
 ledger contract and the QNAT container format."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qna import tensor
 from qna.tensor import (
@@ -61,20 +62,6 @@ def test_same_output_size_is_ceil(size, stride):
     assert same_output_size(size, stride) == -(-size // stride)
 
 
-def _tap_pairs(taps, out_rows, H, W, Wp):
-    """{offset: set of (output site, input position)} the taps pair up;
-    ``out_rows`` are the output rows a tap's dst rows count from."""
-    got = {}
-    for i, j, (_, dr, dc, _), (_, sr, sc, _) in taps:
-        rows = list(zip(out_rows[dr], range(H)[sr]))
-        cols = list(zip(range(Wp)[dc], range(W)[sc]))
-        assert len(rows) == len(out_rows[dr]) == len(range(H)[sr]) > 0
-        assert len(cols) == len(range(Wp)[dc]) == len(range(W)[sc]) > 0
-        assert (i, j) not in got
-        got[i, j] = {((p, q), (r, c)) for p, r in rows for q, c in cols}
-    return got
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("hw", [(6, 7), (2, 3), (1, 1), (5, 4)])
@@ -95,28 +82,17 @@ def test_same_window_slices_match_enumeration(hw, stride, k):
             }
             if pairs:
                 want[i, j] = pairs
-    got = _tap_pairs(same_window_slices(H, W, k, stride), range(Hp), H, W, Wp)
+    got = {}
+    for i, j, (_, dr, dc, _), (_, sr, sc, _) in same_window_slices(H, W, k, stride):
+        rows = list(zip(range(Hp)[dr], range(H)[sr]))
+        cols = list(zip(range(Wp)[dc], range(W)[sc]))
+        assert len(rows) == len(range(Hp)[dr]) == len(range(H)[sr]) > 0
+        assert len(cols) == len(range(Wp)[dc]) == len(range(W)[sc]) > 0
+        got[i, j] = {((p, q), (r, c)) for p, r in rows for q, c in cols}
     assert list(got) == list(want)  # row-major offset order
     assert got == want
     # computed once per shape
     assert same_window_slices(H, W, k, stride) is same_window_slices(H, W, k, stride)
-
-    # Cut into bands of any row count, the output rows are covered top to
-    # bottom once, and across the bands the taps pair up each in-bounds pair
-    # exactly once, in row-major offset order within each band.
-    for band_rows in range(1, Hp + 1):
-        bands = same_window_slices(H, W, k, stride, band_rows)
-        assert [rows.indices(Hp) for rows, _ in bands] == [
-            (r, min(r + band_rows, Hp), 1) for r in range(0, Hp, band_rows)]
-        seen = {}
-        for rows, taps in bands:
-            band = _tap_pairs(taps, range(Hp)[rows], H, W, Wp)
-            assert list(band) == sorted(band)
-            for offset, pairs in band.items():
-                assert not pairs & seen.get(offset, set())
-                seen[offset] = seen.get(offset, set()) | pairs
-        assert seen == want
-        assert same_window_slices(H, W, k, stride, band_rows) is bands
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +201,40 @@ def test_wws_zero_weights_are_exact_skips():
     )
 
 
-def _band_bytes(map_, rows, stride):
-    """WWS_BAND_BYTES that makes window_weighted_sum on map_ use bands of
-    ``rows`` output rows."""
-    return rows * math.prod(map_.shape[:-3]) * same_output_size(map_.shape[-2], stride) \
-        * map_.shape[-1] * map_.itemsize
+def _bands_of(map_, k, stride, rows):
+    """Patch the band rule so that window_weighted_sum on map_ with a size-k
+    kernel cuts bands of ``rows`` output rows, or of as many as its
+    contraction bound allows if that is fewer."""
+    width = same_output_size(map_.shape[-2], stride) * map_.shape[-1]
+    group = tensor.wws_plan(k, stride, map_.itemsize, width)[1]
+    macs = rows * ((rows - 1) * stride + group) * width
+    return mock.patch.object(tensor, "WWS_GEMM_MACS", macs)
+
+
+def _band_rows(map_, k, stride):
+    """Output rows per band of window_weighted_sum on map_ under the current rule."""
+    width = same_output_size(map_.shape[-2], stride) * map_.shape[-1]
+    return tensor.wws_plan(k, stride, map_.itemsize, width)[0]
+
+
+def _assert_bands_bitwise(map_, kernel, stride, band_rows):
+    """For each band row count, the banded result is bitwise the default
+    one, and within rounding of the loop's; returns the default result."""
+    k = kernel.shape[0]
+    whole = window_weighted_sum(map_, kernel, stride)
+    H, W, C = map_.shape[-3:]
+    want = np.stack([_wws_loop(m, kernel, stride) for m in map_.reshape(-1, H, W, C)])
+    assert np.allclose(whole.reshape(want.shape), want, atol=1e-5)
+    for rows in band_rows:
+        with _bands_of(map_, k, stride, rows):
+            got = window_weighted_sum(map_, kernel, stride)
+        assert np.array_equal(got, whole), (k, rows)
+    return whole
 
 
 # Output rows per band: one, a count that divides neither H' = 11 nor H' = 6,
-# and more than H'. Kernels up to 7 reach beyond a band of one to four rows.
+# and more than H' where the contraction bound allows. Kernels up to 7 reach
+# beyond a band of one to four rows.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["hwc", "nhwc"])
 @pytest.mark.parametrize("stride", [1, 2], ids=_SAME_IDS)
@@ -246,46 +247,175 @@ def test_wws_row_bands_match_one_band_bitwise(stride, lead, dtype):
         whole = window_weighted_sum(map_, kernel, stride)
         want = np.stack([_wws_loop(m, kernel, stride) for m in map_.reshape(-1, 11, 6, 3)])
         assert np.allclose(whole.reshape(want.shape), want, atol=1e-5)
+        bound = _band_rows(map_, k, stride)  # the contraction bound, at this width
         for rows in (1, 4, 12):
             ledger = AllocationLedger()
-            with mock.patch.object(tensor, "WWS_BAND_BYTES", _band_bytes(map_, rows, stride)):
+            with _bands_of(map_, k, stride, rows):
+                assert _band_rows(map_, k, stride) == min(rows, bound)
                 got = window_weighted_sum(map_, kernel, stride, ledger)
+                scratch = tensor.wws_scratch(map_.shape, k, stride, map_.itemsize)
             assert np.array_equal(got, whole), (k, rows)
-            assert ledger.events == [
-                ("window_weighted_sum", min(rows, whole.shape[-3]) * whole.nbytes // whole.shape[-3])]
+            scratch = sum(math.prod(shape) for shape in scratch) * map_.itemsize
+            assert ledger.events == [("window_weighted_sum", scratch)]
 
 
 @given(
     st.integers(1, 16), st.integers(1, 9), st.integers(1, 3), st.sampled_from([(), (1,), (2,)]),
     st.integers(1, 6), st.integers(1, 3), st.integers(1, 16), st.sampled_from([np.float32, np.float64]),
 )
+# One band of 16 rows at k = 2 would contract over 17 f64 input rows, past
+# the bound below which the BLAS adds a site's terms in order.
+@example(16, 1, 1, (), 2, 1, 16, np.float64)
 def test_wws_bands_property(H, W, C, lead, k, stride, rows, dtype):
-    # any band size gives the one-band result bitwise, and the loop's within rounding
+    # any band size gives the default result bitwise, and the loop's within rounding
     rng = make_rng(H * 1000 + W * 100 + k * 10 + stride)
     map_ = rng.standard_normal((*lead, H, W, C)).astype(dtype)
     kernel = rng.standard_normal((k, k)).astype(dtype)
-    whole = window_weighted_sum(map_, kernel, stride)
-    with mock.patch.object(tensor, "WWS_BAND_BYTES", _band_bytes(map_, rows, stride)):
-        got = window_weighted_sum(map_, kernel, stride)
-    assert np.array_equal(got, whole)
-    want = np.stack([_wws_loop(m, kernel, stride) for m in map_.reshape(-1, H, W, C)])
-    assert np.allclose(got.reshape(want.shape), want, atol=1e-5)
+    _assert_bands_bitwise(map_, kernel, stride, [rows])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2], ids=_SAME_IDS)
+def test_wws_one_row_bands_and_one_column_maps(stride, dtype):
+    rng = make_rng(50 + stride)
+    # bands of 2 and 5 rows leave a last band of one row (H' = 11 and 6)
+    map_ = rng.standard_normal((11, 6, 3)).astype(dtype)
+    for k in (2, 3, 5):
+        _assert_bands_bitwise(map_, rng.standard_normal((k, k)).astype(dtype), stride, (2, 5))
+    # one column and one channel: every product has one column before padding
+    for shape in [(9, 1, 1), (2, 9, 1, 1), (1, 1, 1), (9, 2, 1)]:
+        map_ = rng.standard_normal(shape).astype(dtype)
+        for k in (1, 2, 3, 5):
+            kernel = rng.standard_normal((k, k)).astype(dtype)
+            whole = _assert_bands_bitwise(map_, kernel, stride, (1, 2, 4))
+            if len(shape) == 4:
+                assert np.array_equal(
+                    whole, np.stack([window_weighted_sum(m, kernel, stride) for m in map_]))
+
+
+def test_wws_f64_k17_splits_kernel_rows():
+    # 17 kernel rows exceed the 15-element f64 contraction: two groups of 9
+    rng = make_rng(60)
+    map_ = rng.standard_normal((2, 30, 20, 2))
+    assert tensor.wws_plan(17, 1, 8, 40) == (7, 9)
+    for stride in (1, 2):
+        _assert_bands_bitwise(map_, rng.standard_normal((17, 17)), stride, (1, 3, 7))
+
+
+def _assert_shift_equivariant(z, kernel, stride, d, e, H, W):
+    """WWS of z's H x W crop at (d, e) equals, bitwise, that of the crop at
+    the origin on every site whose window lies inside both crops."""
+    lo, hi = offset_bounds(kernel.shape[0])
+    a = window_weighted_sum(z[:H, :W], kernel, stride)
+    b = window_weighted_sum(z[d:d + H, e:e + W], kernel, stride)
+    rows = [i for i in range(b.shape[0]) if i * stride + lo >= 0 and i * stride + d + hi < H]
+    cols = [j for j in range(b.shape[1]) if j * stride + lo >= 0 and j * stride + e + hi < W]
+    assert rows and cols
+    got = b[np.ix_(rows, cols)]
+    want = a[np.ix_([i + d // stride for i in rows], [j + e // stride for j in cols])]
+    assert np.array_equal(got, want), (kernel.shape[0], stride, d, e)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [7, 15])
+def test_wws_shift_equivariance_across_bands_bitwise(k, dtype):
+    # shifts that are no multiple of the band height move every site to
+    # another place within its band, or into another band
+    rng = make_rng(70 + k)
+    H, W = 48, 23
+    z = rng.standard_normal((H + 10, W + 6, 3)).astype(dtype)
+    kernel = rng.standard_normal((k, k)).astype(dtype)
+    for stride in (1, 2):
+        assert same_output_size(H, stride) > _band_rows(z[:H, :W], k, stride)
+        for d, e in [(1, 0), (2, 2), (3, 1), (5, 0), (6, 4), (10, 6)]:
+            if d % stride == 0 and e % stride == 0:
+                _assert_shift_equivariant(z, kernel, stride, d, e, H, W)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wws_batch_equals_single_on_multi_band_maps(dtype):
+    rng = make_rng(80)
+    batch = rng.standard_normal((3, 48, 23, 3)).astype(dtype)
+    for k in (3, 7, 15, 17):
+        kernel = rng.standard_normal((k, k)).astype(dtype)
+        for stride in (1, 2):
+            assert same_output_size(48, stride) > _band_rows(batch, k, stride)
+            got = window_weighted_sum(batch, kernel, stride)
+            want = np.stack([window_weighted_sum(m, kernel, stride) for m in batch])
+            assert np.array_equal(got, want), (k, stride)
 
 
 def test_wws_ledger_is_one_band_of_scratch():
+    # The transients are one band of products (two rows at least), the
+    # Toeplitz stack (k kernel columns x band rows x contracted input rows)
+    # and, at stride 2, one band's input rows; none grows with the map.
     ledger = AllocationLedger()
     map_ = np.ones((6, 6, 3), dtype=np.float32)
     window_weighted_sum(map_, np.ones((3, 3), dtype=np.float32), 2, ledger)
-    # an output that fits one band: the scratch has the output's shape regardless of k
-    assert ledger.events == [("window_weighted_sum", 3 * 3 * 3 * 4)]
-    # a larger output: the scratch is as many whole rows as fit the band bytes
-    map_ = np.ones((100, 100, 16), dtype=np.float32)
-    row = 100 * 16 * 4
-    assert 100 * row > tensor.WWS_BAND_BYTES
-    for k in (3, 15):
-        ledger = AllocationLedger()
-        window_weighted_sum(map_, np.ones((k, k), dtype=np.float32), 1, ledger)
-        assert ledger.events == [("window_weighted_sum", tensor.WWS_BAND_BYTES // row * row)]
+    # f32 contractions stop at 31 rows: bands of 15 rows reach 2 * 14 + 3
+    assert ledger.events == [("window_weighted_sum", (15 * 9 + 3 * 15 * 31 + 6 * 6 * 3) * 4)]
+    # at stride 1 the rows are read in place; 1600-element output rows hold
+    # bands to 24 rows at k = 3 (24 * 26 * 1600 multiply-adds per product)
+    # and to 17 rows at k = 15 (the contraction bound)
+    for k, rows in ((3, 24), (15, 17)):
+        for H in (100, 300):
+            ledger = AllocationLedger()
+            window_weighted_sum(np.ones((H, 100, 16), dtype=np.float32),
+                                np.ones((k, k), dtype=np.float32), 1, ledger)
+            contracted = rows - 1 + k
+            assert ledger.events == [
+                ("window_weighted_sum", (rows * 1600 + k * rows * contracted) * 4)], (k, H)
+
+
+def _fma_chain(a, b, dtype):
+    """sum(a[t] * b[t]) added in order, each step one fused multiply-add:
+    exact, then rounded to dtype (ties to even)."""
+    bits = np.uint32 if dtype.itemsize == 4 else np.uint64
+    acc = Fraction(0)
+    for x, y in zip(a, b):
+        exact = acc + Fraction(float(x)) * Fraction(float(y))
+        near = dtype.type(float(exact))  # at most one unit off the rounding
+        if Fraction(float(near)) != exact:
+            inf = dtype.type(np.inf)
+            near = min((np.nextafter(near, -inf), near, np.nextafter(near, inf)),
+                       key=lambda c: (abs(Fraction(float(c)) - exact), int(c.view(bits)) & 1))
+        acc = Fraction(float(near))
+    return dtype.type(acc)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blas_adds_toeplitz_rows_in_order(dtype):
+    # The property window_weighted_sum's bitwise contracts rest on. Its band
+    # rule issues products with M and N of at least two, K * itemsize below
+    # WWS_GEMM_BYTES, strided operands, and at most WWS_GEMM_MACS
+    # multiply-adds, or two rows (a padded one-row band) of any width. Each
+    # output of a row holding one run of taps must be the in-order fused
+    # multiply-add chain of the run, whatever the run's offset in K, the row,
+    # M and N. (Above WWS_GEMM_MACS this BLAS switches kernels, and there the
+    # f64 kernel sums some last columns of products of 12 or more rows in
+    # another order.)
+    dtype = np.dtype(dtype)
+    kmax = (tensor.WWS_GEMM_BYTES - 1) // dtype.itemsize
+    rng = make_rng(90)
+    shapes = [(M, K, N) for M in (2, 3, 5, 8, 12, 16, kmax) if M <= kmax
+              for K in (1, 2, 3, 7, kmax - 1, kmax)
+              for N in (2, 3, 61, tensor.WWS_GEMM_MACS // (M * K))]
+    shapes += [(2, K, tensor.WWS_GEMM_MACS // (2 * K) + 8195) for K in (2, 7, kmax)]
+    for M, K, N in shapes:
+        a = np.zeros((M, K + 3), dtype=dtype)[:, 2:2 + K]
+        runs = []
+        for r in range(M):
+            g = int(rng.integers(1, K + 1))
+            o = int(rng.integers(0, K - g + 1))
+            a[r, o:o + g] = rng.standard_normal(g)
+            runs.append((o, g))
+        b = rng.standard_normal((K, N + 5)).astype(dtype)[:, 1:N + 1]
+        c = np.empty((M, N + 2), dtype=dtype)[:, :N]
+        np.matmul(a, b, out=c)
+        picks = sorted({0, 1, N // 2, N - 2, N - 1, *rng.integers(0, N, 2).tolist()})
+        for r, (o, g) in enumerate(runs):
+            for n in picks:
+                assert c[r, n] == _fma_chain(a[r, o:o + g], b[o:o + g, n], dtype), (M, K, N, r, n)
 
 
 def test_wws_validates_inputs():
