@@ -66,7 +66,7 @@ from .tensor import (
     save_qnat,
     truncated_normal,
     window_weighted_sum,
-    wws_scratch,
+    wws_peak,
 )
 
 # ---------------------------------------------------------------------------
@@ -273,15 +273,6 @@ def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
     return quotient, den, ev
 
 
-def _wws_peak(shape, k: int, stride: int, itemsize: int) -> int:
-    """Elements a window reduction over a map of ``shape`` holds beyond its
-    input and output: its scratch (``tensor.wws_scratch``) and the three
-    ufunc buffers, up to getbufsize() elements each, of its strided adds
-    into a band."""
-    band, *rest = wws_scratch(shape, k, stride, itemsize)
-    return sum(map(math.prod, (band, *rest))) + 3 * min(np.getbufsize(), math.prod(band))
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -294,13 +285,18 @@ def qna_forward(
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
     """Layer output of shape [N x] H' x W' x dim_out with H' = ceil(H / stride)
-    for x of shape [N x] H x W x dim_in; sample n of a batch gets, bitwise,
-    the output of the call on x[n] alone.
+    for x of shape [N x] H x W x dim_in; sample n of a batch gets the output
+    of the call on x[n] alone, bitwise where the window reduction's BLAS
+    adds in order (see ``tensor.window_weighted_sum``).
 
     The map-sized transients do not depend on the window size k: the
     exponentiated score maps, the value map, and per-query output-sized
-    sums; only the reduction kernels and the window reductions' bounded
-    scratch do. The
+    sums. Only the reduction kernels (2 k x k per query) and each window
+    reduction's scratch (``tensor.wws_peak``) grow with k, and that scratch
+    does not grow with the map's height: with kmax = (WWS_GEMM_BYTES - 1) //
+    itemsize, at most kmax rows of products, kmax + k input rows at stride
+    above 1, three ufunc buffers and k * ceil(k / (kmax - stride)) Toeplitz
+    matrices of at most kmax x kmax. The
     per-window softmax over in-bounds offsets (with additive score bias) is
     realized as a quotient of two window reductions per query; the mixing
     weights fold into the numerator's reduction kernel.
@@ -328,7 +324,7 @@ def qna_forward(
     # every sample.
     n, n_out, L, h, D = x.size // cfg.dim_in, out.shape[0], cfg.num_queries, cfg.heads, cfg.dim_out
     peak = (n * (L * h + 2 * D) + n_out * (h + (2 if L > 1 else 1) * D)
-            + _wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize) + 2 * L * cfg.k * cfg.k)
+            + wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize) + 2 * L * cfg.k * cfg.k)
     _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
     require_finite(out, "output")
     return out.reshape(out_shape)
@@ -376,7 +372,7 @@ def qna_upsample_forward(
         H * W * (L * h + D)             # exponentiated scores, values
         + H * W * (h + 2 * D)           # one query's normalizer, weighted values
                                         # and numerator
-        + _wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
+        + wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
         + L * cfg.k * cfg.k             # reduction kernels
     ) * x.dtype.itemsize
     _record(ledger, "qna_upsample_forward", transient)
@@ -575,7 +571,7 @@ def attention_heatmap(
     # getbufsize() elements each) of the strided accumulation, not negligible
     # beside one-channel maps. The kernels are held throughout.
     n = H * W
-    peak = (max(2 * n + _wws_peak((H, W, 1), cfg.k, 1, x.itemsize),
+    peak = (max(2 * n + wws_peak((H, W, 1), cfg.k, 1, x.itemsize),
                 5 * n + 2 * min(np.getbufsize(), n)) + 2 * cfg.num_queries * cfg.k * cfg.k)
     _record(ledger, "attention_heatmap", (peak - heat.size) * x.dtype.itemsize)
     return heat

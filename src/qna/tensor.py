@@ -60,7 +60,8 @@ INIT_CLIP = 2.0
 # output's K products in order, one fused multiply-add apiece, wherever in K
 # the nonzero terms sit; at K = 16 in f64 and K = 32 in f32 it no longer did.
 # That order keeps the window reduction's results independent of a site's
-# position (test_blas_adds_toeplitz_rows_in_order checks it).
+# position (test_blas_adds_toeplitz_rows_in_order checks it). It was measured
+# at one BLAS thread only; other CPUs get other kernels from the same wheel.
 WWS_GEMM_BYTES = 128
 # A band is cut so that each of its products makes at most this many
 # multiply-adds, unless only one-row bands fit. OpenBLAS runs such products
@@ -325,25 +326,25 @@ def wws_plan(k: int, stride: int, itemsize: int, width: int) -> tuple[int, int]:
     return rows, group
 
 
-def wws_scratch(shape, k: int, stride: int, itemsize: int, in_place: bool | None = None) -> tuple:
-    """Shapes of the transient buffers of a :func:`window_weighted_sum` over a
-    map of ``shape`` ([N x] H x W x C) with a size-k kernel: one band of
-    products, the Toeplitz stack, and, unless the map's rows are read in
-    place (by default: at stride 1 with rows of two or more elements), one
-    band's input rows with their columns grouped by phase mod stride."""
+def wws_peak(shape, k: int, stride: int, itemsize: int) -> int:
+    """Elements that a :func:`window_weighted_sum` over a C-contiguous map of
+    ``shape`` ([N x] H x W x C) with a size-k kernel holds beyond its input
+    and output, as it records them in a ledger: one band of products (padded
+    to two rows and two columns), the Toeplitz stack, one band's input rows
+    unless the map's rows are read in place (at stride 1 with rows of two or
+    more elements), and the three ufunc buffers, up to getbufsize() elements
+    each, of its strided adds into a band. None of these grows with H."""
     *lead, H, W, C = shape
     width = same_output_size(W, stride) * C
     rows, group = wws_plan(k, stride, itemsize, width)
     groups = _ceil_div(k, group)
-    m = max(rows, 2)  # one-row and one-column products are padded to two
-    shapes = ((*lead, m, max(width, 2)), (k, groups, m, (rows - 1) * stride + group))
-    if in_place is None:
-        in_place = stride == 1 and W * C > 1
-    if in_place:
-        return shapes
-    # a one-column, one-channel map gets a zero column: products have two
-    span = min(H, (rows - 1) * stride + groups * group)
-    return (*shapes, (*lead, span, max(W, 2) if C == 1 else W, C))
+    prod = math.prod(lead) * max(rows, 2) * max(width, 2)
+    stack = k * groups * max(rows, 2) * ((rows - 1) * stride + group)
+    copy = 0
+    if stride > 1 or W * C == 1:
+        span = min(H, (rows - 1) * stride + groups * group)
+        copy = math.prod(lead) * span * (max(W, 2) if C == 1 else W) * C
+    return prod + stack + copy + 3 * min(np.getbufsize(), prod)
 
 
 def window_weighted_sum(
@@ -363,15 +364,19 @@ def window_weighted_sum(
     a matrix of W'*C columns. The output is walked in bands of whole rows
     (:func:`wws_plan`), and each band takes one GEMM per kernel column and
     group of kernel rows, added into the band. Each product contracts over
-    fewer than WWS_GEMM_BYTES bytes, where the BLAS adds a site's terms one
-    after another; bands at the map's edges use column slices of the same
-    Toeplitz stack, and one-row or one-column products are padded to two,
-    which keeps them off GEMV. So each output element adds its terms in one
-    order (kernel columns outer, kernel rows inner) whatever its position,
-    band or batch. The N maps of a batch share every pass. At stride 1 a
-    C-contiguous map's rows are read in place; otherwise each band's input
-    rows are first copied with their columns grouped by phase mod stride.
-    The transients (:func:`wws_scratch`) do not grow with the map.
+    fewer than WWS_GEMM_BYTES bytes; bands at the map's edges use column
+    slices of the same Toeplitz stack, and one-row or one-column products
+    are padded to two, which keeps them off GEMV. Where the BLAS adds each
+    output's terms of such products in order, each output element adds its
+    terms in one order (kernel columns outer, kernel rows inner) whatever its
+    position, band or batch, so the result is bitwise independent of them.
+    That holds where test_blas_adds_toeplitz_rows_in_order passes; it was
+    measured for OpenBLAS 0.3.31's SkylakeX kernels at one BLAS thread only.
+    With other kernels or thread counts the results agree within rounding.
+    The N maps of a batch share every pass. At stride 1 a C-contiguous map's
+    rows are read in place; otherwise each band's input rows are first
+    copied with their columns grouped by phase mod stride. The transients
+    (:func:`wws_peak`) do not grow with the map.
     """
     check_dtype(map_, "map")
     if map_.ndim not in (3, 4):
@@ -390,24 +395,25 @@ def window_weighted_sum(
     rows, group = wws_plan(k, stride, dt.itemsize, Wp * C)
     groups = _ceil_div(k, group)
     in_place = stride == 1 and W * C > 1 and map_.flags.c_contiguous
-    scratch = wws_scratch(map_.shape, k, stride, dt.itemsize, in_place)
-    prod_shape, stack_shape, *copy_shape = scratch
+    m = max(rows, 2)  # one-row and one-column products are padded to two
 
     # stack[j, g, r] holds, from column r * stride on, the taps of kernel
     # column j in the kernel rows of group g (the last group is zero-padded);
     # one write through a view of those diagonals fills every row
     taps = np.zeros((groups * group, k), dtype=dt)
     taps[:k] = kernel
-    stack = np.zeros(stack_shape, dtype=dt)
+    stack = np.zeros((k, groups, m, (rows - 1) * stride + group), dtype=dt)
     diagonals = np.lib.stride_tricks.as_strided(
         stack, (k, groups, rows, group),
         (*stack.strides[:2], stack.strides[2] + stride * dt.itemsize, dt.itemsize))
     diagonals[...] = taps.T.reshape(k, groups, 1, group)
-    prod = np.empty(prod_shape, dtype=dt)
+    prod = np.empty((*lead, m, max(Wp * C, 2)), dtype=dt)
     if in_place:
         src, phase_col = map_, [0]
     else:
-        src = np.zeros(copy_shape[0], dtype=dt)
+        # a one-column, one-channel map gets a zero column: products have two
+        span = min(H, (rows - 1) * stride + groups * group)
+        src = np.zeros((*lead, span, max(W, 2) if C == 1 else W, C), dtype=dt)
         phase_col = [0]  # the first copy column of each phase, and the end
         for p in range(stride):
             phase_col.append(phase_col[-1] + len(range(p, W, stride)))
@@ -450,7 +456,8 @@ def window_weighted_sum(
                 np.matmul(stack[j, g, :m2, r0:r1], b.reshape(*b.shape[:-2], n), out=t)
                 o = band[..., dst, :]
                 o += t[..., :m, kept].reshape(o.shape)
-    _record(ledger, "window_weighted_sum", sum(map(math.prod, scratch)) * dt.itemsize)
+    held = prod.size + stack.size + (0 if in_place else src.size)
+    _record(ledger, "window_weighted_sum", (held + 3 * min(np.getbufsize(), prod.size)) * dt.itemsize)
     return out
 
 

@@ -21,8 +21,7 @@ from qna.bench import (
     emit_csv,
     run_sweep,
 )
-from qna.layer import _wws_peak
-from qna.tensor import AllocationLedger, ShapeError, make_rng
+from qna.tensor import AllocationLedger, ShapeError, make_rng, window_weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +124,13 @@ def test_unfold_peak_scales_with_k_squared_and_efficient_does_not():
     # patch extraction: bytes exactly proportional to k**2
     assert rows[("qna_unfold", 5)] * 9 == rows[("qna_unfold", 3)] * 25
     # linear-memory path: identical up to the k x k reduction kernels, beside
-    # the window reduction's own scratch (which depends on k and the map's
-    # width, not its height)
-    wws = {k: _wws_peak((16, 16, 8), k, 1, 4) * 4 for k in (3, 5)}
+    # the window reduction's own scratch, as it records what it allocates
+    # (bounded by k and the map's width: see test_layer)
+    wws = {}
+    for k in (3, 5):
+        ledger = AllocationLedger()
+        window_weighted_sum(np.ones((16, 16, 8), np.float32), np.ones((k, k), np.float32), 1, ledger)
+        wws[k] = ledger.peak_extra_bytes
     diff = (rows[("qna_efficient", 5)] - wws[5]) - (rows[("qna_efficient", 3)] - wws[3])
     assert 0 <= diff <= 3 * (25 - 9) * 4
 

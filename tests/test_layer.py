@@ -26,13 +26,13 @@ from qna.layer import (
     _scores_from_map,
     _wws_grad_kernel,
     _wws_grad_map,
-    _wws_peak,
 )
 from qna.oracles import finite_diff_grad, qna_window_oracle
 from qna.tensor import (
     AllocationLedger,
     NumericalRangeError,
     QnatFormatError,
+    WWS_GEMM_BYTES,
     ShapeError,
     make_rng,
     window_weighted_sum,
@@ -309,20 +309,33 @@ def test_forward_f32_matches_f64_reference():
 
 
 def test_forward_ledger_aggregate_is_k_independent_up_to_kernels():
-    # Beside the window reduction's own transients, whose band rows and
-    # Toeplitz stack depend on k and the map's width but not on its height,
-    # transient bytes may grow only through the k x k reduction kernels.
+    # Transient bytes may grow with k only through the k x k reduction
+    # kernels and the window reductions' own scratch, which is bounded by k
+    # and the map's width and does not grow with the map's height.
     rng = make_rng(12)
-    peaks = {}
+    peaks, wws = {}, {}
     for k in (3, 9):
         cfg = QnAConfig(k=k, stride=1, heads=2, num_queries=2, dim_in=8, dim_out=8)
         params = init_params(cfg, rng, dtype=np.float32)
-        x = rng.standard_normal((32, 32, 8)).astype(np.float32)
-        ledger = AllocationLedger()
-        qna_forward(x, cfg, params, ledger)
-        peaks[k] = max(b for _, b in ledger.events) - _wws_peak((32, 32, 8), k, 1, 4) * 4
+        for H in (32, 64):
+            x = rng.standard_normal((H, 32, 8)).astype(np.float32)
+            ledger = AllocationLedger()
+            qna_forward(x, cfg, params, ledger)
+            # the numerator reduction's, as it records what it allocates
+            wws[k, H] = max(b for label, b in ledger.events if label == "window_weighted_sum")
+            peaks[k, H] = max(b for _, b in ledger.events)
+        assert wws[k, 64] == wws[k, 32]
     kernel_bytes = (3 * 2 * 81 + 3 * 2 * 9) * 4
-    assert 0 <= peaks[9] - peaks[3] <= kernel_bytes
+    for H in (32, 64):
+        diff = (peaks[9, H] - wws[9, H]) - (peaks[3, H] - wws[3, H])
+        assert 0 <= diff <= kernel_bytes
+    # at most kmax rows of products over the 32 x 8-element output rows, k
+    # Toeplitz matrices of at most kmax x kmax (one group of kernel rows at
+    # k <= kmax - 1), and the three ufunc buffers of the adds into a band
+    kmax = (WWS_GEMM_BYTES - 1) // 4
+    for k in (3, 9):
+        assert wws[k, 32] <= (kmax * 32 * 8 + k * kmax * kmax + 3 * np.getbufsize()) * 4
+    assert wws[9, 32] - wws[3, 32] <= 9 * kmax * kmax * 4
 
 
 def test_forward_ledger_event_names():

@@ -1,7 +1,6 @@
 """Tensor primitives against independent loop oracles, plus the allocation
 ledger contract and the QNAT container format."""
 
-import math
 from fractions import Fraction
 from unittest import mock
 
@@ -88,6 +87,7 @@ def test_same_window_slices_match_enumeration(hw, stride, k):
         cols = list(zip(range(Wp)[dc], range(W)[sc]))
         assert len(rows) == len(range(Hp)[dr]) == len(range(H)[sr]) > 0
         assert len(cols) == len(range(Wp)[dc]) == len(range(W)[sc]) > 0
+        assert (i, j) not in got
         got[i, j] = {((p, q), (r, c)) for p, r in rows for q, c in cols}
     assert list(got) == list(want)  # row-major offset order
     assert got == want
@@ -253,10 +253,9 @@ def test_wws_row_bands_match_one_band_bitwise(stride, lead, dtype):
             with _bands_of(map_, k, stride, rows):
                 assert _band_rows(map_, k, stride) == min(rows, bound)
                 got = window_weighted_sum(map_, kernel, stride, ledger)
-                scratch = tensor.wws_scratch(map_.shape, k, stride, map_.itemsize)
+                peak = tensor.wws_peak(map_.shape, k, stride, map_.itemsize) * map_.itemsize
             assert np.array_equal(got, whole), (k, rows)
-            scratch = sum(math.prod(shape) for shape in scratch) * map_.itemsize
-            assert ledger.events == [("window_weighted_sum", scratch)]
+            assert ledger.events == [("window_weighted_sum", peak)]
 
 
 @given(
@@ -347,24 +346,35 @@ def test_wws_batch_equals_single_on_multi_band_maps(dtype):
 
 def test_wws_ledger_is_one_band_of_scratch():
     # The transients are one band of products (two rows at least), the
-    # Toeplitz stack (k kernel columns x band rows x contracted input rows)
-    # and, at stride 2, one band's input rows; none grows with the map.
+    # Toeplitz stack (k kernel columns x band rows x contracted input rows),
+    # one band's input rows unless they are read in place, and the three
+    # ufunc buffers (up to getbufsize() elements each) of the strided adds
+    # into a band; none grows with the map.
+    buf = np.getbufsize()
     ledger = AllocationLedger()
     map_ = np.ones((6, 6, 3), dtype=np.float32)
     window_weighted_sum(map_, np.ones((3, 3), dtype=np.float32), 2, ledger)
     # f32 contractions stop at 31 rows: bands of 15 rows reach 2 * 14 + 3
-    assert ledger.events == [("window_weighted_sum", (15 * 9 + 3 * 15 * 31 + 6 * 6 * 3) * 4)]
+    assert ledger.events == [
+        ("window_weighted_sum", (15 * 9 + 3 * 15 * 31 + 6 * 6 * 3 + 3 * 15 * 9) * 4)]
     # at stride 1 the rows are read in place; 1600-element output rows hold
     # bands to 24 rows at k = 3 (24 * 26 * 1600 multiply-adds per product)
     # and to 17 rows at k = 15 (the contraction bound)
     for k, rows in ((3, 24), (15, 17)):
+        contracted = rows - 1 + k
+        want = (rows * 1600 + k * rows * contracted + 3 * buf) * 4
         for H in (100, 300):
             ledger = AllocationLedger()
             window_weighted_sum(np.ones((H, 100, 16), dtype=np.float32),
                                 np.ones((k, k), dtype=np.float32), 1, ledger)
-            contracted = rows - 1 + k
-            assert ledger.events == [
-                ("window_weighted_sum", (rows * 1600 + k * rows * contracted) * 4)], (k, H)
+            assert ledger.events == [("window_weighted_sum", want)], (k, H)
+            assert want == tensor.wws_peak((H, 100, 16), k, 1, 4) * 4
+        # a map whose rows are not contiguous is copied a band at a time,
+        # and the copy is counted
+        ledger = AllocationLedger()
+        window_weighted_sum(np.ones((100, 200, 16), dtype=np.float32)[:, ::2],
+                            np.ones((k, k), dtype=np.float32), 1, ledger)
+        assert ledger.events == [("window_weighted_sum", want + contracted * 1600 * 4)], k
 
 
 def _fma_chain(a, b, dtype):
