@@ -18,6 +18,7 @@ import numpy as np
 from . import bench as bench_mod
 from .layer import (
     QnAConfig,
+    QnAParams,
     attention_heatmap,
     init_params,
     qna_backward,
@@ -25,7 +26,14 @@ from .layer import (
 )
 from .model import build_model, count_flops, count_params, forward_inference, make_arch
 from .oracles import finite_diff_grad, qna_window_oracle
-from .tensor import DTYPE_TAGS, QnatFormatError, load_qnat, make_rng
+from .tensor import (
+    DTYPE_TAGS,
+    NumericalRangeError,
+    QnatFormatError,
+    ShapeError,
+    load_qnat,
+    make_rng,
+)
 
 _GRID_TOL = {"f64": 1e-10, "f32": 1e-5}
 # Samples per layer call in the toy trainer. One call per 16 samples instead
@@ -91,29 +99,17 @@ def _run_gradcheck(seed: int, out=None) -> bool:
     x = rng.standard_normal((4, 4, cfg.dim_in))
     d_out = rng.standard_normal((4, 4, cfg.dim_out))
 
-    grads = qna_backward(x, cfg, params, d_out)
-    analytic = {"input": grads.d_input}
-    analytic.update({n: grads.tensors()[f"d_{n}"] for n in params.tensors()})
+    grads = qna_backward(x, cfg, params, d_out).tensors()
+    tensors = {"input": x, **params.tensors()}
 
     ok = True
-    eps = 1e-5
-    for name in ("input", *params.tensors().keys()):
-        if name == "input":
-            def f(v, _n=name):
-                return float(np.sum(d_out * qna_forward(v, cfg, params)))
-            target = x
-        else:
-            def f(v, _n=name):
-                saved = params.tensors()[_n].copy()
-                params.tensors()[_n][...] = v
-                try:
-                    return float(np.sum(d_out * qna_forward(x, cfg, params)))
-                finally:
-                    params.tensors()[_n][...] = saved
-            target = params.tensors()[name]
-        numeric = finite_diff_grad(f, target, eps)
+    for name, target in tensors.items():
+        def f(v, _n=name):
+            t = {**tensors, _n: v}
+            return float(np.sum(d_out * qna_forward(t.pop("input"), cfg, QnAParams(**t))))
+        numeric = finite_diff_grad(f, target, 1e-5)
         denom = max(float(np.max(np.abs(numeric))), 1e-12)
-        rel = float(np.max(np.abs(analytic[name] - numeric))) / denom
+        rel = float(np.max(np.abs(grads[f"d_{name}"] - numeric))) / denom
         tag = f"gradcheck {name}"
         if rel < 1e-4:
             print(f"PASS {tag} max_rel_err={rel:.3e}", file=out)
@@ -292,18 +288,22 @@ def _cmd_viz(args) -> int:
         return 2
     d = x.shape[2]
     heads = 2 if d % 2 == 0 else 1
-    cfg = QnAConfig(k=args.k, stride=1, heads=heads, num_queries=2, dim_in=d, dim_out=d)
-    params = init_params(cfg, args.seed, dtype=x.dtype.type)
+    try:
+        cfg = QnAConfig(k=args.k, stride=1, heads=heads, num_queries=2, dim_in=d, dim_out=d)
+        params = init_params(cfg, args.seed, dtype=x.dtype.type)
+        heats = {f"attn_q{l}_h{g}.pgm": attention_heatmap(x, cfg, params, l, g)
+                 for l in range(cfg.num_queries) for g in range(cfg.heads)}
+    except (ShapeError, NumericalRangeError) as exc:
+        print(f"error: viz: {exc}", file=sys.stderr)
+        return 2
     try:
         os.makedirs(args.out, exist_ok=True)
-        for l in range(cfg.num_queries):
-            for g in range(cfg.heads):
-                heat = attention_heatmap(x, cfg, params, l, g)
-                _write_pgm(os.path.join(args.out, f"attn_q{l}_h{g}.pgm"), heat)
+        for name, heat in heats.items():
+            _write_pgm(os.path.join(args.out, name), heat)
     except OSError as exc:
         print(f"error: cannot write under {args.out}: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {cfg.num_queries * cfg.heads} heatmaps to {args.out}")
+    print(f"wrote {len(heats)} heatmaps to {args.out}")
     return 0
 
 

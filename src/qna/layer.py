@@ -292,14 +292,11 @@ def qna_forward(
     The map-sized transients do not depend on the window size k: the
     exponentiated score maps, the value map, and per-query output-sized
     sums. Only the reduction kernels (2 k x k per query) and each window
-    reduction's scratch (``tensor.wws_peak``) grow with k, and that scratch
-    does not grow with the map's height: with kmax = (WWS_GEMM_BYTES - 1) //
-    itemsize, at most kmax rows of products, kmax + k input rows at stride
-    above 1, three ufunc buffers and k * ceil(k / (kmax - stride)) Toeplitz
-    matrices of at most kmax x kmax. The
-    per-window softmax over in-bounds offsets (with additive score bias) is
-    realized as a quotient of two window reductions per query; the mixing
-    weights fold into the numerator's reduction kernel.
+    reduction's scratch (``tensor.wws_peak``, which does not grow with the
+    map's height) grow with k. The per-window softmax over in-bounds offsets
+    (with additive score bias) is realized as a quotient of two window
+    reductions per query; the mixing weights fold into the numerator's
+    reduction kernel.
     """
     _validate_layer_inputs(x, cfg, params)
     e = _exp_scores(x, _query_key_map(cfg, params))
@@ -370,8 +367,7 @@ def qna_upsample_forward(
 
     transient = (
         H * W * (L * h + D)             # exponentiated scores, values
-        + H * W * (h + 2 * D)           # one query's normalizer, weighted values
-                                        # and numerator
+        + H * W * (h + 2 * D)           # a query's normalizer, weighted values, numerator
         + wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
         + L * cfg.k * cfg.k             # reduction kernels
     ) * x.dtype.itemsize
@@ -387,18 +383,18 @@ def qna_upsample_forward(
 
 
 def _wws_grad_map(grad_out: np.ndarray, kernel: np.ndarray, stride: int, in_hw) -> np.ndarray:
-    """Adjoint of window_weighted_sum w.r.t. its input map: scatter each
-    output gradient back to the window positions it read. ``in_hw`` is the
-    (H, W) of the input map; leading batch axes carry through."""
-    H, W = in_hw
-    out = np.zeros((*grad_out.shape[:-3], H, W, grad_out.shape[-1]), dtype=grad_out.dtype)
-    for i, j, dst, src in same_window_slices(H, W, kernel.shape[0], stride):
-        w = kernel[i, j]
-        if w == 0.0:
-            continue
-        o = out[src]
-        np.add(o, grad_out[dst] * w, out=o)
-    return out
+    """Adjoint of window_weighted_sum w.r.t. its input map of size ``in_hw``
+    (H, W): a stride-1 window reduction of the output gradient, written to
+    every stride-th site of a zeroed H x W grid, by the kernel turned half a
+    turn. For even k that kernel reaches one site further back than a size-k
+    window, so it sits in a (k + 1) x (k + 1) one with a zero last row and
+    column. Leading batch axes carry through."""
+    turned = np.pad(kernel[::-1, ::-1], (0, 1 - kernel.shape[0] % 2))
+    if stride > 1:
+        grid = np.zeros((*grad_out.shape[:-3], *in_hw, grad_out.shape[-1]), dtype=grad_out.dtype)
+        grid[..., ::stride, ::stride, :] = grad_out
+        grad_out = grid
+    return window_weighted_sum(grad_out, turned, 1)
 
 
 def _wws_grad_kernel(grad_out: np.ndarray, map_: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -504,16 +500,18 @@ def qna_backward(
     d_input += d_v2 @ params.w_v.T
 
     # The ledger counts the heap high-water mark above the returned gradients.
-    # The mark is reached inside a query's terms (scores, values, their
-    # gradients and d_y, plus the query's quotient,
-    # normalizer, weighted values, their gradients, one product and the two
-    # ufunc buffers, up to getbufsize() elements each, of the strided
-    # accumulation into the value-map adjoint) or at the end (the input
-    # gradient and one product beside them). Map sizes count the sites of
-    # every sample.
+    # The mark is reached inside a query's map adjoints (the scores, values,
+    # their gradients and d_y, the query's quotient, normalizer, weighted
+    # values, their gradients and the value-map adjoint, plus the adjoint's
+    # window reduction and, at stride above 1, its grid; the second adjoint
+    # also holds its result) or at the end (the input gradient and one
+    # product beside them). Map sizes count the sites of every sample.
     n, n_out = x2.shape[0], g_flat.shape[0]
-    in_loop = (n * (2 * L * h + 5 * Dout + h - Din) + n_out * (3 * Dout + 2 * h)
-               + 2 * min(np.getbufsize(), n_out * Dout))
+    grid = n if cfg.stride > 1 else 0
+    adj_ev, adj_e = (grid * c + wws_peak((*lead, H, W, c), k | 1, 1, x.itemsize)
+                     for c in (Dout, h))
+    in_loop = (n * (2 * L * h + 4 * Dout - Din) + n_out * (3 * Dout + 2 * h)
+               + max(adj_ev, n * h + adj_e))
     at_end = n * (2 * L * h + 2 * Dout + Din) + n_out * 2 * Dout
     _record(ledger, "qna_backward", (max(in_loop, at_end) + 2 * L * k * k) * x.dtype.itemsize)
     return GradBundle(
@@ -557,22 +555,20 @@ def attention_heatmap(
     dk = den_k[query_index]
     # Only the normalizer is needed, so the value map has no channels.
     _, den, _ = _window_sums(e, np.empty((H, W, 1, 0), dtype=x.dtype), dk, dk, 1, ledger)
-    inv = 1.0 / den[..., 0]
     # Each site's weight in window w is e[site] * kernel[site - w] / den[w];
-    # summing over the windows containing the site is a scatter of 1/den.
-    spread = _wws_grad_map(inv, dk, 1, (H, W))
-    heat = e[:, :, 0] * spread[:, :, 0]
+    # summing over the windows containing the site is the reduction's map
+    # adjoint applied to 1/den.
+    heat = _wws_grad_map(1.0 / den[..., 0], dk, 1, (H, W))[:, :, 0]
+    heat *= e[:, :, 0]
     # The ledger counts the heap high-water mark above the output. The mark
     # is reached inside the normalizer's reduction (the chosen exponentiated
-    # score map, the normalizer and the reduction's own transients) or, on
-    # the maps the tests measure, inside the scatter, before the output
-    # exists: the score map, the normalizer, its reciprocal, the scatter's
-    # accumulator, one scaled slice and the two ufunc buffers (up to
-    # getbufsize() elements each) of the strided accumulation, not negligible
-    # beside one-channel maps. The kernels are held throughout.
+    # score map, the normalizer and the reduction's own transients) or the
+    # map adjoint's, which also holds 1/den and its result, the output's
+    # buffer. The kernels are held throughout.
     n = H * W
     peak = (max(2 * n + wws_peak((H, W, 1), cfg.k, 1, x.itemsize),
-                5 * n + 2 * min(np.getbufsize(), n)) + 2 * cfg.num_queries * cfg.k * cfg.k)
+                4 * n + wws_peak((H, W, 1), cfg.k | 1, 1, x.itemsize))
+            + 2 * cfg.num_queries * cfg.k * cfg.k)
     _record(ledger, "attention_heatmap", (peak - heat.size) * x.dtype.itemsize)
     return heat
 

@@ -21,8 +21,9 @@ Conventions shared by every windowed operation:
 * Which output sites each kernel offset touches, and which strided input
   slice they read, is worked out per axis in one place,
   :func:`_same_axis_ranges`. :func:`same_window_slices` combines the two
-  axes for the convolution and the layer's adjoints, which loop over it; the
-  window reduction uses the column ranges for its banded products.
+  axes for the convolution and the layer's kernel adjoint, which loop over
+  it; the window reduction (and so the layer's map adjoint) uses the column
+  ranges for its banded products.
 * Inputs are expected to be finite. Layer-level entry points validate this;
   the primitives trust their callers so that benchmark loops are not
   dominated by scans. A deliberate exception: ``softmax_rows`` accepts
@@ -373,6 +374,8 @@ def window_weighted_sum(
     That holds where test_blas_adds_toeplitz_rows_in_order passes; it was
     measured for OpenBLAS 0.3.31's SkylakeX kernels at one BLAS thread only.
     With other kernels or thread counts the results agree within rounding.
+    The contract covers ``qna_backward``'s input gradient too: its map
+    adjoints are window reductions.
     The N maps of a batch share every pass. At stride 1 a C-contiguous map's
     rows are read in place; otherwise each band's input rows are first
     copied with their columns grouped by phase mod stride. The transients

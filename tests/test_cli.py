@@ -209,6 +209,30 @@ def test_viz_wrong_rank_exits_two(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_viz_bad_window_exits_two(tmp_path, capsys, k):
+    src = tmp_path / "map.qnat"
+    _write_input(src, (6, 6, 4))
+    assert main(["viz", "--input", str(src), "--k", k, "--out", str(tmp_path / "maps")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_viz_non_finite_input_exits_two(tmp_path, capsys):
+    src = tmp_path / "map.qnat"
+    x = make_rng(0).standard_normal((6, 6, 4))
+    x[2, 3, 1] = np.nan
+    save_qnat(src, x)
+    assert main(["viz", "--input", str(src), "--out", str(tmp_path / "maps")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_viz_no_channels_exits_two(tmp_path, capsys):
+    src = tmp_path / "map.qnat"
+    _write_input(src, (6, 6, 0))
+    assert main(["viz", "--input", str(src), "--out", str(tmp_path / "maps")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # train-toy
 # ---------------------------------------------------------------------------

@@ -400,26 +400,33 @@ def test_upsample_ledger_matches_heap_peak():
 
 
 # The toy trainer's shape (f64), alone and as its 16-sample batch, where
-# numpy's fixed-size ufunc buffers are a large share of the maps, and a
-# larger f32 one. ``batch`` is the leading N, if any.
-@pytest.mark.parametrize("batch,size,dim_in,dim_out,heads,L,dtype", [
-    ((), 12, 4, 8, 2, 2, np.float64),
-    ((), 48, 16, 32, 4, 2, np.float32),
-    ((16,), 12, 4, 8, 2, 2, np.float64),
-], ids=["12-4-8-2-2-float64", "48-16-32-4-2-float32", "16x12-4-8-2-2-float64"])
-def test_backward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, heads, L, dtype):
+# numpy's fixed-size ufunc buffers are a large share of the maps, a larger f32
+# one, and an even window at stride 2, whose map adjoints reduce over an
+# input-sized grid with a (k + 1) x (k + 1) kernel. ``batch`` is the leading
+# N, if any.
+@pytest.mark.parametrize("batch,size,dim_in,dim_out,k,stride,heads,L,dtype", [
+    ((), 12, 4, 8, 3, 1, 2, 2, np.float64),
+    ((), 48, 16, 32, 3, 1, 4, 2, np.float32),
+    ((16,), 12, 4, 8, 3, 1, 2, 2, np.float64),
+    ((), 64, 16, 16, 4, 2, 2, 2, np.float32),
+], ids=["12-4-8-2-2-float64", "48-16-32-4-2-float32", "16x12-4-8-2-2-float64",
+        "64-16-16-k4-s2-2-2-float32"])
+def test_backward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, k, stride, heads, L,
+                                           dtype):
     rng = make_rng(16)
-    cfg = QnAConfig(k=3, stride=1, heads=heads, num_queries=L, dim_in=dim_in, dim_out=dim_out)
+    cfg = QnAConfig(k=k, stride=stride, heads=heads, num_queries=L, dim_in=dim_in,
+                    dim_out=dim_out)
     params = init_params(cfg, rng, dtype=dtype)
     x = rng.standard_normal((*batch, size, size, dim_in)).astype(dtype)
-    d_out = rng.standard_normal((*batch, size, size, dim_out)).astype(dtype)
+    out_size = -(-size // stride)
+    d_out = rng.standard_normal((*batch, out_size, out_size, dim_out)).astype(dtype)
     _assert_ledger_matches_heap_peak(lambda ledger: qna_backward(x, cfg, params, d_out, ledger))
 
 
 # Maps of at least 128 x 128: at 64 x 64 numpy's fixed-size ufunc buffers are
 # a large share of a one-channel map.
 @pytest.mark.parametrize("size,dim,k,heads,L", [(128, 16, 5, 1, 1), (192, 64, 5, 1, 1),
-                                                (128, 16, 3, 4, 4)])
+                                                (128, 16, 3, 4, 4), (128, 16, 4, 2, 2)])
 def test_heatmap_ledger_matches_heap_peak(size, dim, k, heads, L):
     rng = make_rng(15)
     cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=dim, dim_out=dim)
@@ -554,18 +561,20 @@ def test_batched_forward_equals_per_sample_calls(dtype):
         assert np.array_equal(qna_forward(x, cfg, params), want), (cfg, n)
 
 
-def test_batched_backward_sums_per_sample_gradients():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_backward_sums_per_sample_gradients(dtype):
     rng = make_rng(31)
+    tol = {np.float32: 1e-5, np.float64: 1e-12}[dtype]
     for cfg, n in _batch_cases():
-        params = _rand_params(cfg, rng)
-        x = rng.standard_normal((n, 7, 6, 3))
-        d_out = rng.standard_normal(qna_forward(x, cfg, params).shape)
+        params = _rand_params(cfg, rng, dtype=dtype)
+        x = rng.standard_normal((n, 7, 6, 3)).astype(dtype)
+        d_out = rng.standard_normal(qna_forward(x, cfg, params).shape).astype(dtype)
         got = qna_backward(x, cfg, params, d_out).tensors()
         per = [qna_backward(s, cfg, params, g).tensors() for s, g in zip(x, d_out)]
         assert np.array_equal(got.pop("d_input"), np.stack([p["d_input"] for p in per])), (cfg, n)
         for name, t in got.items():
             want = sum(p[name] for p in per)
-            assert np.max(np.abs(t - want)) <= 1e-12 * np.max(np.abs(want)), (cfg, n, name)
+            assert np.max(np.abs(t - want)) <= tol * np.max(np.abs(want)), (cfg, n, name)
 
 
 def test_batched_forward_shifts_each_sample_by_its_own_max():
