@@ -48,6 +48,7 @@ from .layer import (  # noqa: E402
     qna_backward,
     qna_forward,
     qna_upsample_forward,
+    qna_vjp,
     save_params,
 )
 from .oracles import (  # noqa: E402
@@ -123,6 +124,7 @@ __all__ = [
     "qna_block_forward",
     "qna_forward",
     "qna_upsample_forward",
+    "qna_vjp",
     "qna_window_oracle",
     "run_sweep",
     "sasa_forward",

@@ -23,6 +23,7 @@ from .layer import (
     init_params,
     qna_backward,
     qna_forward,
+    qna_vjp,
 )
 from .model import build_model, count_flops, count_params, forward_inference, make_arch
 from .oracles import finite_diff_grad, qna_window_oracle
@@ -329,8 +330,9 @@ def _make_toy_dataset(rng, n_samples: int = 32, size: int = 12, channels: int = 
 
 def run_train_toy(steps: int, lr: float, seed: int, log=None):
     """Full-batch SGD on the motif-detection task, one layer call per
-    TRAIN_SLICE samples. Returns (initial_loss, final_loss, per-step loss
-    trace)."""
+    TRAIN_SLICE samples: ``qna_vjp`` in the training steps, whose pullback
+    reuses its forward's maps, and ``qna_forward`` for the final loss.
+    Returns (initial_loss, final_loss, per-step loss trace)."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     rng = make_rng(seed)
@@ -358,7 +360,10 @@ def run_train_toy(steps: int, lr: float, seed: int, log=None):
         for lo in range(0, n, TRAIN_SLICE):
             x, y = xs[lo : lo + TRAIN_SLICE], labels[lo : lo + TRAIN_SLICE]
             rows = np.arange(len(y))
-            feat = qna_forward(x, cfg, params)
+            if with_grads:
+                feat, pullback = qna_vjp(x, cfg, params)
+            else:
+                feat = qna_forward(x, cfg, params)
             pooled = feat.reshape(len(y), sites, cfg.dim_out).mean(axis=1)
             logits = pooled @ head_w + head_b
             shifted = logits - logits.max(axis=1, keepdims=True)
@@ -373,7 +378,8 @@ def run_train_toy(steps: int, lr: float, seed: int, log=None):
             g_head_b += d_logits.sum(axis=0)
             d_pooled = d_logits @ head_w.T
             d_feat = np.broadcast_to(d_pooled[:, None, None] / sites, feat.shape)
-            gt = qna_backward(x, cfg, params, d_feat).tensors()
+            gt = pullback(d_feat).tensors()
+            del pullback  # frees the tape before the next slice's forward
             for name in g_params:
                 g_params[name] += gt[f"d_{name}"]
         return total / n, g_params, g_head_w, g_head_b

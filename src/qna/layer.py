@@ -31,11 +31,19 @@ padded with fabricated keys (masked softmax).
 ``_window_sums`` is that per-query core; the forward pass, the upsampling
 head, the heatmap and the backward pass all run on it.
 
-Samples are just more rows of the same reductions, so ``qna_forward`` and
-``qna_backward`` take an optional leading batch axis: x is ``[N x] H x W x
-dim_in``. Each sample's scores are shifted by its own max per (query, head),
-never by a max across the batch, so a sample's output does not depend on the
-other samples, and the parameter gradients are sums over the batch.
+A training step runs the forward once. ``qna_vjp`` returns the output with
+a pullback, and keeps what its forward computed (the exponentiated scores,
+the values, the kernels and each query's quotient, normalizer and weighted
+values) for the pullback, which recomputes none of it. ``qna_backward`` is
+that pullback applied to one d_out; ``qna_forward`` keeps nothing past its
+projection.
+
+Samples are just more rows of the same reductions, so ``qna_forward``,
+``qna_vjp`` and ``qna_backward`` take an optional leading batch axis: x is
+``[N x] H x W x dim_in``. Each sample's scores are shifted by its own max
+per (query, head), never by a max across the batch, so a sample's output
+does not depend on the other samples, and the parameter gradients are sums
+over the batch.
 """
 
 from __future__ import annotations
@@ -61,7 +69,6 @@ from .tensor import (
     make_rng,
     read_config,
     require_finite,
-    same_output_size,
     same_window_slices,
     save_qnat,
     truncated_normal,
@@ -273,6 +280,24 @@ def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
     return quotient, den, ev
 
 
+def _layer_maps(x, cfg: QnAConfig, params: QnAParams):
+    """The forward's steps ahead of its window reductions, after validating
+    the inputs: (query/key fold A, exponentiated scores E, values V,
+    numerator kernels, denominator kernels)."""
+    _validate_layer_inputs(x, cfg, params)
+    a = _query_key_map(cfg, params)
+    return (a, _exp_scores(x, a), _values(x, cfg, params), *_reduction_kernels(cfg, params))
+
+
+def _project(y: np.ndarray, cfg: QnAConfig, params: QnAParams) -> np.ndarray:
+    """Layer output [N x] H' x W' x dim_out from the summed quotients y
+    ([N x] H' x W' x heads x head_dim)."""
+    out = y.reshape(-1, cfg.dim_out) @ params.w_o
+    out += params.b_o
+    require_finite(out, "output")
+    return out.reshape(*y.shape[:-2], cfg.dim_out)
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -298,10 +323,7 @@ def qna_forward(
     reductions per query; the mixing weights fold into the numerator's
     reduction kernel.
     """
-    _validate_layer_inputs(x, cfg, params)
-    e = _exp_scores(x, _query_key_map(cfg, params))
-    v = _values(x, cfg, params)
-    num_k, den_k = _reduction_kernels(cfg, params)
+    _, e, v, num_k, den_k = _layer_maps(x, cfg, params)
 
     def quotient(l):
         return _window_sums(e[..., l, :], v, num_k[l], den_k[l], cfg.stride, ledger)[0]
@@ -309,9 +331,6 @@ def qna_forward(
     y = quotient(0)  # its buffer accumulates the other queries' quotients
     for l in range(1, cfg.num_queries):
         y += quotient(l)
-    out_shape = (*y.shape[:-2], cfg.dim_out)
-    out = y.reshape(-1, cfg.dim_out) @ params.w_o
-    out += params.b_o
 
     # The ledger counts the heap high-water mark above the output. The mark
     # is reached inside a numerator reduction: the exponentiated scores, the
@@ -319,12 +338,12 @@ def qna_forward(
     # accumulator when there are earlier queries, the reduction's own
     # transients and the reduction kernels. Map sizes count the sites of
     # every sample.
-    n, n_out, L, h, D = x.size // cfg.dim_in, out.shape[0], cfg.num_queries, cfg.heads, cfg.dim_out
+    L, h, D = cfg.num_queries, cfg.heads, cfg.dim_out
+    n, n_out = x.size // cfg.dim_in, y.size // D
     peak = (n * (L * h + 2 * D) + n_out * (h + (2 if L > 1 else 1) * D)
             + wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize) + 2 * L * cfg.k * cfg.k)
     _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
-    require_finite(out, "output")
-    return out.reshape(out_shape)
+    return _project(y, cfg, params)
 
 
 def qna_upsample_forward(
@@ -345,10 +364,7 @@ def qna_upsample_forward(
     s = math.isqrt(cfg.num_queries)
     if s * s != cfg.num_queries:
         raise ShapeError(f"num_queries {cfg.num_queries} must be a perfect square")
-    _validate_layer_inputs(x, cfg, params)
-    e = _exp_scores(x, _query_key_map(cfg, params))
-    v = _values(x, cfg, params)
-    _, den_k = _reduction_kernels(cfg, params)
+    _, e, v, _, den_k = _layer_maps(x, cfg, params)
 
     H, W, _ = x.shape
     L, h, D = cfg.num_queries, cfg.heads, cfg.dim_out
@@ -369,7 +385,7 @@ def qna_upsample_forward(
         H * W * (L * h + D)             # exponentiated scores, values
         + H * W * (h + 2 * D)           # a query's normalizer, weighted values, numerator
         + wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
-        + L * cfg.k * cfg.k             # reduction kernels
+        + 2 * L * cfg.k * cfg.k         # reduction kernels
     ) * x.dtype.itemsize
     _record(ledger, "qna_upsample_forward", transient)
     out = out.reshape(H * s, W * s, D)
@@ -408,6 +424,158 @@ def _wws_grad_kernel(grad_out: np.ndarray, map_: np.ndarray, k: int, stride: int
     return out
 
 
+def qna_vjp(
+    x: np.ndarray,
+    cfg: QnAConfig,
+    params: QnAParams,
+    ledger: AllocationLedger | None = None,
+):
+    """(out, pullback): the output of ``qna_forward(x)``, bitwise, and a
+    function ``pullback(d_out)`` that returns the exact gradients of
+    sum(d_out * out) for x and every parameter as a :class:`GradBundle`.
+
+    x is [N x] H x W x dim_in and d_out has the output's shape. d_input has
+    x's shape; each parameter gradient is the sum over the batch. The
+    forward keeps a tape: the exponentiated scores, the values, the
+    reduction kernels and each query's (quotient, normalizer, weighted
+    values) from its window reductions. The pullback reads the tape and
+    recomputes none of it, and leaves it unchanged, so it may be called more
+    than once. ``params`` must not change between the call and its
+    pullbacks. The forward records its heap high-water mark in ``ledger``,
+    and so does each pullback.
+
+    The per-window softmax Jacobian enters through the quotient rule on the
+    numerator/denominator reductions; the stabilizing max shift contributes
+    nothing because the quotient is invariant to it. The query normalization
+    enters through its Jacobian: projection onto the tangent of the unit
+    sphere, scaled by the inverse raw norm.
+    """
+    a, e, v, num_k, exp_b = _layer_maps(x, cfg, params)
+    tape = [_window_sums(e[..., l, :], v, num_k[l], exp_b[l], cfg.stride, ledger)
+            for l in range(cfg.num_queries)]
+    # Summed in query order as in qna_forward, but in a buffer of its own:
+    # the tape keeps query 0's quotient.
+    y = tape[0][0].copy() if len(tape) > 1 else tape[0][0]
+    for ratio, _, _ in tape[1:]:
+        y += ratio
+    out = _project(y, cfg, params)
+    out_shape = out.shape  # the pullback reads this, so that it does not hold the output
+
+    *lead, H, W, Din = x.shape
+    L, h, dh, Dout, k = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out, cfg.k
+    # The ledger counts heap high-water marks from the start of this call:
+    # the forward's above its output, the pullback's above its gradients.
+    # Both hold the tape: the exponentiated scores, the values, the kernels
+    # and every query's quotient, normalizer and weighted values. The
+    # forward's mark is reached inside the last numerator reduction or while
+    # projecting the summed quotients. Map sizes count the sites of every
+    # sample.
+    n, n_out = x.size // Din, out.size // Dout
+    kept = n * (L * h + Dout) + L * (n_out * (Dout + h) + n * Dout) + 2 * L * k * k
+    fwd = max(wws_peak((*lead, H, W, Dout), k, cfg.stride, x.itemsize),
+              (2 if L > 1 else 1) * n_out * Dout)
+    _record(ledger, "qna_vjp", (kept + fwd - n_out * Dout) * x.dtype.itemsize)
+
+    def pullback(d_out: np.ndarray) -> GradBundle:
+        if d_out.shape != out_shape:
+            raise ShapeError(f"d_out has shape {d_out.shape}, expected {out_shape}")
+        if d_out.dtype != x.dtype:
+            raise ShapeError(f"d_out dtype {d_out.dtype} differs from input dtype {x.dtype}")
+        require_finite(d_out, "d_out")
+        mix_k = params.mix.reshape(L, k, k)
+
+        # Every read of d_out comes first. A d_out that is not contiguous
+        # (the toy trainer's is a broadcast view) is copied by the reshape,
+        # and the copy is freed before the per-query adjoints.
+        g_flat = d_out.reshape(-1, Dout)
+        d_y = (g_flat @ params.w_o.T).reshape(*out_shape[:-1], h, dh)
+        d_w_o = np.zeros_like(params.w_o)
+        for ratio, _, _ in tape:
+            d_w_o += ratio.reshape(-1, Dout).T @ g_flat  # the output sums the quotients
+        d_b_o = g_flat.sum(axis=0)
+        del g_flat
+        d_e = np.empty_like(e)
+        d_v = np.zeros_like(v)
+        d_mix = np.empty_like(params.mix)
+        d_exp_b = np.empty_like(exp_b)
+
+        # One pass per query over all its heads. The kernel adjoints sum over
+        # channels, which is the sum over the heads sharing the kernel.
+        for l, (ratio, den, ev) in enumerate(tape):
+            e_l = e[..., l, :]
+            d_num = (d_y / den).reshape(out_shape)
+            d_den = -np.einsum("...d,...d->...", d_y, ratio) / den[..., 0]
+
+            d_ev = _wws_grad_map(d_num, num_k[l], cfg.stride, (H, W)).reshape(v.shape)
+            d_nk = _wws_grad_kernel(d_num, ev, k, cfg.stride)
+            d_e1 = _wws_grad_map(d_den, exp_b[l], cfg.stride, (H, W))
+            d_dk = _wws_grad_kernel(d_den, e_l, k, cfg.stride)
+
+            d_e_l = np.einsum("...d,...d->...", d_ev, v, out=d_e[..., l, :])
+            d_e_l += d_e1
+            d_ev *= e_l[..., None]  # in place: the value-map adjoint's last use
+            d_v += d_ev
+            d_mix[l] = (d_nk * exp_b[l]).ravel()
+            d_exp_b[l] = d_nk * mix_k[l] + d_dk
+            del d_num, d_den, d_ev, d_e1  # free before the next query
+
+        d_bias = d_exp_b * exp_b
+
+        # Through the stabilized exponentials; the per-sample max shift has
+        # zero total derivative because the normalized output is invariant
+        # to it.
+        d_e *= e
+        d_s = d_e.reshape(-1, L * h)
+
+        x2 = x.reshape(-1, Din)
+        d_a = (d_s.T @ x2).reshape(L, h, Din)
+
+        scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
+        q_used = used_queries(params)
+        qh = q_used.reshape(L, h, dh)
+        wk3 = params.w_k.reshape(Din, h, dh)
+        d_qh = np.einsum("lgc,cgd->lgd", d_a, wk3) * scale
+        d_w_k = (np.einsum("lgc,lgd->cgd", d_a, qh) * scale).reshape(Din, Dout)
+
+        d_q_used = d_qh.reshape(L, Dout)
+        norms = np.sqrt(np.sum(params.queries * params.queries, axis=1, keepdims=True))
+        inner = np.sum(d_q_used * q_used, axis=1, keepdims=True)
+        d_queries = (d_q_used - q_used * inner) / norms
+
+        d_v2 = d_v.reshape(-1, Dout)
+        d_w_v = x2.T @ d_v2
+        d_b_v = d_v2.sum(axis=0)
+        d_input = d_s @ a.reshape(L * h, Din)
+        d_input += d_v2 @ params.w_v.T
+
+        # The pullback's mark is reached inside a query's map adjoints (the
+        # scores' and values' gradients, d_y, the query's normalizer
+        # gradient, the numerator and value-map adjoints, plus the adjoint's
+        # window reduction and, at stride above 1, its grid; the second
+        # adjoint also holds its result) or at the end (the input gradient
+        # and one product beside the gradients).
+        grid = n if cfg.stride > 1 else 0
+        adj_ev, adj_e = (grid * c + wws_peak((*lead, H, W, c), k | 1, 1, x.itemsize)
+                         for c in (Dout, h))
+        in_loop = (n * (L * h + 2 * Dout - Din) + n_out * (2 * Dout + h)
+                   + max(adj_ev, n * h + adj_e))
+        at_end = n * (L * h + Dout + Din) + n_out * Dout
+        _record(ledger, "qna_vjp.pullback", (kept + max(in_loop, at_end)) * x.dtype.itemsize)
+        return GradBundle(
+            d_input=d_input.reshape(x.shape),
+            d_w_k=d_w_k,
+            d_w_v=d_w_v,
+            d_b_v=d_b_v,
+            d_w_o=d_w_o,
+            d_b_o=d_b_o,
+            d_queries=d_queries,
+            d_mix=d_mix,
+            d_bias=d_bias,
+        )
+
+    return out, pullback
+
+
 def qna_backward(
     x: np.ndarray,
     cfg: QnAConfig,
@@ -415,116 +583,9 @@ def qna_backward(
     d_out: np.ndarray,
     ledger: AllocationLedger | None = None,
 ) -> GradBundle:
-    """Exact gradients of sum(d_out * qna_forward(x)) for x and every parameter.
-
-    x is [N x] H x W x dim_in and d_out has the output's shape. d_input has
-    x's shape; each parameter gradient is the sum over the batch. The
-    per-window softmax Jacobian enters through the quotient rule on the
-    numerator/denominator reductions; the stabilizing max shift contributes
-    nothing because the quotient is invariant to it. The query normalization
-    enters through its Jacobian: projection onto the tangent of the unit
-    sphere, scaled by the inverse raw norm.
-    """
-    _validate_layer_inputs(x, cfg, params)
-    a = _query_key_map(cfg, params)
-    e = _exp_scores(x, a)
-    *lead, H, W, Din = x.shape
-    L, h, dh, Dout, k = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out, cfg.k
-    out_shape = (*lead, same_output_size(H, cfg.stride), same_output_size(W, cfg.stride), Dout)
-    if d_out.shape != out_shape:
-        raise ShapeError(f"d_out has shape {d_out.shape}, expected {out_shape}")
-    if d_out.dtype != x.dtype:
-        raise ShapeError(f"d_out dtype {d_out.dtype} differs from input dtype {x.dtype}")
-    require_finite(d_out, "d_out")
-    v = _values(x, cfg, params)
-    num_k, exp_b = _reduction_kernels(cfg, params)
-    mix_k = params.mix.reshape(L, k, k)
-
-    g_flat = d_out.reshape(-1, Dout)
-    d_y = (g_flat @ params.w_o.T).reshape(*out_shape[:-1], h, dh)
-    d_w_o = np.zeros_like(params.w_o)
-    d_e = np.empty_like(e)
-    d_v = np.zeros_like(v)
-    d_mix = np.empty_like(params.mix)
-    d_exp_b = np.empty_like(exp_b)
-
-    # One pass per query over all its heads. The kernel adjoints sum over
-    # channels, which is the sum over the heads sharing the kernel.
-    for l in range(L):
-        e_l = e[..., l, :]
-        ratio, den, ev = _window_sums(e_l, v, num_k[l], exp_b[l], cfg.stride, ledger)
-        d_w_o += ratio.reshape(-1, Dout).T @ g_flat  # the output sums the quotients
-        d_num = (d_y / den).reshape(out_shape)
-        d_den = -np.einsum("...d,...d->...", d_y, ratio) / den[..., 0]
-
-        d_ev = _wws_grad_map(d_num, num_k[l], cfg.stride, (H, W)).reshape(v.shape)
-        d_nk = _wws_grad_kernel(d_num, ev, k, cfg.stride)
-        d_e1 = _wws_grad_map(d_den, exp_b[l], cfg.stride, (H, W))
-        d_dk = _wws_grad_kernel(d_den, e_l, k, cfg.stride)
-
-        d_e_l = np.einsum("...d,...d->...", d_ev, v, out=d_e[..., l, :])
-        d_e_l += d_e1
-        d_ev *= e_l[..., None]  # in place: the value-map adjoint's last use
-        d_v += d_ev
-        d_mix[l] = (d_nk * exp_b[l]).ravel()
-        d_exp_b[l] = d_nk * mix_k[l] + d_dk
-        del ratio, den, d_num, d_den, ev, d_ev, d_e1  # free before the next query
-
-    d_b_o = g_flat.sum(axis=0)
-    d_bias = d_exp_b * exp_b
-
-    # Through the stabilized exponentials; the per-sample max shift has zero
-    # total derivative because the normalized output is invariant to it.
-    d_e *= e
-    d_s = d_e.reshape(-1, L * h)
-
-    x2 = x.reshape(-1, Din)
-    d_a = (d_s.T @ x2).reshape(L, h, Din)
-
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
-    q_used = used_queries(params)
-    qh = q_used.reshape(L, h, dh)
-    wk3 = params.w_k.reshape(Din, h, dh)
-    d_qh = np.einsum("lgc,cgd->lgd", d_a, wk3) * scale
-    d_w_k = (np.einsum("lgc,lgd->cgd", d_a, qh) * scale).reshape(Din, Dout)
-
-    d_q_used = d_qh.reshape(L, Dout)
-    norms = np.sqrt(np.sum(params.queries * params.queries, axis=1, keepdims=True))
-    inner = np.sum(d_q_used * q_used, axis=1, keepdims=True)
-    d_queries = (d_q_used - q_used * inner) / norms
-
-    d_v2 = d_v.reshape(-1, Dout)
-    d_w_v = x2.T @ d_v2
-    d_b_v = d_v2.sum(axis=0)
-    d_input = d_s @ a.reshape(L * h, Din)
-    d_input += d_v2 @ params.w_v.T
-
-    # The ledger counts the heap high-water mark above the returned gradients.
-    # The mark is reached inside a query's map adjoints (the scores, values,
-    # their gradients and d_y, the query's quotient, normalizer, weighted
-    # values, their gradients and the value-map adjoint, plus the adjoint's
-    # window reduction and, at stride above 1, its grid; the second adjoint
-    # also holds its result) or at the end (the input gradient and one
-    # product beside them). Map sizes count the sites of every sample.
-    n, n_out = x2.shape[0], g_flat.shape[0]
-    grid = n if cfg.stride > 1 else 0
-    adj_ev, adj_e = (grid * c + wws_peak((*lead, H, W, c), k | 1, 1, x.itemsize)
-                     for c in (Dout, h))
-    in_loop = (n * (2 * L * h + 4 * Dout - Din) + n_out * (3 * Dout + 2 * h)
-               + max(adj_ev, n * h + adj_e))
-    at_end = n * (2 * L * h + 2 * Dout + Din) + n_out * 2 * Dout
-    _record(ledger, "qna_backward", (max(in_loop, at_end) + 2 * L * k * k) * x.dtype.itemsize)
-    return GradBundle(
-        d_input=d_input.reshape(x.shape),
-        d_w_k=d_w_k,
-        d_w_v=d_w_v,
-        d_b_v=d_b_v,
-        d_w_o=d_w_o,
-        d_b_o=d_b_o,
-        d_queries=d_queries,
-        d_mix=d_mix,
-        d_bias=d_bias,
-    )
+    """Exact gradients of sum(d_out * qna_forward(x)) for x and every
+    parameter: the pullback of :func:`qna_vjp` applied to d_out."""
+    return qna_vjp(x, cfg, params, ledger)[1](d_out)
 
 
 def attention_heatmap(

@@ -268,17 +268,16 @@ def test_run_train_toy_deterministic():
 
 
 def test_run_train_toy_batches_its_layer_calls(monkeypatch):
-    # the benchmark's trace wraps these two module names; two steps plus the
-    # final evaluation over 32 samples in slices of 16 make 6 forward and 4
-    # backward calls
-    calls = {"qna_forward": 0, "qna_backward": 0}
+    # two steps over 32 samples in slices of 16 make 4 forward-with-tape
+    # calls, and the final evaluation 2 plain forward calls
+    calls = {"qna_forward": 0, "qna_vjp": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cli, name, counted)
     run_train_toy(2, 0.2, 1)
-    assert calls == {"qna_forward": 6, "qna_backward": 4}
+    assert calls == {"qna_forward": 2, "qna_vjp": 4}
 
 
 def test_run_train_toy_zero_lr_keeps_loss():

@@ -18,6 +18,7 @@ from qna.layer import (
     qna_backward,
     qna_forward,
     qna_upsample_forward,
+    qna_vjp,
     save_params,
     used_queries,
 )
@@ -403,16 +404,19 @@ def test_upsample_ledger_matches_heap_peak():
 # numpy's fixed-size ufunc buffers are a large share of the maps, a larger f32
 # one, and an even window at stride 2, whose map adjoints reduce over an
 # input-sized grid with a (k + 1) x (k + 1) kernel. ``batch`` is the leading
-# N, if any.
-@pytest.mark.parametrize("batch,size,dim_in,dim_out,k,stride,heads,L,dtype", [
-    ((), 12, 4, 8, 3, 1, 2, 2, np.float64),
-    ((), 48, 16, 32, 3, 1, 4, 2, np.float32),
-    ((16,), 12, 4, 8, 3, 1, 2, 2, np.float64),
-    ((), 64, 16, 16, 4, 2, 2, 2, np.float32),
+# N, if any. The trainer's own d_out is a broadcast view (one gradient per
+# sample, spread over the sites); the copy its reshape makes is freed before
+# the backward's high-water mark.
+@pytest.mark.parametrize("batch,size,dim_in,dim_out,k,stride,heads,L,dtype,broadcast", [
+    ((), 12, 4, 8, 3, 1, 2, 2, np.float64, False),
+    ((), 48, 16, 32, 3, 1, 4, 2, np.float32, False),
+    ((16,), 12, 4, 8, 3, 1, 2, 2, np.float64, False),
+    ((), 64, 16, 16, 4, 2, 2, 2, np.float32, False),
+    ((16,), 12, 4, 8, 3, 1, 2, 2, np.float64, True),
 ], ids=["12-4-8-2-2-float64", "48-16-32-4-2-float32", "16x12-4-8-2-2-float64",
-        "64-16-16-k4-s2-2-2-float32"])
+        "64-16-16-k4-s2-2-2-float32", "16x12-4-8-2-2-float64-broadcast"])
 def test_backward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, k, stride, heads, L,
-                                           dtype):
+                                           dtype, broadcast):
     rng = make_rng(16)
     cfg = QnAConfig(k=k, stride=stride, heads=heads, num_queries=L, dim_in=dim_in,
                     dim_out=dim_out)
@@ -420,7 +424,11 @@ def test_backward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, k, stri
     x = rng.standard_normal((*batch, size, size, dim_in)).astype(dtype)
     out_size = -(-size // stride)
     d_out = rng.standard_normal((*batch, out_size, out_size, dim_out)).astype(dtype)
+    if broadcast:
+        d_out = np.broadcast_to(d_out[..., :1, :1, :], d_out.shape)
     _assert_ledger_matches_heap_peak(lambda ledger: qna_backward(x, cfg, params, d_out, ledger))
+    # the forward alone, whose tape is among its transients
+    _assert_ledger_matches_heap_peak(lambda ledger: qna_vjp(x, cfg, params, ledger)[0])
 
 
 # Maps of at least 128 x 128: at 64 x 64 numpy's fixed-size ufunc buffers are
@@ -518,6 +526,64 @@ def test_backward_validates_d_out():
         qna_backward(np.stack([x, x]), cfg, params, np.zeros((3, 4, 4, 4)))
     with pytest.raises(ShapeError):
         qna_backward(x, cfg, params, np.zeros((1, 4, 4, 4)))
+
+
+def _vjp_cases():
+    """(cfg, x shape) over stride 1/2, L 1/2/4, one map and a batch of 3."""
+    for stride in (1, 2):
+        for L in (1, 2, 4):
+            for lead in ((), (3,)):
+                yield QnAConfig(k=3, stride=stride, heads=2, num_queries=L, dim_in=3,
+                                dim_out=4), (*lead, 7, 6, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vjp_output_is_the_forward_output_bitwise(dtype):
+    rng = make_rng(40)
+    for cfg, shape in _vjp_cases():
+        params = _rand_params(cfg, rng, dtype=dtype)
+        x = rng.standard_normal(shape).astype(dtype)
+        out, _ = qna_vjp(x, cfg, params)
+        assert np.array_equal(out, qna_forward(x, cfg, params)), (cfg, shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vjp_pullback_leaves_its_tape_unchanged(dtype):
+    # a second pullback on the same tape, with another d_out in between,
+    # gives the same bundle bitwise
+    rng = make_rng(41)
+    for cfg, shape in _vjp_cases():
+        params = _rand_params(cfg, rng, dtype=dtype)
+        x = rng.standard_normal(shape).astype(dtype)
+        out, pullback = qna_vjp(x, cfg, params)
+        d_out = rng.standard_normal(out.shape).astype(dtype)
+        first = pullback(d_out).tensors()
+        pullback(rng.standard_normal(out.shape).astype(dtype))
+        second = pullback(d_out).tensors()
+        for name, t in first.items():
+            assert np.array_equal(second[name], t), (cfg, shape, name)
+
+
+def test_vjp_pullback_validates_d_out():
+    # the errors qna_backward raises for a bad d_out, from one pullback
+    rng = make_rng(42)
+    cfg = QnAConfig(k=3, stride=1, heads=1, num_queries=1, dim_in=3, dim_out=4)
+    params = init_params(cfg, rng)
+    x = rng.standard_normal((4, 4, 3))
+    _, pullback = qna_vjp(x, cfg, params)
+    with pytest.raises(ShapeError):
+        pullback(np.zeros((4, 4, 3)))
+    with pytest.raises(ShapeError):
+        pullback(np.zeros((1, 4, 4, 4)))
+    with pytest.raises(ShapeError):
+        pullback(np.zeros((4, 4, 4), dtype=np.float32))
+    bad = np.zeros((4, 4, 4))
+    bad[0, 0, 0] = np.nan
+    with pytest.raises(NumericalRangeError):
+        pullback(bad)
+    _, batched = qna_vjp(np.stack([x, x]), cfg, params)
+    with pytest.raises(ShapeError):
+        batched(np.zeros((3, 4, 4, 4)))
 
 
 def test_backward_grad_bundle_names():
