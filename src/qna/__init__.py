@@ -1,9 +1,8 @@
 """Shared-query local attention: linear-memory layer, oracles, model, bench.
 
-Importing this package pins the BLAS thread pools (before numpy is loaded)
-so that benchmark latencies are single-threaded and reproducible. Export
-QNA_THREADS=N first to choose a different width; when QNA_THREADS is unset
-the pools default to 1 thread but already-exported BLAS variables win.
+Importing this package pins the BLAS thread pools to 1 thread (before numpy
+is loaded) so that benchmark latencies are single-threaded and reproducible.
+A BLAS thread variable exported beforehand wins.
 """
 
 import os as _os
@@ -15,12 +14,8 @@ _THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-_requested = _os.environ.get("QNA_THREADS")
 for _var in _THREAD_VARS:
-    if _requested is None:
-        _os.environ.setdefault(_var, "1")
-    else:
-        _os.environ[_var] = _requested
+    _os.environ.setdefault(_var, "1")
 
 from .tensor import (  # noqa: E402
     AllocationLedger,

@@ -185,8 +185,7 @@ def _parse_impls(text: str):
 
 
 def _cmd_bench(args) -> int:
-    # thread width was already fixed when the package was imported; see
-    # the package docstring for QNA_THREADS
+    # the BLAS thread width was fixed when the package was imported
     h, w, d = args.input
     cases = bench_mod.default_cases(H=h, W=w, D=d, dtype=args.dtype,
                                     impls=args.impls, k_values=args.k)

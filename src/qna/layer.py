@@ -255,6 +255,15 @@ def _values(x, cfg: QnAConfig, params: QnAParams) -> np.ndarray:
     return v.reshape(*x.shape[:-1], cfg.heads, cfg.head_dim)
 
 
+def _normalizer(e_l, den_kernel, stride: int, ledger) -> np.ndarray:
+    """WWS(E_l ; den_kernel): each window's weight sum, per head. A sum that
+    underflowed to zero is an error."""
+    den = window_weighted_sum(e_l, den_kernel, stride, ledger)
+    if np.any(den == 0.0):
+        raise NumericalRangeError("window weight sum underflowed to zero (scores out of range)")
+    return den
+
+
 def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
     """Per-window softmax quotients of one query, with its heads as channels.
 
@@ -270,9 +279,7 @@ def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
     error.
     """
     *sites, h, dh = v.shape
-    den = window_weighted_sum(e_l, den_kernel, stride, ledger)
-    if np.any(den == 0.0):
-        raise NumericalRangeError("window weight sum underflowed to zero (scores out of range)")
+    den = _normalizer(e_l, den_kernel, stride, ledger)
     ev = (e_l[..., None] * v).reshape(*sites, h * dh)
     quotient = window_weighted_sum(ev, num_kernel, stride, ledger).reshape(*den.shape, dh)
     den = den[..., None]
@@ -614,12 +621,11 @@ def attention_heatmap(
     H, W, _ = e.shape
     _, den_k = _reduction_kernels(cfg, params)
     dk = den_k[query_index]
-    # Only the normalizer is needed, so the value map has no channels.
-    _, den, _ = _window_sums(e, np.empty((H, W, 1, 0), dtype=x.dtype), dk, dk, 1, ledger)
+    den = _normalizer(e, dk, 1, ledger)
     # Each site's weight in window w is e[site] * kernel[site - w] / den[w];
     # summing over the windows containing the site is the reduction's map
     # adjoint applied to 1/den.
-    heat = _wws_grad_map(1.0 / den[..., 0], dk, 1, (H, W))[:, :, 0]
+    heat = _wws_grad_map(1.0 / den, dk, 1, (H, W))[:, :, 0]
     heat *= e[:, :, 0]
     # The ledger counts the heap high-water mark above the output. The mark
     # is reached inside the normalizer's reduction (the chosen exponentiated

@@ -23,7 +23,8 @@ Conventions shared by every windowed operation:
   :func:`_same_axis_ranges`. :func:`same_window_slices` combines the two
   axes for the convolution and the layer's kernel adjoint, which loop over
   it; the window reduction (and so the layer's map adjoint) uses the column
-  ranges for its banded products.
+  ranges for its banded products, which read the input rows of a
+  C-contiguous map in place at every stride.
 * Inputs are expected to be finite. Layer-level entry points validate this;
   the primitives trust their callers so that benchmark loops are not
   dominated by scans. A deliberate exception: ``softmax_rows`` accepts
@@ -310,8 +311,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def wws_plan(k: int, stride: int, itemsize: int, width: int) -> tuple[int, int]:
     """The band rule of :func:`window_weighted_sum`: (output rows per band,
-    kernel rows per group) for a size-k kernel whose output rows hold
-    ``width`` elements per sample.
+    kernel rows per group) for a size-k kernel over a map whose input rows
+    hold ``width`` elements per sample.
 
     One product of a band covers one kernel column and one group of kernel
     rows, and contracts over the (rows - 1) * stride + group input rows the
@@ -328,24 +329,20 @@ def wws_plan(k: int, stride: int, itemsize: int, width: int) -> tuple[int, int]:
 
 
 def wws_peak(shape, k: int, stride: int, itemsize: int) -> int:
-    """Elements that a :func:`window_weighted_sum` over a C-contiguous map of
-    ``shape`` ([N x] H x W x C) with a size-k kernel holds beyond its input
-    and output, as it records them in a ledger: one band of products (padded
-    to two rows and two columns), the Toeplitz stack, one band's input rows
-    unless the map's rows are read in place (at stride 1 with rows of two or
-    more elements), and the three ufunc buffers, up to getbufsize() elements
-    each, of its strided adds into a band. None of these grows with H."""
+    """Elements that a :func:`window_weighted_sum` over a map of ``shape``
+    ([N x] H x W x C) with a size-k kernel records in its
+    "window_weighted_sum" ledger event: one band of products as wide as an
+    input row (padded to two rows and two columns), the Toeplitz stack, and
+    the three ufunc buffers, up to getbufsize() elements each, of its strided
+    adds into a band. None of these grows with H. A map that is not
+    C-contiguous, or has one column and one channel, is also copied whole,
+    which the reduction records as an event of its own."""
     *lead, H, W, C = shape
-    width = same_output_size(W, stride) * C
+    width = max(W * C, 2)
     rows, group = wws_plan(k, stride, itemsize, width)
-    groups = _ceil_div(k, group)
-    prod = math.prod(lead) * max(rows, 2) * max(width, 2)
-    stack = k * groups * max(rows, 2) * ((rows - 1) * stride + group)
-    copy = 0
-    if stride > 1 or W * C == 1:
-        span = min(H, (rows - 1) * stride + groups * group)
-        copy = math.prod(lead) * span * (max(W, 2) if C == 1 else W) * C
-    return prod + stack + copy + 3 * min(np.getbufsize(), prod)
+    prod = math.prod(lead) * max(rows, 2) * width
+    stack = k * _ceil_div(k, group) * max(rows, 2) * ((rows - 1) * stride + group)
+    return prod + stack + 3 * min(np.getbufsize(), prod)
 
 
 def window_weighted_sum(
@@ -362,24 +359,26 @@ def window_weighted_sum(
     Every channel shares the kernel, so for one kernel column the sum over
     the kernel rows is a matrix product: a banded Toeplitz matrix (band
     output rows x the input rows they reach) times those input rows seen as
-    a matrix of W'*C columns. The output is walked in bands of whole rows
-    (:func:`wws_plan`), and each band takes one GEMM per kernel column and
-    group of kernel rows, added into the band. Each product contracts over
-    fewer than WWS_GEMM_BYTES bytes; bands at the map's edges use column
-    slices of the same Toeplitz stack, and one-row or one-column products
-    are padded to two, which keeps them off GEMV. Where the BLAS adds each
-    output's terms of such products in order, each output element adds its
-    terms in one order (kernel columns outer, kernel rows inner) whatever its
-    position, band or batch, so the result is bitwise independent of them.
-    That holds where test_blas_adds_toeplitz_rows_in_order passes; it was
-    measured for OpenBLAS 0.3.31's SkylakeX kernels at one BLAS thread only.
-    With other kernels or thread counts the results agree within rounding.
-    The contract covers ``qna_backward``'s input gradient too: its map
-    adjoints are window reductions.
-    The N maps of a batch share every pass. At stride 1 a C-contiguous map's
-    rows are read in place; otherwise each band's input rows are first
-    copied with their columns grouped by phase mod stride. The transients
-    (:func:`wws_peak`) do not grow with the map.
+    a matrix. The output is walked in bands of whole rows (:func:`wws_plan`),
+    and each band takes one GEMM per kernel column and group of kernel rows.
+    Each product reads the band's input rows in place, over the contiguous
+    input columns its output columns reach, and every stride-th of its
+    columns is added into the band. Each product contracts over fewer than
+    WWS_GEMM_BYTES bytes; bands at the map's edges use column slices of the
+    same Toeplitz stack, and one-row or one-column products are padded to
+    two, which keeps them off GEMV. Where the BLAS adds each output's terms
+    of such products in order, each output element adds its terms in one
+    order (kernel columns outer, kernel rows inner) whatever its position,
+    band or batch, so the result is bitwise independent of them. That holds
+    where test_blas_adds_toeplitz_rows_in_order passes; it was measured for
+    OpenBLAS 0.3.31's SkylakeX kernels at one BLAS thread only. With other
+    kernels or thread counts the results agree within rounding. The
+    contract covers ``qna_backward``'s input gradient too: its map adjoints
+    are window reductions.
+    The N maps of a batch share every pass. A map that is not C-contiguous
+    is copied once on entry, and a one-column, one-channel map gets a zero
+    second column; each copy is a ledger event of its own. The other
+    transients (:func:`wws_peak`) do not grow with the map.
     """
     check_dtype(map_, "map")
     if map_.ndim not in (3, 4):
@@ -393,12 +392,18 @@ def window_weighted_sum(
 
     *lead, H, W, C = map_.shape
     k, dt = kernel.shape[0], map_.dtype
+    if W * C == 1:  # a zero second column: the products get two columns
+        map_ = np.pad(map_, [*[(0, 0)] * (map_.ndim - 2), (0, 1), (0, 0)])
+        _record(ledger, "window_weighted_sum.pad", map_.nbytes)
+    elif not map_.flags.c_contiguous:
+        map_ = np.ascontiguousarray(map_)
+        _record(ledger, "window_weighted_sum.copy", map_.nbytes)
     lo, _ = offset_bounds(k)
     Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-    rows, group = wws_plan(k, stride, dt.itemsize, Wp * C)
+    width = max(W * C, 2)  # one-row and one-column products are padded to two
+    rows, group = wws_plan(k, stride, dt.itemsize, width)
     groups = _ceil_div(k, group)
-    in_place = stride == 1 and W * C > 1 and map_.flags.c_contiguous
-    m = max(rows, 2)  # one-row and one-column products are padded to two
+    m = max(rows, 2)
 
     # stack[j, g, r] holds, from column r * stride on, the taps of kernel
     # column j in the kernel rows of group g (the last group is zero-padded);
@@ -410,57 +415,42 @@ def window_weighted_sum(
         stack, (k, groups, rows, group),
         (*stack.strides[:2], stack.strides[2] + stride * dt.itemsize, dt.itemsize))
     diagonals[...] = taps.T.reshape(k, groups, 1, group)
-    prod = np.empty((*lead, m, max(Wp * C, 2)), dtype=dt)
-    if in_place:
-        src, phase_col = map_, [0]
-    else:
-        # a one-column, one-channel map gets a zero column: products have two
-        span = min(H, (rows - 1) * stride + groups * group)
-        src = np.zeros((*lead, span, max(W, 2) if C == 1 else W, C), dtype=dt)
-        phase_col = [0]  # the first copy column of each phase, and the end
-        for p in range(stride):
-            phase_col.append(phase_col[-1] + len(range(p, W, stride)))
+    prod = np.empty((*lead, m, width), dtype=dt)
 
-    # per kernel column: its index, the output columns it reaches, the src
+    # per kernel column: its index, the output columns it reaches, the input
     # columns its products read (at least two when C == 1: a one-column
-    # product reads a neighbour column too), the product columns kept, and
-    # the product's width
+    # product reads a neighbour column too), the product columns added, and
+    # the product's width in columns
     cols = []
     for j in range(k):
         reach = _same_axis_ranges(W, Wp, lo + j, stride)
         if reach is not None:
             d0, d1, c = reach
-            c = phase_col[c % stride] + c // stride
-            w = max(d1 - d0, 2) if C == 1 else d1 - d0
-            c0 = min(c, src.shape[-2] - w)
-            kept = slice((c - c0) * C, (c - c0 + d1 - d0) * C)
-            cols.append((j, slice(d0, d1), slice(c0, c0 + w), kept, w * C))
+            span = (d1 - d0 - 1) * stride + 1
+            w = max(span, 2) if C == 1 else span
+            c0 = min(c, map_.shape[-2] - w)
+            kept = slice(c - c0, c - c0 + span, stride)
+            cols.append((j, slice(d0, d1), slice(c0, c0 + w), kept, w))
 
     out = np.zeros((*lead, Hp, Wp, C), dtype=dt)
     for b0 in range(0, Hp, rows):
         m = min(rows, Hp - b0)
         m2 = max(m, 2)  # a one-row product gets a second row, dropped
         top = b0 * stride + lo  # input row of the band's first window row
-        base = 0
-        if not in_place:
-            base, end = max(top, 0), min(H, top + (m - 1) * stride + groups * group)
-            for p in range(stride):
-                np.copyto(src[..., :end - base, phase_col[p]:phase_col[p + 1], :],
-                          map_[..., base:end, p::stride, :])
         band = out[..., b0:b0 + m, :, :]
-        for j, dst, src_cols, kept, n in cols:
+        for j, dst, src_cols, kept, w in cols:
             for g in range(groups):
                 first = top + g * group
                 r0, r1 = max(0, -first), min((m - 1) * stride + group, H - first)
                 if r0 >= r1:
                     continue
-                b = src[..., first + r0 - base:first + r1 - base, src_cols, :]
-                t = prod[..., :m2, :n]
-                np.matmul(stack[j, g, :m2, r0:r1], b.reshape(*b.shape[:-2], n), out=t)
+                b = map_[..., first + r0:first + r1, src_cols, :]
+                t = prod[..., :m2, :w * C]
+                np.matmul(stack[j, g, :m2, r0:r1], b.reshape(*b.shape[:-2], w * C), out=t)
                 o = band[..., dst, :]
-                o += t[..., :m, kept].reshape(o.shape)
-    held = prod.size + stack.size + (0 if in_place else src.size)
-    _record(ledger, "window_weighted_sum", (held + 3 * min(np.getbufsize(), prod.size)) * dt.itemsize)
+                o += t[..., :m, :].reshape(*o.shape[:-2], w, C)[..., kept, :]
+    _record(ledger, "window_weighted_sum",
+            (prod.size + stack.size + 3 * min(np.getbufsize(), prod.size)) * dt.itemsize)
     return out
 
 

@@ -175,7 +175,7 @@ def _wws_loop(map_, kernel, stride):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("stride", [1, 2], ids=_SAME_IDS)
+@pytest.mark.parametrize("stride", [1, 2, 3], ids=[*_SAME_IDS, "same-3"])
 def test_wws_matches_loop(k, stride):
     rng = make_rng(k * 10 + stride)
     map_ = rng.standard_normal((6, 7, 3))
@@ -188,6 +188,16 @@ def test_wws_matches_loop(k, stride):
     batch = np.stack([map_, rng.standard_normal(map_.shape)])
     got = window_weighted_sum(batch, kernel, stride)
     assert np.array_equal(got, np.stack([window_weighted_sum(m, kernel, stride) for m in batch]))
+    # the layout does not matter: a channel slice of a wider map and a
+    # column-strided view give, bitwise, the result of their contiguous copies
+    wide = rng.standard_normal((6, 14, 5))
+    for view in (wide[..., 1:4], wide[:, ::2], batch[..., 1:]):
+        assert not view.flags.c_contiguous
+        got = window_weighted_sum(view, kernel, stride)
+        assert np.array_equal(got, window_weighted_sum(np.ascontiguousarray(view), kernel, stride))
+    # a map without channels reduces to an empty output
+    got = window_weighted_sum(np.zeros((5, 4, 0)), kernel, stride)
+    assert got.shape == (same_output_size(5, stride), same_output_size(4, stride), 0)
 
 
 def test_wws_zero_weights_are_exact_skips():
@@ -205,7 +215,7 @@ def _bands_of(map_, k, stride, rows):
     """Patch the band rule so that window_weighted_sum on map_ with a size-k
     kernel cuts bands of ``rows`` output rows, or of as many as its
     contraction bound allows if that is fewer."""
-    width = same_output_size(map_.shape[-2], stride) * map_.shape[-1]
+    width = max(map_.shape[-2] * map_.shape[-1], 2)
     group = tensor.wws_plan(k, stride, map_.itemsize, width)[1]
     macs = rows * ((rows - 1) * stride + group) * width
     return mock.patch.object(tensor, "WWS_GEMM_MACS", macs)
@@ -213,7 +223,7 @@ def _bands_of(map_, k, stride, rows):
 
 def _band_rows(map_, k, stride):
     """Output rows per band of window_weighted_sum on map_ under the current rule."""
-    width = same_output_size(map_.shape[-2], stride) * map_.shape[-1]
+    width = max(map_.shape[-2] * map_.shape[-1], 2)
     return tensor.wws_plan(k, stride, map_.itemsize, width)[0]
 
 
@@ -345,21 +355,21 @@ def test_wws_batch_equals_single_on_multi_band_maps(dtype):
 
 
 def test_wws_ledger_is_one_band_of_scratch():
-    # The transients are one band of products (two rows at least), the
-    # Toeplitz stack (k kernel columns x band rows x contracted input rows),
-    # one band's input rows unless they are read in place, and the three
-    # ufunc buffers (up to getbufsize() elements each) of the strided adds
-    # into a band; none grows with the map.
+    # The transients are one band of products as wide as an input row (two
+    # rows at least), the Toeplitz stack (k kernel columns x band rows x
+    # contracted input rows), and the three ufunc buffers (up to getbufsize()
+    # elements each) of the strided adds into a band; none grows with the map.
     buf = np.getbufsize()
     ledger = AllocationLedger()
     map_ = np.ones((6, 6, 3), dtype=np.float32)
     window_weighted_sum(map_, np.ones((3, 3), dtype=np.float32), 2, ledger)
-    # f32 contractions stop at 31 rows: bands of 15 rows reach 2 * 14 + 3
+    # f32 contractions stop at 31 rows: bands of 15 rows reach 2 * 14 + 3;
+    # at stride 2 the products still span all 6 * 3 elements of an input row
     assert ledger.events == [
-        ("window_weighted_sum", (15 * 9 + 3 * 15 * 31 + 6 * 6 * 3 + 3 * 15 * 9) * 4)]
-    # at stride 1 the rows are read in place; 1600-element output rows hold
-    # bands to 24 rows at k = 3 (24 * 26 * 1600 multiply-adds per product)
-    # and to 17 rows at k = 15 (the contraction bound)
+        ("window_weighted_sum", (15 * 18 + 3 * 15 * 31 + 3 * 15 * 18) * 4)]
+    # 1600-element rows hold bands to 24 rows at k = 3 (24 * 26 * 1600
+    # multiply-adds per product) and to 17 rows at k = 15 (the contraction
+    # bound)
     for k, rows in ((3, 24), (15, 17)):
         contracted = rows - 1 + k
         want = (rows * 1600 + k * rows * contracted + 3 * buf) * 4
@@ -369,12 +379,17 @@ def test_wws_ledger_is_one_band_of_scratch():
                                 np.ones((k, k), dtype=np.float32), 1, ledger)
             assert ledger.events == [("window_weighted_sum", want)], (k, H)
             assert want == tensor.wws_peak((H, 100, 16), k, 1, 4) * 4
-        # a map whose rows are not contiguous is copied a band at a time,
-        # and the copy is counted
+        # a map whose rows are not contiguous is copied whole on entry, and
+        # the copy is an event of its own
         ledger = AllocationLedger()
         window_weighted_sum(np.ones((100, 200, 16), dtype=np.float32)[:, ::2],
                             np.ones((k, k), dtype=np.float32), 1, ledger)
-        assert ledger.events == [("window_weighted_sum", want + contracted * 1600 * 4)], k
+        assert ledger.events == [("window_weighted_sum.copy", 100 * 1600 * 4),
+                                 ("window_weighted_sum", want)], k
+    # so is the zero column a one-column, one-channel map gets
+    ledger = AllocationLedger()
+    window_weighted_sum(np.ones((9, 1, 1)), np.ones((3, 3)), 1, ledger)
+    assert ledger.events[0] == ("window_weighted_sum.pad", 9 * 2 * 8)
 
 
 def _fma_chain(a, b, dtype):
