@@ -2,13 +2,16 @@
 heatmap rendering, and a toy training demo.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-All randomness is seeded via --seed (default 42).
+Handlers return 0 or 1; ``main`` maps the typed errors they raise to 2 and 3
+and prints one line, ``error: <command>: <message>``. All randomness is
+seeded via --seed (default 42), an integer in [0, 2**64).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -25,7 +28,7 @@ from .layer import (
     qna_forward,
     qna_vjp,
 )
-from .model import build_model, count_flops, count_params, forward_inference, make_arch
+from .model import build_model, count_flops, forward_inference, make_arch
 from .oracles import finite_diff_grad, qna_window_oracle
 from .tensor import (
     DTYPE_TAGS,
@@ -123,7 +126,7 @@ def _run_gradcheck(seed: int, out=None) -> bool:
 def _run_tiny_model_check(seed: int, out=None) -> bool:
     out = sys.stdout if out is None else out
     model = build_model("tiny", seed=seed, dtype=np.float32)
-    rng = make_rng(seed + 1)
+    rng = make_rng((seed + 1) % 2**64)
     image = rng.standard_normal((64, 64, 3)).astype(np.float32)
     a = forward_inference(model, image)
     b = forward_inference(model, image, qna_fn=qna_window_oracle)
@@ -198,11 +201,7 @@ def _cmd_bench(args) -> int:
         )
 
     rows = bench_mod.run_sweep(cases, seed=args.seed, progress=progress)
-    try:
-        bench_mod.emit_csv(rows, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
+    bench_mod.emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -229,13 +228,10 @@ def _print_report(report, label: str, show_params: bool, show_flops: bool) -> No
 
 
 def _cmd_model(args) -> int:
-    if args.resolution % 32 != 0 or args.resolution <= 0:
-        print(f"error: resolution {args.resolution} is not divisible by 32", file=sys.stderr)
-        return 2
     model = build_model(args.variant, seed=args.seed, dtype=np.float32)
     show_params = args.report in ("params", "both")
     show_flops = args.report in ("flops", "both")
-    report = count_flops(model, args.resolution) if show_flops else count_params(model)
+    report = count_flops(model, args.resolution)  # validates the resolution
     if args.json:
         doc = asdict(report)
         doc["variant"] = args.variant
@@ -275,34 +271,18 @@ def _write_pgm(path, values: np.ndarray) -> None:
 
 
 def _cmd_viz(args) -> int:
-    try:
-        x = load_qnat(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 3
-    except QnatFormatError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 3
+    x = load_qnat(args.input)
     if x.ndim != 3:
-        print(f"error: viz input must be rank 3 (H x W x D), got rank {x.ndim}", file=sys.stderr)
-        return 2
+        raise ShapeError(f"{args.input}: input must be rank 3 (H x W x D), got rank {x.ndim}")
     d = x.shape[2]
     heads = 2 if d % 2 == 0 else 1
-    try:
-        cfg = QnAConfig(k=args.k, stride=1, heads=heads, num_queries=2, dim_in=d, dim_out=d)
-        params = init_params(cfg, args.seed, dtype=x.dtype.type)
-        heats = {f"attn_q{l}_h{g}.pgm": attention_heatmap(x, cfg, params, l, g)
-                 for l in range(cfg.num_queries) for g in range(cfg.heads)}
-    except (ShapeError, NumericalRangeError) as exc:
-        print(f"error: viz: {exc}", file=sys.stderr)
-        return 2
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        for name, heat in heats.items():
-            _write_pgm(os.path.join(args.out, name), heat)
-    except OSError as exc:
-        print(f"error: cannot write under {args.out}: {exc}", file=sys.stderr)
-        return 3
+    cfg = QnAConfig(k=args.k, stride=1, heads=heads, num_queries=2, dim_in=d, dim_out=d)
+    params = init_params(cfg, args.seed, dtype=x.dtype.type)
+    heats = {f"attn_q{l}_h{g}.pgm": attention_heatmap(x, cfg, params, l, g)
+             for l in range(cfg.num_queries) for g in range(cfg.heads)}
+    os.makedirs(args.out, exist_ok=True)
+    for name, heat in heats.items():
+        _write_pgm(os.path.join(args.out, name), heat)
     print(f"wrote {len(heats)} heatmaps to {args.out}")
     return 0
 
@@ -405,10 +385,6 @@ def run_train_toy(steps: int, lr: float, seed: int, log=None):
 
 
 def _cmd_train_toy(args) -> int:
-    if args.steps < 1:
-        print(f"error: --steps must be >= 1, got {args.steps}", file=sys.stderr)
-        return 2
-
     def log(step, loss):
         print(f"step {step:4d}  loss {loss:.6f}")
 
@@ -424,6 +400,24 @@ def _cmd_train_toy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _number(kind, accept, rule: str):
+    """argparse type: ``kind(text)`` when ``accept`` holds for it."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_parse_seed = _number(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_parse_steps = _number(int, lambda v: v >= 1, "a positive integer")
+_parse_lr = _number(float, math.isfinite, "a finite number")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qna",
@@ -435,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--grid", choices=("small", "full", "tiny-model"), default="small")
     p_check.add_argument("--dtype", choices=tuple(DTYPE_TAGS), default="f64",
                          help="grid dtype; gradcheck runs only for f64")
-    p_check.add_argument("--seed", type=int, default=42)
+    p_check.add_argument("--seed", type=_parse_seed, default=42)
     p_check.set_defaults(handler=_cmd_check)
 
     p_bench = sub.add_parser("bench", help="window-size complexity sweep, CSV output")
@@ -447,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="IMPL1,IMPL2,...")
     p_bench.add_argument("--out", default="qna_bench.csv")
     p_bench.add_argument("--dtype", choices=tuple(DTYPE_TAGS), default="f32")
-    p_bench.add_argument("--seed", type=int, default=42)
+    p_bench.add_argument("--seed", type=_parse_seed, default=42)
     p_bench.set_defaults(handler=_cmd_bench)
 
     p_model = sub.add_parser("model", help="parameter and MAC accounting per variant")
@@ -455,29 +449,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--resolution", type=int, default=224)
     p_model.add_argument("--report", choices=("params", "flops", "both"), default="both")
     p_model.add_argument("--json", action="store_true")
-    p_model.add_argument("--seed", type=int, default=42)
+    p_model.add_argument("--seed", type=_parse_seed, default=42)
     p_model.set_defaults(handler=_cmd_model)
 
     p_viz = sub.add_parser("viz", help="render per-(query, head) attention heatmaps as PGM")
     p_viz.add_argument("--input", required=True, help="rank-3 QNAT tensor (H x W x D)")
     p_viz.add_argument("--k", type=int, default=3)
-    p_viz.add_argument("--seed", type=int, default=42)
+    p_viz.add_argument("--seed", type=_parse_seed, default=42)
     p_viz.add_argument("--out", default="heatmaps")
     p_viz.set_defaults(handler=_cmd_viz)
 
     p_toy = sub.add_parser("train-toy", help="train one layer on a synthetic motif task")
-    p_toy.add_argument("--steps", type=int, default=200)
-    p_toy.add_argument("--lr", type=float, default=0.2,
-                       help="full-batch SGD step size (tuned for the default task)")
-    p_toy.add_argument("--seed", type=int, default=42)
+    p_toy.add_argument("--steps", type=_parse_steps, default=200)
+    p_toy.add_argument("--lr", type=_parse_lr, default=0.2,
+                       help="full-batch SGD step size, finite (tuned for the default task)")
+    p_toy.add_argument("--seed", type=_parse_seed, default=42)
     p_toy.set_defaults(handler=_cmd_train_toy)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place an exception becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    # A malformed file is an I/O fault, though QnatFormatError is a
+    # ValueError as ShapeError is; so it is matched first, by its own type.
+    except (QnatFormatError, OSError) as exc:
+        error, code = exc, 3
+    except (ShapeError, NumericalRangeError) as exc:
+        error, code = exc, 2
+    print(f"error: {args.command}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -375,18 +375,13 @@ def qna_upsample_forward(
 
     H, W, _ = x.shape
     L, h, D = cfg.num_queries, cfg.heads, cfg.dim_out
-
-    def rows(l):
-        q = _window_sums(e[:, :, l], v, den_k[l], den_k[l], 1, ledger)[0]
-        # The bias is added in place, so that projecting holds less than the
-        # reduction before it (the ledger's peak).
-        r = q.reshape(H * W, D) @ params.w_o
-        r += params.b_o
-        return r.reshape(H, W, D)
-
     out = np.empty((H, s, W, s, D), dtype=x.dtype)
     for l in range(L):
-        out[:, l // s, :, l % s] = rows(l)
+        # No quotient outlives its projection, which adds the bias in place,
+        # so projecting holds less than the reduction before it (the ledger's
+        # peak).
+        out[:, l // s, :, l % s] = _project(
+            _window_sums(e[:, :, l], v, den_k[l], den_k[l], 1, ledger)[0], cfg, params)
 
     transient = (
         H * W * (L * h + D)             # exponentiated scores, values
@@ -395,9 +390,7 @@ def qna_upsample_forward(
         + 2 * L * cfg.k * cfg.k         # reduction kernels
     ) * x.dtype.itemsize
     _record(ledger, "qna_upsample_forward", transient)
-    out = out.reshape(H * s, W * s, D)
-    require_finite(out, "output")
-    return out
+    return out.reshape(H * s, W * s, D)
 
 
 # ---------------------------------------------------------------------------

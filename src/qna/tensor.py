@@ -590,17 +590,18 @@ def save_qnat(path, arr: np.ndarray) -> None:
 
 
 def load_qnat(path) -> np.ndarray:
-    """Read a tensor written by :func:`save_qnat`; strict about every byte."""
+    """Read a tensor written by :func:`save_qnat`; strict about every byte.
+    A malformed file raises QnatFormatError naming the file."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 8 or blob[:4] != _QNAT_MAGIC:
-        raise QnatFormatError("not a QNAT container (bad magic)")
+        raise QnatFormatError(f"{path}: not a QNAT container (bad magic)")
     code, rank = struct.unpack_from("<BBxx", blob, 4)
     if code not in _QNAT_CODE_TO_DTYPE:
-        raise QnatFormatError(f"unknown dtype code {code}")
+        raise QnatFormatError(f"{path}: unknown dtype code {code}")
     dims_end = 8 + 4 * rank
     if len(blob) < dims_end:
-        raise QnatFormatError("truncated dimension table")
+        raise QnatFormatError(f"{path}: truncated dimension table")
     shape = struct.unpack_from(f"<{rank}I", blob, 8) if rank else ()
     dt = _QNAT_CODE_TO_DTYPE[code]
     count = 1
@@ -608,7 +609,8 @@ def load_qnat(path) -> np.ndarray:
         count *= s
     expected = dims_end + count * dt.itemsize
     if len(blob) != expected:
-        raise QnatFormatError(f"payload size mismatch: expected {expected} bytes, file has {len(blob)}")
+        raise QnatFormatError(
+            f"{path}: payload size mismatch: expected {expected} bytes, file has {len(blob)}")
     flat = np.frombuffer(blob, dtype=dt, offset=dims_end, count=count)
     native = np.float32 if code == 0 else np.float64
     return flat.astype(native).reshape(shape)

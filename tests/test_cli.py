@@ -1,13 +1,17 @@
 """Command-line interface: argument handling, exit codes, fault injection
 through the verification harness, and the artifacts each subcommand writes."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qna import cli
 from qna.cli import build_parser, main, run_train_toy
 from qna.layer import QnAParams
-from qna.tensor import make_rng, save_qnat
+from qna.tensor import NumericalRangeError, make_rng, save_qnat
 
 
 def _with_perturbed(fn, tensor):
@@ -254,7 +258,9 @@ def test_train_toy_zero_lr_fails(capsys):
 
 
 def test_train_toy_bad_steps_exit_two(capsys):
-    assert main(["train-toy", "--steps", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["train-toy", "--steps", "0"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -286,3 +292,76 @@ def test_run_train_toy_zero_lr_keeps_loss():
     assert all(v == initial for v in trace)
     with pytest.raises(ValueError):
         run_train_toy(0, 0.1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract
+# ---------------------------------------------------------------------------
+
+
+def _fake_trainer(*args, **kwargs):
+    raise NumericalRangeError("window weight sum underflowed to zero")
+
+
+# One row per argv: the exit codes it may end with, and whether main maps a
+# raised error to that code (one "error:" line on stderr) rather than argparse
+# rejecting the argv or the handler returning its verdict. "{tmp}" is the
+# test's directory, which holds the viz inputs. A row whose argv starts with
+# "fake-trainer" runs train-toy with run_train_toy raising NumericalRangeError.
+EXIT_CONTRACT = [
+    *((["check", "--seed", seed], {2}, False) for seed in ("-1", str(2**64), "x")),
+    (["bench", "--seed", "-1"], {2}, False),
+    (["model", "--variant", "tiny", "--seed", "-1"], {2}, False),
+    (["viz", "--input", "{tmp}/map.qnat", "--seed", "-1"], {2}, False),
+    (["train-toy", "--seed", "-1"], {2}, False),
+    *((["train-toy", "--lr", lr], {2}, False) for lr in ("nan", "inf", "-inf", "fast")),
+    *((["train-toy", "--steps", steps], {2}, False) for steps in ("0", "-3", "1.5")),
+    (["train-toy", "--steps", "2", "--lr", "1e9"], {2}, True),
+    (["fake-trainer", "--steps", "1"], {2}, True),
+    (["check", "--grid", "tiny-model", "--seed", str(2**64 - 1)], {0, 1}, False),
+    (["model", "--variant", "tiny", "--resolution", "223"], {2}, True),
+    (["viz", "--input", "{tmp}/rank2.qnat", "--out", "{tmp}/maps"], {2}, True),
+    (["viz", "--input", "{tmp}/nonfinite.qnat", "--out", "{tmp}/maps"], {2}, True),
+    (["viz", "--input", "{tmp}/empty.qnat", "--out", "{tmp}/maps"], {2}, True),
+    (["viz", "--input", "{tmp}/missing.qnat", "--out", "{tmp}/maps"], {3}, True),
+    (["viz", "--input", "{tmp}/corrupt.qnat", "--out", "{tmp}/maps"], {3}, True),
+    (["bench", "--input", "8x8x4", "--k", "1", "--impls", "conv",
+      "--out", "{tmp}/missing/x.csv"], {3}, True),
+]
+
+
+@pytest.mark.parametrize("argv, codes, mapped", EXIT_CONTRACT,
+                         ids=[" ".join(row[0]) for row in EXIT_CONTRACT])
+def test_exit_code_contract(argv, codes, mapped, tmp_path, capsys, monkeypatch):
+    _write_input(tmp_path / "map.qnat", (6, 6, 4))
+    _write_input(tmp_path / "rank2.qnat", (6, 6))
+    _write_input(tmp_path / "empty.qnat", (6, 6, 0))
+    x = make_rng(0).standard_normal((6, 6, 4))
+    x[2, 3, 1] = np.inf
+    save_qnat(tmp_path / "nonfinite.qnat", x)
+    (tmp_path / "corrupt.qnat").write_bytes(b"JUNKJUNKJUNK")
+    if argv[0] == "fake-trainer":
+        monkeypatch.setattr(cli, "run_train_toy", _fake_trainer)
+        argv = ["train-toy", *argv[1:]]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in codes
+    assert "Traceback" not in err
+    if mapped:
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: {argv[0]}: ")
+
+
+def test_entry_point_exit_codes(tmp_path):
+    # the installed script and python -m run sys.exit(main())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, code in ((["check", "--seed", "-1"], 2),
+                       (["viz", "--input", str(tmp_path / "missing.qnat")], 3)):
+        proc = subprocess.run([sys.executable, "-m", "qna.cli", *argv], cwd=src,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
