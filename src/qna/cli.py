@@ -60,8 +60,7 @@ def _check_grid_dims(grid: str):
     return (1, 3, 5, 7), (1, 2), (1, 2, 4), (1, 2, 3), sizes
 
 
-def _run_oracle_grid(grid: str, dtype_tag: str, seed: int, out=None) -> bool:
-    out = sys.stdout if out is None else out  # late-bound so redirection works
+def _run_oracle_grid(grid: str, dtype_tag: str, seed: int) -> bool:
     ks, strides, heads_list, query_counts, sizes = _check_grid_dims(grid)
     tol = _GRID_TOL[dtype_tag]
     dt = DTYPE_TAGS[dtype_tag]
@@ -86,15 +85,14 @@ def _run_oracle_grid(grid: str, dtype_tag: str, seed: int, out=None) -> bool:
                         err = float(np.max(np.abs(got - want)))
                         name = f"grid k={k} stride={stride} h={h} L={L} H={hh} W={ww} {dtype_tag}"
                         if err < tol:
-                            print(f"PASS {name} max_err={err:.3e}", file=out)
+                            print(f"PASS {name} max_err={err:.3e}")
                         else:
-                            print(f"FAIL {name} max_err={err:.3e} tol={tol:.0e}", file=out)
+                            print(f"FAIL {name} max_err={err:.3e} tol={tol:.0e}")
                             ok = False
     return ok
 
 
-def _run_gradcheck(seed: int, out=None) -> bool:
-    out = sys.stdout if out is None else out
+def _run_gradcheck(seed: int) -> bool:
     cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=2, dim_in=6, dim_out=4)
     rng = make_rng(seed)
     params = init_params(cfg, rng, dtype=np.float64)
@@ -116,15 +114,14 @@ def _run_gradcheck(seed: int, out=None) -> bool:
         rel = float(np.max(np.abs(grads[f"d_{name}"] - numeric))) / denom
         tag = f"gradcheck {name}"
         if rel < 1e-4:
-            print(f"PASS {tag} max_rel_err={rel:.3e}", file=out)
+            print(f"PASS {tag} max_rel_err={rel:.3e}")
         else:
-            print(f"FAIL {tag} max_rel_err={rel:.3e} tol=1e-04", file=out)
+            print(f"FAIL {tag} max_rel_err={rel:.3e} tol=1e-04")
             ok = False
     return ok
 
 
-def _run_tiny_model_check(seed: int, out=None) -> bool:
-    out = sys.stdout if out is None else out
+def _run_tiny_model_check(seed: int) -> bool:
     model = build_model("tiny", seed=seed, dtype=np.float32)
     rng = make_rng((seed + 1) % 2**64)
     image = rng.standard_normal((64, 64, 3)).astype(np.float32)
@@ -132,9 +129,9 @@ def _run_tiny_model_check(seed: int, out=None) -> bool:
     b = forward_inference(model, image, qna_fn=qna_window_oracle)
     err = float(np.max(np.abs(a - b)))
     if err < 1e-4:
-        print(f"PASS tiny-model oracle swap max_err={err:.3e}", file=out)
+        print(f"PASS tiny-model oracle swap max_err={err:.3e}")
         return True
-    print(f"FAIL tiny-model oracle swap max_err={err:.3e} tol=1e-04", file=out)
+    print(f"FAIL tiny-model oracle swap max_err={err:.3e} tol=1e-04")
     return False
 
 
@@ -272,8 +269,9 @@ def _write_pgm(path, values: np.ndarray) -> None:
 
 def _cmd_viz(args) -> int:
     x = load_qnat(args.input)
-    if x.ndim != 3:
-        raise ShapeError(f"{args.input}: input must be rank 3 (H x W x D), got rank {x.ndim}")
+    if x.ndim != 3 or 0 in x.shape[:2]:  # a heatmap needs a site to scale
+        raise ShapeError(f"{args.input}: input must be rank 3 (H x W x D) with H, W >= 1, "
+                         f"got shape {x.shape}")
     d = x.shape[2]
     heads = 2 if d % 2 == 0 else 1
     cfg = QnAConfig(k=args.k, stride=1, heads=heads, num_queries=2, dim_in=d, dim_out=d)
@@ -292,9 +290,10 @@ def _cmd_viz(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _make_toy_dataset(rng, n_samples: int = 32, size: int = 12, channels: int = 4):
-    """Balanced binary set: half the samples carry a strong 3x3 local motif
-    at a random position on top of unit noise, half are pure noise."""
+def _make_toy_dataset(rng):
+    """Balanced binary set of 32 12 x 12 x 4 samples: half carry a strong 3x3
+    local motif at a random position on top of unit noise, half are pure noise."""
+    n_samples, size, channels = 32, 12, 4
     motif = rng.standard_normal((3, 3, channels)) + 1.5
     xs = rng.standard_normal((n_samples, size, size, channels))
     labels = np.zeros(n_samples, dtype=np.int64)

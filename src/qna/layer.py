@@ -241,9 +241,9 @@ def _scores_from_map(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _exp_scores(x, a: np.ndarray) -> np.ndarray:
     """E = exp(S - max S) for the query/key fold ``a`` (L x heads x dim_in),
     [N x] H x W x L x heads, with one max per sample and (query, head) over
-    that sample's sites. E reuses the score buffer."""
+    that sample's sites, -inf where it has none. E reuses the score buffer."""
     e = _scores_from_map(a, x)
-    e -= e.max(axis=(-4, -3), keepdims=True)
+    e -= e.max(axis=(-4, -3), keepdims=True, initial=-np.inf)
     np.exp(e, out=e)
     return e
 
@@ -405,7 +405,9 @@ def _wws_grad_map(grad_out: np.ndarray, kernel: np.ndarray, stride: int, in_hw) 
     turn. For even k that kernel reaches one site further back than a size-k
     window, so it sits in a (k + 1) x (k + 1) one with a zero last row and
     column. Leading batch axes carry through."""
-    turned = np.pad(kernel[::-1, ::-1], (0, 1 - kernel.shape[0] % 2))
+    turned = kernel[::-1, ::-1]
+    if kernel.shape[0] % 2 == 0:
+        turned = np.pad(turned, (0, 1))
     if stride > 1:
         grid = np.zeros((*grad_out.shape[:-3], *in_hw, grad_out.shape[-1]), dtype=grad_out.dtype)
         grid[..., ::stride, ::stride, :] = grad_out

@@ -340,9 +340,11 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return half * x * (one + np.tanh(c * (x + a * x * x * x)))
 
 
-def _ffn_forward(z: np.ndarray, ffn: FfnParams) -> np.ndarray:
-    h = matmul(z, ffn.w1) + ffn.b1
-    return matmul(_gelu(h), ffn.w2) + ffn.b2
+def _ffn_residual(z: np.ndarray, params: BlockParams, ledger) -> np.ndarray:
+    """z + FFN(LN2(z)) over z's last axis: the pre-norm sub-block that ends every block."""
+    u = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger).reshape(-1, z.shape[-1])
+    h = matmul(u, params.ffn.w1) + params.ffn.b1
+    return z + (matmul(_gelu(h), params.ffn.w2) + params.ffn.b2).reshape(z.shape)
 
 
 def vit_block_forward(z: np.ndarray, params: BlockParams, ledger: AllocationLedger | None = None) -> np.ndarray:
@@ -368,10 +370,7 @@ def vit_block_forward(z: np.ndarray, params: BlockParams, ledger: AllocationLedg
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=z.dtype)
     att = softmax_rows(matmul(q, k) * scale, ledger)
     y = matmul(att, v).transpose(1, 0, 2).reshape(n, d)
-    z = z + (matmul(y, m.w_o) + m.b_o)
-
-    u2 = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger)
-    return z + _ffn_forward(u2, params.ffn)
+    return _ffn_residual(z + (matmul(y, m.w_o) + m.b_o), params, ledger)
 
 
 def qna_block_forward(
@@ -387,16 +386,17 @@ def qna_block_forward(
         raise ShapeError("qna_block_forward needs a qna block")
     u = layernorm(x, params.ln1_g, params.ln1_b, ledger=ledger)
     y = qna_fn(u, cfg, params.qna, ledger)
-    if cfg.stride == 1:
-        z = x + y
-    else:
+    skip = x
+    if cfg.stride != 1:
         skip = conv2d(x, params.skip_w.reshape(1, 1, cfg.dim_in, cfg.dim_out),
                       cfg.stride, ledger) + params.skip_b
-        z = skip + y
-    u2 = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger)
-    hp, wp, dout = z.shape
-    f = _ffn_forward(u2.reshape(hp * wp, dout), params.ffn).reshape(hp, wp, dout)
-    return z + f
+    return _ffn_residual(skip + y, params, ledger)
+
+
+def _check_side(name: str, side: int) -> None:
+    """Reject an image side that is not a positive multiple of 32 (see PATCH_SIZE)."""
+    if side <= 0 or side % 32 != 0:
+        raise ShapeError(f"{name} must be positive and divisible by 32, got {side}")
 
 
 def _patch_embed(model: Model, image: np.ndarray) -> np.ndarray:
@@ -413,15 +413,14 @@ def forward_inference(
     ledger: AllocationLedger | None = None,
     qna_fn=qna_forward,
 ) -> np.ndarray:
-    """Logits for one image. Spatial dims must be divisible by 32 (patch
+    """Logits for one image. Spatial dims must be positive multiples of 32 (patch
     size 4 and three stride-2 transitions). ``qna_fn`` swaps the local
     attention implementation (the brute-force oracle slots in here)."""
     check_dtype(image, "image")
     if image.ndim != 3 or image.shape[2] != 3:
         raise ShapeError(f"image must be H x W x 3, got shape {image.shape}")
-    H, W, _ = image.shape
-    if H % 32 != 0 or W % 32 != 0 or H == 0 or W == 0:
-        raise ShapeError(f"spatial dims must be divisible by 32, got {H} x {W}")
+    _check_side("image height", image.shape[0])
+    _check_side("image width", image.shape[1])
     if image.dtype != model.dtype:
         raise ShapeError(f"image dtype {image.dtype} differs from model dtype {model.dtype}")
     require_finite(image, "image")
@@ -540,8 +539,7 @@ def count_flops(model: Model, resolution: int) -> CostReport:
     """Analytic multiply-accumulate count for one forward pass at the given
     square resolution (1 MAC = 1 FLOP; normalizations, softmax exponentials,
     divisions, bias and residual adds excluded)."""
-    if resolution % 32 != 0 or resolution <= 0:
-        raise ShapeError(f"resolution must be divisible by 32, got {resolution}")
+    _check_side("resolution", resolution)
     return _walk_costs(model, resolution)
 
 

@@ -309,40 +309,42 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def wws_plan(k: int, stride: int, itemsize: int, width: int) -> tuple[int, int]:
-    """The band rule of :func:`window_weighted_sum`: (output rows per band,
-    kernel rows per group) for a size-k kernel over a map whose input rows
-    hold ``width`` elements per sample.
+def wws_plan(shape, k: int, stride: int, itemsize: int):
+    """The band rule of :func:`window_weighted_sum` for a size-k kernel over
+    a map of ``shape`` ([N x] H x W x C): (output rows per band, kernel rows
+    per group, Toeplitz stack shape, product buffer shape).
 
     One product of a band covers one kernel column and one group of kernel
     rows, and contracts over the (rows - 1) * stride + group input rows the
     band's windows reach there. The kernel rows form the fewest equal groups
     that keep a two-row band's contraction under WWS_GEMM_BYTES; the bands
     get as many rows as that bound and WWS_GEMM_MACS allow, and at least one.
+    Products are as wide as an input row, and one-row or one-column ones are
+    padded to two, so both buffers hold two rows and two columns at least.
     """
+    *lead, _, W, C = shape
+    width = max(W * C, 2)
     kmax = (WWS_GEMM_BYTES - 1) // itemsize
     group = _ceil_div(k, _ceil_div(k, max(1, kmax - stride)))
     rows = (kmax - group) // stride + 1
     while rows > 1 and rows * ((rows - 1) * stride + group) * width > WWS_GEMM_MACS:
         rows -= 1
-    return rows, group
+    m = max(rows, 2)
+    stack = (k, _ceil_div(k, group), m, (rows - 1) * stride + group)
+    return rows, group, stack, (*lead, m, width)
 
 
 def wws_peak(shape, k: int, stride: int, itemsize: int) -> int:
     """Elements that a :func:`window_weighted_sum` over a map of ``shape``
     ([N x] H x W x C) with a size-k kernel records in its
-    "window_weighted_sum" ledger event: one band of products as wide as an
-    input row (padded to two rows and two columns), the Toeplitz stack, and
-    the three ufunc buffers, up to getbufsize() elements each, of its strided
-    adds into a band. None of these grows with H. A map that is not
+    "window_weighted_sum" ledger event: the two buffers of :func:`wws_plan`
+    and the three ufunc buffers, up to getbufsize() elements each, of its
+    strided adds into a band, none of which grows with H. A map that is not
     C-contiguous, or has one column and one channel, is also copied whole,
     which the reduction records as an event of its own."""
-    *lead, H, W, C = shape
-    width = max(W * C, 2)
-    rows, group = wws_plan(k, stride, itemsize, width)
-    prod = math.prod(lead) * max(rows, 2) * width
-    stack = k * _ceil_div(k, group) * max(rows, 2) * ((rows - 1) * stride + group)
-    return prod + stack + 3 * min(np.getbufsize(), prod)
+    *_, stack, prod = wws_plan(shape, k, stride, itemsize)
+    prod = math.prod(prod)
+    return prod + math.prod(stack) + 3 * min(np.getbufsize(), prod)
 
 
 def window_weighted_sum(
@@ -400,22 +402,20 @@ def window_weighted_sum(
         _record(ledger, "window_weighted_sum.copy", map_.nbytes)
     lo, _ = offset_bounds(k)
     Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-    width = max(W * C, 2)  # one-row and one-column products are padded to two
-    rows, group = wws_plan(k, stride, dt.itemsize, width)
-    groups = _ceil_div(k, group)
-    m = max(rows, 2)
+    rows, group, stack_shape, prod_shape = wws_plan(map_.shape, k, stride, dt.itemsize)
+    groups = stack_shape[1]
 
     # stack[j, g, r] holds, from column r * stride on, the taps of kernel
     # column j in the kernel rows of group g (the last group is zero-padded);
     # one write through a view of those diagonals fills every row
     taps = np.zeros((groups * group, k), dtype=dt)
     taps[:k] = kernel
-    stack = np.zeros((k, groups, m, (rows - 1) * stride + group), dtype=dt)
+    stack = np.zeros(stack_shape, dtype=dt)
     diagonals = np.lib.stride_tricks.as_strided(
         stack, (k, groups, rows, group),
         (*stack.strides[:2], stack.strides[2] + stride * dt.itemsize, dt.itemsize))
     diagonals[...] = taps.T.reshape(k, groups, 1, group)
-    prod = np.empty((*lead, m, width), dtype=dt)
+    prod = np.empty(prod_shape, dtype=dt)
 
     # per kernel column: its index, the output columns it reaches, the input
     # columns its products read (at least two when C == 1: a one-column

@@ -2,20 +2,10 @@
 
 BLAS thread pinning must happen before numpy's first import anywhere in the
 test process: the latency assertions and the bitwise-reproducibility tests
-both assume single-threaded kernels.
+both assume single-threaded kernels. Importing qna pins them.
 """
 
-import os
-
-for _var in (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-):
-    os.environ.setdefault(_var, "1")
-
+import qna  # noqa: F401  (first: it pins the BLAS pools before numpy loads)
 import pytest
 from hypothesis import settings
 

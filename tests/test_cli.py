@@ -71,14 +71,12 @@ def test_check_small_grid_f32(capsys):
     assert "gradcheck" not in out
 
 
-def test_check_accepts_stringio_sink():
-    import io
-
+def test_check_accepts_stringio_sink(capsys):
+    # the grid prints to whatever sys.stdout is at call time, one line a case
     from qna.cli import _run_oracle_grid
 
-    buf = io.StringIO()
-    assert _run_oracle_grid("small", "f32", 42, out=buf)
-    assert buf.getvalue().count("PASS") == 48
+    assert _run_oracle_grid("small", "f32", 42)
+    assert capsys.readouterr().out.count("PASS") == 48
 
 
 @pytest.mark.parametrize("tensor", ["w_o", "bias"])
@@ -152,6 +150,9 @@ def test_model_report_json(capsys):
 def test_model_bad_resolution_exits_two(capsys):
     assert main(["model", "--variant", "tiny", "--resolution", "223"]) == 2
     assert "divisible by 32" in capsys.readouterr().err
+    for resolution in ("0", "-32"):  # multiples of 32, but not positive
+        assert main(["model", "--variant", "tiny", "--resolution", resolution]) == 2
+        assert "positive" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,8 @@ EXIT_CONTRACT = [
     (["viz", "--input", "{tmp}/rank2.qnat", "--out", "{tmp}/maps"], {2}, True),
     (["viz", "--input", "{tmp}/nonfinite.qnat", "--out", "{tmp}/maps"], {2}, True),
     (["viz", "--input", "{tmp}/empty.qnat", "--out", "{tmp}/maps"], {2}, True),
+    (["viz", "--input", "{tmp}/no_rows.qnat", "--out", "{tmp}/maps"], {2}, True),
+    (["viz", "--input", "{tmp}/no_cols.qnat", "--out", "{tmp}/maps"], {2}, True),
     (["viz", "--input", "{tmp}/missing.qnat", "--out", "{tmp}/maps"], {3}, True),
     (["viz", "--input", "{tmp}/corrupt.qnat", "--out", "{tmp}/maps"], {3}, True),
     (["bench", "--input", "8x8x4", "--k", "1", "--impls", "conv",
@@ -336,6 +339,8 @@ def test_exit_code_contract(argv, codes, mapped, tmp_path, capsys, monkeypatch):
     _write_input(tmp_path / "map.qnat", (6, 6, 4))
     _write_input(tmp_path / "rank2.qnat", (6, 6))
     _write_input(tmp_path / "empty.qnat", (6, 6, 0))
+    _write_input(tmp_path / "no_rows.qnat", (0, 5, 4))
+    _write_input(tmp_path / "no_cols.qnat", (5, 0, 4))
     x = make_rng(0).standard_normal((6, 6, 4))
     x[2, 3, 1] = np.inf
     save_qnat(tmp_path / "nonfinite.qnat", x)

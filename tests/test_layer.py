@@ -292,6 +292,27 @@ def test_forward_matches_oracle_on_wide_bias_tables(dtype, b):
     assert np.max(np.abs(got - qna_window_oracle(x, cfg, params))) < tol
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_maps_without_sites_give_the_oracles_empty_output(stride):
+    # the oracle answers on a map without rows or columns, so every entry
+    # point does, with zero parameter gradients
+    rng = make_rng(20)
+    cfg = QnAConfig(k=3, stride=stride, heads=2, num_queries=4, dim_in=2, dim_out=4)
+    params = _rand_params(cfg, rng)
+    for shape in [(0, 4, 2), (4, 0, 2), (2, 0, 4, 2)]:
+        x = np.zeros(shape)
+        out, pullback = qna_vjp(x, cfg, params)
+        one = x if x.ndim == 3 else x[0]
+        assert out.shape[-3:] == qna_window_oracle(one, cfg, params).shape
+        assert qna_forward(x, cfg, params).shape == out.shape
+        grads = pullback(np.zeros(out.shape))
+        assert grads.d_input.shape == shape
+        assert not any(g.any() for name, g in grads.tensors().items() if name != "d_input")
+        if len(shape) == 3 and stride == 1:
+            assert qna_upsample_forward(x, cfg, params).shape == (2 * shape[0], 2 * shape[1], 4)
+            assert attention_heatmap(x, cfg, params, 0, 1).shape == shape[:2]
+
+
 def test_forward_f32_matches_f64_reference():
     rng = make_rng(11)
     cfg = QnAConfig(k=3, stride=2, heads=2, num_queries=2, dim_in=4, dim_out=8)

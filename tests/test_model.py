@@ -372,6 +372,8 @@ def test_forward_inference_shapes_and_validation():
         forward_inference(model, rng.standard_normal((64, 64, 1)).astype(np.float32))
     with pytest.raises(ShapeError):
         forward_inference(model, rng.standard_normal((64, 64, 3)))  # f64 vs f32 model
+    with pytest.raises(ShapeError, match="height must be positive"):
+        forward_inference(model, np.zeros((0, 32, 3), dtype=np.float32))
 
 
 def test_forward_inference_deterministic_and_finite_many_inputs():

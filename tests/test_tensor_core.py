@@ -215,16 +215,14 @@ def _bands_of(map_, k, stride, rows):
     """Patch the band rule so that window_weighted_sum on map_ with a size-k
     kernel cuts bands of ``rows`` output rows, or of as many as its
     contraction bound allows if that is fewer."""
-    width = max(map_.shape[-2] * map_.shape[-1], 2)
-    group = tensor.wws_plan(k, stride, map_.itemsize, width)[1]
-    macs = rows * ((rows - 1) * stride + group) * width
+    _, group, _, prod = tensor.wws_plan(map_.shape, k, stride, map_.itemsize)
+    macs = rows * ((rows - 1) * stride + group) * prod[-1]
     return mock.patch.object(tensor, "WWS_GEMM_MACS", macs)
 
 
 def _band_rows(map_, k, stride):
     """Output rows per band of window_weighted_sum on map_ under the current rule."""
-    width = max(map_.shape[-2] * map_.shape[-1], 2)
-    return tensor.wws_plan(k, stride, map_.itemsize, width)[0]
+    return tensor.wws_plan(map_.shape, k, stride, map_.itemsize)[0]
 
 
 def _assert_bands_bitwise(map_, kernel, stride, band_rows):
@@ -303,10 +301,12 @@ def test_wws_one_row_bands_and_one_column_maps(stride, dtype):
 
 
 def test_wws_f64_k17_splits_kernel_rows():
-    # 17 kernel rows exceed the 15-element f64 contraction: two groups of 9
+    # 17 kernel rows exceed the 15-element f64 contraction: two groups of 9,
+    # each contracting over 7 - 1 + 9 input rows, with products as wide as
+    # an input row (20 * 2)
     rng = make_rng(60)
     map_ = rng.standard_normal((2, 30, 20, 2))
-    assert tensor.wws_plan(17, 1, 8, 40) == (7, 9)
+    assert tensor.wws_plan(map_.shape, 17, 1, 8) == (7, 9, (17, 2, 7, 15), (2, 7, 40))
     for stride in (1, 2):
         _assert_bands_bitwise(map_, rng.standard_normal((17, 17)), stride, (1, 3, 7))
 
