@@ -28,7 +28,7 @@ from .layer import (
     qna_forward,
     qna_vjp,
 )
-from .model import build_model, count_flops, forward_inference, make_arch
+from .model import build_model, count_flops, forward_inference, model_skeleton
 from .oracles import finite_diff_grad, qna_window_oracle
 from .tensor import (
     DTYPE_TAGS,
@@ -225,7 +225,7 @@ def _print_report(report, label: str, show_params: bool, show_flops: bool) -> No
 
 
 def _cmd_model(args) -> int:
-    model = build_model(args.variant, seed=args.seed, dtype=np.float32)
+    model = model_skeleton(args.variant)  # the report reads only shapes
     show_params = args.report in ("params", "both")
     show_flops = args.report in ("flops", "both")
     report = count_flops(model, args.resolution)  # validates the resolution
@@ -448,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--resolution", type=int, default=224)
     p_model.add_argument("--report", choices=("params", "flops", "both"), default="both")
     p_model.add_argument("--json", action="store_true")
-    p_model.add_argument("--seed", type=_parse_seed, default=42)
     p_model.set_defaults(handler=_cmd_model)
 
     p_viz = sub.add_parser("viz", help="render per-(query, head) attention heatmaps as PGM")

@@ -415,6 +415,12 @@ def _wws_grad_map(grad_out: np.ndarray, kernel: np.ndarray, stride: int, in_hw) 
     return window_weighted_sum(grad_out, turned, 1)
 
 
+def _wws_grad_map_peak(shape, k: int, stride: int, itemsize: int) -> int:
+    """Elements of scratch that :func:`_wws_grad_map` holds for an input map of
+    ``shape``: the stride grid, if any, and its size-(k | 1) window reduction's."""
+    return (math.prod(shape) if stride > 1 else 0) + wws_peak(shape, k | 1, 1, itemsize)
+
+
 def _wws_grad_kernel(grad_out: np.ndarray, map_: np.ndarray, k: int, stride: int) -> np.ndarray:
     """Adjoint of window_weighted_sum w.r.t. its kernel, summed over any
     leading batch axes."""
@@ -556,8 +562,7 @@ def qna_vjp(
         # window reduction and, at stride above 1, its grid; the second
         # adjoint also holds its result) or at the end (the input gradient
         # and one product beside the gradients).
-        grid = n if cfg.stride > 1 else 0
-        adj_ev, adj_e = (grid * c + wws_peak((*lead, H, W, c), k | 1, 1, x.itemsize)
+        adj_ev, adj_e = (_wws_grad_map_peak((*lead, H, W, c), k, cfg.stride, x.itemsize)
                          for c in (Dout, h))
         in_loop = (n * (L * h + 2 * Dout - Din) + n_out * (2 * Dout + h)
                    + max(adj_ev, n * h + adj_e))
@@ -629,7 +634,7 @@ def attention_heatmap(
     # buffer. The kernels are held throughout.
     n = H * W
     peak = (max(2 * n + wws_peak((H, W, 1), cfg.k, 1, x.itemsize),
-                4 * n + wws_peak((H, W, 1), cfg.k | 1, 1, x.itemsize))
+                4 * n + _wws_grad_map_peak((H, W, 1), cfg.k, 1, x.itemsize))
             + 2 * cfg.num_queries * cfg.k * cfg.k)
     _record(ledger, "attention_heatmap", (peak - heat.size) * x.dtype.itemsize)
     return heat

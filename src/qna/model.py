@@ -298,15 +298,18 @@ def _stage_blocks(draw, arch: ArchConfig, i: int, dtype) -> list[BlockParams]:
 def build_model(variant_or_arch, seed: int, dtype=np.float32) -> Model:
     """Deterministic per (arch, seed, dtype): one generator streams through
     patch embed, stages in order, and the head."""
-    if isinstance(variant_or_arch, ArchConfig):
-        arch = variant_or_arch
-    else:
-        arch = make_arch(variant_or_arch)
     rng = make_rng(seed)
-    return _assemble(arch, lambda shape: truncated_normal(rng, shape, dtype=dtype), dtype)
+    return _assemble(variant_or_arch, lambda s: truncated_normal(rng, s, dtype=dtype), dtype)
 
 
-def _assemble(arch: ArchConfig, draw, dtype) -> Model:
+def model_skeleton(variant_or_arch, dtype=np.float32) -> Model:
+    """:func:`build_model`'s model with its drawn tensors allocated but not
+    drawn, for :func:`count_flops` and :func:`load_model`."""
+    return _assemble(variant_or_arch, lambda shape: np.empty(shape, dtype=dtype), dtype)
+
+
+def _assemble(preset, draw, dtype) -> Model:
+    arch = preset if isinstance(preset, ArchConfig) else make_arch(preset)
     d0 = arch.base_dim
     in_feats = PATCH_SIZE * PATCH_SIZE * 3
     patch_w = draw((in_feats, d0))
@@ -563,14 +566,15 @@ def save_model(dirpath, model: Model) -> None:
 def load_model(dirpath) -> Model:
     path = os.path.join(dirpath, "arch.json")
     arch, dtype, names = read_config(path, ArchConfig, section="arch")
-    # The skeleton only allocates: every tensor is overwritten from disk.
-    model = _assemble(arch, lambda shape: np.empty(shape, dtype=dtype), dtype)
+    model = model_skeleton(arch, dtype)
     named = model.named_tensors()
     check_manifest(path, names, sorted(named))
     weights = os.path.join(dirpath, "weights")
     for name, t in named.items():
-        loaded = load_qnat(os.path.join(weights, f"{name}.qnat"))
+        tensor_path = os.path.join(weights, f"{name}.qnat")
+        loaded = load_qnat(tensor_path)
         if loaded.shape != t.shape or loaded.dtype != t.dtype:
-            raise ShapeError(f"tensor {name} has shape {loaded.shape}, expected {t.shape}")
+            raise ShapeError(f"{tensor_path}: tensor {name} is {loaded.dtype} of shape "
+                             f"{loaded.shape}, expected {t.dtype} of shape {t.shape}")
         t[...] = loaded
     return model

@@ -21,10 +21,8 @@ Conventions shared by every windowed operation:
 * Which output sites each kernel offset touches, and which strided input
   slice they read, is worked out per axis in one place,
   :func:`_same_axis_ranges`. :func:`same_window_slices` combines the two
-  axes for the convolution and the layer's kernel adjoint, which loop over
-  it; the window reduction (and so the layer's map adjoint) uses the column
-  ranges for its banded products, which read the input rows of a
-  C-contiguous map in place at every stride.
+  axes for the convolution and the layer's kernel adjoint; :func:`wws_plan`
+  uses the column ranges for the window reduction's products.
 * Inputs are expected to be finite. Layer-level entry points validate this;
   the primitives trust their callers so that benchmark loops are not
   dominated by scans. A deliberate exception: ``softmax_rows`` accepts
@@ -33,6 +31,7 @@ Conventions shared by every windowed operation:
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -309,42 +308,75 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def wws_plan(shape, k: int, stride: int, itemsize: int):
-    """The band rule of :func:`window_weighted_sum` for a size-k kernel over
-    a map of ``shape`` ([N x] H x W x C): (output rows per band, kernel rows
-    per group, Toeplitz stack shape, product buffer shape).
+WWSPlan = collections.namedtuple("WWSPlan", "rows group stack prod out pad fill cols bands")
 
-    One product of a band covers one kernel column and one group of kernel
-    rows, and contracts over the (rows - 1) * stride + group input rows the
-    band's windows reach there. The kernel rows form the fewest equal groups
-    that keep a two-row band's contraction under WWS_GEMM_BYTES; the bands
-    get as many rows as that bound and WWS_GEMM_MACS allow, and at least one.
-    Products are as wide as an input row, and one-row or one-column ones are
-    padded to two, so both buffers hold two rows and two columns at least.
+
+@functools.lru_cache(maxsize=256)
+def wws_plan(shape, k: int, stride: int, itemsize: int) -> WWSPlan:
+    """Everything :func:`window_weighted_sum` derives from the shape of its
+    map ([N x] H x W x C) and a size-k kernel, computed once per shape.
+
+    A band's product covers one kernel column and one group of kernel rows,
+    and contracts over the (rows - 1) * stride + group input rows the band
+    reaches there. The kernel rows form the fewest equal groups that keep a
+    two-row band's contraction under WWS_GEMM_BYTES. Bands get as many rows
+    as that bound and WWS_GEMM_MACS allow, and at least one. Products are as
+    wide as an input row; one-row and one-column ones are padded to two, so
+    ``stack`` (kernel column, group, band row, input row) and ``prod`` hold
+    two rows and two columns at least. ``fill`` holds where each band row's
+    taps sit in a kernel column's flat stack. ``cols`` holds each kernel
+    column's input, product, output and kept product columns; ``bands``
+    holds each band's output, product and kept rows, and each group's stack
+    columns and input rows, clipped to the map.
     """
-    *lead, _, W, C = shape
-    width = max(W * C, 2)
+    *lead, H, W, C = shape
+    pad, width = W * C == 1, max(W * C, 2)
     kmax = (WWS_GEMM_BYTES - 1) // itemsize
     group = _ceil_div(k, _ceil_div(k, max(1, kmax - stride)))
     rows = (kmax - group) // stride + 1
     while rows > 1 and rows * ((rows - 1) * stride + group) * width > WWS_GEMM_MACS:
         rows -= 1
-    m = max(rows, 2)
-    stack = (k, _ceil_div(k, group), m, (rows - 1) * stride + group)
-    return rows, group, stack, (*lead, m, width)
+    groups, reach, m2 = _ceil_div(k, group), (rows - 1) * stride + group, max(rows, 2)
+    # band row r holds kernel row i = g * group + t in slab g, at column r * stride + t
+    i = np.arange(k)
+    fill = i // group * (m2 * reach) + np.arange(rows)[:, None] * (reach + stride) + i % group
+    fill.flags.writeable = False
+
+    lo, _ = offset_bounds(k)
+    Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
+    cols = []
+    for j in range(k):
+        ranges = _same_axis_ranges(W, Wp, lo + j, stride)
+        if ranges is not None:
+            d0, d1, c = ranges
+            span = (d1 - d0 - 1) * stride + 1
+            w = max(span, 2) if C == 1 else span
+            c0 = min(c, W + pad - w)
+            cols.append((j, slice(c0 * C, (c0 + w) * C), slice(0, w * C), slice(d0, d1),
+                         slice(c - c0, c - c0 + span, stride)))
+    bands = []
+    for b0 in range(0, Hp, rows):
+        m = min(rows, Hp - b0)
+        reads = []
+        for g in range(groups):
+            first = b0 * stride + lo + g * group
+            r0, r1 = max(0, -first), min((m - 1) * stride + group, H - first)
+            if r0 < r1:
+                reads.append((g, slice(r0, r1), slice(first + r0, first + r1)))
+        bands.append((slice(b0, b0 + m), slice(0, max(m, 2)), slice(0, m), tuple(reads)))
+    return WWSPlan(rows, group, (k, groups, m2, reach), (*lead, m2, width), (*lead, Hp, Wp, C),
+                   pad, fill, tuple(cols), tuple(bands))
 
 
 def wws_peak(shape, k: int, stride: int, itemsize: int) -> int:
     """Elements that a :func:`window_weighted_sum` over a map of ``shape``
-    ([N x] H x W x C) with a size-k kernel records in its
-    "window_weighted_sum" ledger event: the two buffers of :func:`wws_plan`
-    and the three ufunc buffers, up to getbufsize() elements each, of its
-    strided adds into a band, none of which grows with H. A map that is not
-    C-contiguous, or has one column and one channel, is also copied whole,
-    which the reduction records as an event of its own."""
-    *_, stack, prod = wws_plan(shape, k, stride, itemsize)
-    prod = math.prod(prod)
-    return prod + math.prod(stack) + 3 * min(np.getbufsize(), prod)
+    with a size-k kernel records in its "window_weighted_sum" ledger event:
+    the two buffers of :func:`wws_plan` and the three ufunc buffers, up to
+    getbufsize() elements each, of its strided adds into a band, none of
+    which grows with H. A copy of the map is an event of its own."""
+    plan = wws_plan(shape, k, stride, itemsize)
+    prod = math.prod(plan.prod)
+    return prod + math.prod(plan.stack) + 3 * min(np.getbufsize(), prod)
 
 
 def window_weighted_sum(
@@ -361,22 +393,17 @@ def window_weighted_sum(
     Every channel shares the kernel, so for one kernel column the sum over
     the kernel rows is a matrix product: a banded Toeplitz matrix (band
     output rows x the input rows they reach) times those input rows seen as
-    a matrix. The output is walked in bands of whole rows (:func:`wws_plan`),
-    and each band takes one GEMM per kernel column and group of kernel rows.
-    Each product reads the band's input rows in place, over the contiguous
-    input columns its output columns reach, and every stride-th of its
-    columns is added into the band. Each product contracts over fewer than
-    WWS_GEMM_BYTES bytes; bands at the map's edges use column slices of the
-    same Toeplitz stack, and one-row or one-column products are padded to
-    two, which keeps them off GEMV. Where the BLAS adds each output's terms
-    of such products in order, each output element adds its terms in one
-    order (kernel columns outer, kernel rows inner) whatever its position,
-    band or batch, so the result is bitwise independent of them. That holds
-    where test_blas_adds_toeplitz_rows_in_order passes; it was measured for
-    OpenBLAS 0.3.31's SkylakeX kernels at one BLAS thread only. With other
-    kernels or thread counts the results agree within rounding. The
-    contract covers ``qna_backward``'s input gradient too: its map adjoints
-    are window reductions.
+    a matrix. The output is walked in bands of whole rows, and each band
+    takes one GEMM per kernel column and group of kernel rows. Each product
+    reads the band's input rows in place, over the contiguous input columns
+    its output columns reach, and every stride-th of its columns is added
+    into the band. :func:`wws_plan` works all of this out once per shape.
+    Where the BLAS adds each output's terms of such products in order (see
+    WWS_GEMM_BYTES), each output element adds its terms in one order (kernel
+    columns outer, kernel rows inner) whatever its position, band or batch,
+    so the result is bitwise independent of them; elsewhere results agree
+    within rounding. The contract covers ``qna_backward``'s input gradient
+    too: its map adjoints are window reductions.
     The N maps of a batch share every pass. A map that is not C-contiguous
     is copied once on entry, and a one-column, one-channel map gets a zero
     second column; each copy is a ledger event of its own. The other
@@ -392,65 +419,32 @@ def window_weighted_sum(
     if stride < 1:
         raise ShapeError(f"stride must be positive, got {stride}")
 
-    *lead, H, W, C = map_.shape
-    k, dt = kernel.shape[0], map_.dtype
-    if W * C == 1:  # a zero second column: the products get two columns
+    shape, k, dt = map_.shape, kernel.shape[0], map_.dtype
+    plan = wws_plan(shape, k, stride, dt.itemsize)
+    if plan.pad:
         map_ = np.pad(map_, [*[(0, 0)] * (map_.ndim - 2), (0, 1), (0, 0)])
         _record(ledger, "window_weighted_sum.pad", map_.nbytes)
     elif not map_.flags.c_contiguous:
         map_ = np.ascontiguousarray(map_)
         _record(ledger, "window_weighted_sum.copy", map_.nbytes)
-    lo, _ = offset_bounds(k)
-    Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-    rows, group, stack_shape, prod_shape = wws_plan(map_.shape, k, stride, dt.itemsize)
-    groups = stack_shape[1]
+    out = np.zeros(plan.out, dtype=dt)
+    if ledger is not None:
+        ledger.record("window_weighted_sum", wws_peak(shape, k, stride, dt.itemsize) * dt.itemsize)
+    if not out.size:
+        return out
 
-    # stack[j, g, r] holds, from column r * stride on, the taps of kernel
-    # column j in the kernel rows of group g (the last group is zero-padded);
-    # one write through a view of those diagonals fills every row
-    taps = np.zeros((groups * group, k), dtype=dt)
-    taps[:k] = kernel
-    stack = np.zeros(stack_shape, dtype=dt)
-    diagonals = np.lib.stride_tricks.as_strided(
-        stack, (k, groups, rows, group),
-        (*stack.strides[:2], stack.strides[2] + stride * dt.itemsize, dt.itemsize))
-    diagonals[...] = taps.T.reshape(k, groups, 1, group)
-    prod = np.empty(prod_shape, dtype=dt)
-
-    # per kernel column: its index, the output columns it reaches, the input
-    # columns its products read (at least two when C == 1: a one-column
-    # product reads a neighbour column too), the product columns added, and
-    # the product's width in columns
-    cols = []
-    for j in range(k):
-        reach = _same_axis_ranges(W, Wp, lo + j, stride)
-        if reach is not None:
-            d0, d1, c = reach
-            span = (d1 - d0 - 1) * stride + 1
-            w = max(span, 2) if C == 1 else span
-            c0 = min(c, map_.shape[-2] - w)
-            kept = slice(c - c0, c - c0 + span, stride)
-            cols.append((j, slice(d0, d1), slice(c0, c0 + w), kept, w))
-
-    out = np.zeros((*lead, Hp, Wp, C), dtype=dt)
-    for b0 in range(0, Hp, rows):
-        m = min(rows, Hp - b0)
-        m2 = max(m, 2)  # a one-row product gets a second row, dropped
-        top = b0 * stride + lo  # input row of the band's first window row
-        band = out[..., b0:b0 + m, :, :]
-        for j, dst, src_cols, kept, w in cols:
-            for g in range(groups):
-                first = top + g * group
-                r0, r1 = max(0, -first), min((m - 1) * stride + group, H - first)
-                if r0 >= r1:
-                    continue
-                b = map_[..., first + r0:first + r1, src_cols, :]
-                t = prod[..., :m2, :w * C]
-                np.matmul(stack[j, g, :m2, r0:r1], b.reshape(*b.shape[:-2], w * C), out=t)
-                o = band[..., dst, :]
-                o += t[..., :m, :].reshape(*o.shape[:-2], w, C)[..., kept, :]
-    _record(ledger, "window_weighted_sum",
-            (prod.size + stack.size + 3 * min(np.getbufsize(), prod.size)) * dt.itemsize)
+    stack = np.zeros(plan.stack, dtype=dt)
+    stack.reshape(k, -1)[:, plan.fill] = kernel.T[:, None]  # kernel column j in stack[j]
+    prod = np.empty(plan.prod, dtype=dt)
+    terms = prod.reshape(*prod.shape[:-1], -1, out.shape[-1])  # product columns
+    rows = map_.reshape(*map_.shape[:-2], -1)  # input rows as matrix rows
+    for out_rows, prod_rows, kept_rows, reads in plan.bands:
+        for j, src, used, dst, kept in plan.cols:
+            band = out[..., out_rows, dst, :]
+            for g, taps_cols, in_rows in reads:
+                np.matmul(stack[j, g, prod_rows, taps_cols], rows[..., in_rows, src],
+                          out=prod[..., prod_rows, used])
+                band += terms[..., kept_rows, kept, :]
     return out
 
 
@@ -604,9 +598,7 @@ def load_qnat(path) -> np.ndarray:
         raise QnatFormatError(f"{path}: truncated dimension table")
     shape = struct.unpack_from(f"<{rank}I", blob, 8) if rank else ()
     dt = _QNAT_CODE_TO_DTYPE[code]
-    count = 1
-    for s in shape:
-        count *= s
+    count = math.prod(shape)
     expected = dims_end + count * dt.itemsize
     if len(blob) != expected:
         raise QnatFormatError(

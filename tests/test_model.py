@@ -19,12 +19,13 @@ from qna.model import (
     forward_inference,
     load_model,
     make_arch,
+    model_skeleton,
     qna_block_forward,
     save_model,
     vit_block_forward,
 )
 from qna.oracles import qna_window_oracle
-from qna.tensor import QnatFormatError, ShapeError, conv2d, layernorm, make_rng
+from qna.tensor import QnatFormatError, ShapeError, conv2d, layernorm, make_rng, save_qnat
 
 
 def _mini_arch(base_dim=8, vit=(0, 0, 1, 1), qna=(1, 1, 1, 0), classes=10, **kw):
@@ -435,6 +436,31 @@ def test_load_model_fills_an_undrawn_skeleton(tmp_path, monkeypatch):
     assert list(loaded) == list(want)
     for name, t in want.items():
         assert loaded[name].dtype == t.dtype and loaded[name].tobytes() == t.tobytes(), name
+
+
+def test_model_skeleton_draws_nothing_and_costs_the_same(monkeypatch):
+    arch = _mini_arch(classes=9)
+    want = count_flops(build_model(arch, seed=27), 32)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("model_skeleton drew random numbers")
+
+    monkeypatch.setattr(model_mod, "truncated_normal", no_draws)
+    monkeypatch.setattr(layer_mod, "truncated_normal", no_draws)
+    assert count_flops(model_skeleton(arch), 32) == want
+
+
+@pytest.mark.parametrize("stored,found", [
+    (np.zeros(9), "float64 of shape (9,)"),
+    (np.zeros(8, dtype=np.float32), "float32 of shape (8,)"),
+], ids=["dtype", "shape"])
+def test_load_names_a_mismatched_tensor_file(tmp_path, stored, found):
+    save_model(tmp_path / "m", build_model(_mini_arch(classes=9), seed=26))
+    path = tmp_path / "m" / "weights" / "head_b.qnat"
+    save_qnat(path, stored)
+    with pytest.raises(ShapeError) as info:
+        load_model(tmp_path / "m")
+    assert str(info.value) == f"{path}: tensor head_b is {found}, expected float32 of shape (9,)"
 
 
 def _saved_model_with_arch_json(tmp_path, edit, seed):

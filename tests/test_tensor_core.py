@@ -1,6 +1,7 @@
 """Tensor primitives against independent loop oracles, plus the allocation
 ledger contract and the QNAT container format."""
 
+import contextlib
 from fractions import Fraction
 from unittest import mock
 
@@ -211,18 +212,25 @@ def test_wws_zero_weights_are_exact_skips():
     )
 
 
+@contextlib.contextmanager
 def _bands_of(map_, k, stride, rows):
     """Patch the band rule so that window_weighted_sum on map_ with a size-k
     kernel cuts bands of ``rows`` output rows, or of as many as its
-    contraction bound allows if that is fewer."""
-    _, group, _, prod = tensor.wws_plan(map_.shape, k, stride, map_.itemsize)
-    macs = rows * ((rows - 1) * stride + group) * prod[-1]
-    return mock.patch.object(tensor, "WWS_GEMM_MACS", macs)
+    contraction bound allows if that is fewer. Plans are cached per shape,
+    so the cache is cleared on entry and on exit."""
+    plan = tensor.wws_plan(map_.shape, k, stride, map_.itemsize)
+    macs = rows * ((rows - 1) * stride + plan.group) * plan.prod[-1]
+    tensor.wws_plan.cache_clear()
+    try:
+        with mock.patch.object(tensor, "WWS_GEMM_MACS", macs):
+            yield
+    finally:
+        tensor.wws_plan.cache_clear()
 
 
 def _band_rows(map_, k, stride):
     """Output rows per band of window_weighted_sum on map_ under the current rule."""
-    return tensor.wws_plan(map_.shape, k, stride, map_.itemsize)[0]
+    return tensor.wws_plan(map_.shape, k, stride, map_.itemsize).rows
 
 
 def _assert_bands_bitwise(map_, kernel, stride, band_rows):
@@ -274,11 +282,26 @@ def test_wws_row_bands_match_one_band_bitwise(stride, lead, dtype):
 # the bound below which the BLAS adds a site's terms in order.
 @example(16, 1, 1, (), 2, 1, 16, np.float64)
 def test_wws_bands_property(H, W, C, lead, k, stride, rows, dtype):
-    # any band size gives the default result bitwise, and the loop's within rounding
+    # any band size gives the default result bitwise, and the loop's within
+    # rounding; the reduction's event is its wws_peak
     rng = make_rng(H * 1000 + W * 100 + k * 10 + stride)
     map_ = rng.standard_normal((*lead, H, W, C)).astype(dtype)
     kernel = rng.standard_normal((k, k)).astype(dtype)
     _assert_bands_bitwise(map_, kernel, stride, [rows])
+    ledger = AllocationLedger()
+    window_weighted_sum(map_, kernel, stride, ledger)
+    peak = tensor.wws_peak(map_.shape, k, stride, map_.itemsize) * map_.itemsize
+    assert ledger.events[-1] == ("window_weighted_sum", peak)
+
+
+def test_wws_plans_once_per_shape():
+    tensor.wws_plan.cache_clear()
+    rng = make_rng(61)
+    map_, kernel = rng.standard_normal((7, 5, 3)), rng.standard_normal((3, 3))
+    first = window_weighted_sum(map_, kernel, 2, AllocationLedger())
+    assert np.array_equal(window_weighted_sum(map_, kernel, 2), first)
+    info = tensor.wws_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -306,7 +329,7 @@ def test_wws_f64_k17_splits_kernel_rows():
     # an input row (20 * 2)
     rng = make_rng(60)
     map_ = rng.standard_normal((2, 30, 20, 2))
-    assert tensor.wws_plan(map_.shape, 17, 1, 8) == (7, 9, (17, 2, 7, 15), (2, 7, 40))
+    assert tensor.wws_plan(map_.shape, 17, 1, 8)[:4] == (7, 9, (17, 2, 7, 15), (2, 7, 40))
     for stride in (1, 2):
         _assert_bands_bitwise(map_, rng.standard_normal((17, 17)), stride, (1, 3, 7))
 
