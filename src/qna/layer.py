@@ -28,15 +28,15 @@ not grow with the map.
 The concatenated heads z are projected by W_O. Out-of-bounds window
 positions carry exactly zero weight because the exponentiated maps are never
 padded with fabricated keys (masked softmax).
-``_window_sums`` is that per-query core; the forward pass, the upsampling
-head, the heatmap and the backward pass all run on it.
+``_window_sums`` is that per-query core, which builds E_l right before its
+reductions; the forward pass, the upsampling head and the backward pass all
+run on it. The heatmap builds only the one map it draws.
 
 A training step runs the forward once. ``qna_vjp`` returns the output with
-a pullback, and keeps what its forward computed (the exponentiated scores,
-the values, the kernels and each query's quotient, normalizer and weighted
-values) for the pullback, which recomputes none of it. ``qna_backward`` is
-that pullback applied to one d_out; ``qna_forward`` keeps nothing past its
-projection.
+a pullback, and keeps what its forward computed (the values, the kernels
+and each query's quotient, normalizer, weighted values and E_l) for the
+pullback, which recomputes none of it. ``qna_backward`` is that pullback
+applied to one d_out; ``qna_forward`` keeps nothing past its projection.
 
 Samples are just more rows of the same reductions, so ``qna_forward``,
 ``qna_vjp`` and ``qna_backward`` take an optional leading batch axis: x is
@@ -58,14 +58,13 @@ import numpy as np
 from .tensor import (
     AllocationLedger,
     NumericalRangeError,
-    QnatFormatError,
     ShapeError,
     TensorSet,
     _record,
     check_dtype,
     check_manifest,
     dtype_tag,
-    load_qnat,
+    fill_tensors,
     make_rng,
     read_config,
     require_finite,
@@ -226,24 +225,17 @@ def _reduction_kernels(cfg: QnAConfig, params: QnAParams):
     return num_k, exp_b
 
 
-def _scores_from_map(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Score maps S[..., i, j, l, g] = A[l, g] . x[..., i, j], laid out
-    [N x] H x W x L x heads."""
+def _exp_scores(x, a_l: np.ndarray) -> np.ndarray:
+    """E_l = exp(S_l - max S_l), [N x] H x W x heads, with S_l = a_l . x for
+    one query's fold ``a_l`` (heads x dim_in) and one max per sample and head
+    over that sample's sites, -inf where it has none."""
     # Sites-as-rows orientation: each site's score row depends only on that
     # site's input vector, which keeps the per-site reduction order (and so
     # the shift-equivariance guarantee, and the equality of a batched call
     # with per-sample calls) independent of the site's position.
-    L, h, Din = a.shape
-    flat = x.reshape(-1, Din) @ np.ascontiguousarray(a.reshape(L * h, Din).T)
-    return flat.reshape(*x.shape[:-1], L, h)
-
-
-def _exp_scores(x, a: np.ndarray) -> np.ndarray:
-    """E = exp(S - max S) for the query/key fold ``a`` (L x heads x dim_in),
-    [N x] H x W x L x heads, with one max per sample and (query, head) over
-    that sample's sites, -inf where it has none. E reuses the score buffer."""
-    e = _scores_from_map(a, x)
-    e -= e.max(axis=(-4, -3), keepdims=True, initial=-np.inf)
+    h, Din = a_l.shape
+    e = (x.reshape(-1, Din) @ np.ascontiguousarray(a_l.T)).reshape(*x.shape[:-1], h)
+    e -= e.max(axis=(-3, -2), keepdims=True, initial=-np.inf)
     np.exp(e, out=e)
     return e
 
@@ -264,36 +256,38 @@ def _normalizer(e_l, den_kernel, stride: int, ledger) -> np.ndarray:
     return den
 
 
-def _window_sums(e_l, v, num_kernel, den_kernel, stride: int, ledger):
+def _window_sums(x, a_l, v, num_kernel, den_kernel, stride: int, ledger):
     """Per-window softmax quotients of one query, with its heads as channels.
 
-    ``e_l`` ([N x] H x W x heads) holds the query's stabilized exponentials
-    and ``v`` ([N x] H x W x heads x head_dim) the values. All heads of a
-    query share its k x k kernels, so two window reductions serve every head:
+    ``a_l`` (heads x dim_in) is the query's fold, from which its stabilized
+    exponentials E_l ([N x] H x W x heads) are built here, and ``v``
+    ([N x] H x W x heads x head_dim) holds the values. All heads of a query
+    share its k x k kernels, so two window reductions serve every head:
 
         quotient = WWS(E_l * V ; num_kernel) / WWS(E_l ; den_kernel)
 
-    Returns (quotient, normalizer, weighted values) of shapes
-    [N x] H' x W' x heads x head_dim, [N x] H' x W' x heads x 1 and
-    [N x] H x W x heads*head_dim. A normalizer that underflowed to zero is an
-    error.
+    Returns (quotient, normalizer, weighted values, E_l) of shapes
+    [N x] H' x W' x heads x head_dim, [N x] H' x W' x heads x 1,
+    [N x] H x W x heads*head_dim and [N x] H x W x heads. A normalizer that
+    underflowed to zero is an error.
     """
     *sites, h, dh = v.shape
+    e_l = _exp_scores(x, a_l)
     den = _normalizer(e_l, den_kernel, stride, ledger)
     ev = (e_l[..., None] * v).reshape(*sites, h * dh)
     quotient = window_weighted_sum(ev, num_kernel, stride, ledger).reshape(*den.shape, dh)
     den = den[..., None]
     np.divide(quotient, den, out=quotient)
-    return quotient, den, ev
+    return quotient, den, ev, e_l
 
 
 def _layer_maps(x, cfg: QnAConfig, params: QnAParams):
-    """The forward's steps ahead of its window reductions, after validating
-    the inputs: (query/key fold A, exponentiated scores E, values V,
-    numerator kernels, denominator kernels)."""
+    """The forward's steps ahead of its per-query window reductions, after
+    validating the inputs: (query/key fold A, values V, numerator kernels,
+    denominator kernels)."""
     _validate_layer_inputs(x, cfg, params)
-    a = _query_key_map(cfg, params)
-    return (a, _exp_scores(x, a), _values(x, cfg, params), *_reduction_kernels(cfg, params))
+    return (_query_key_map(cfg, params), _values(x, cfg, params),
+            *_reduction_kernels(cfg, params))
 
 
 def _project(y: np.ndarray, cfg: QnAConfig, params: QnAParams) -> np.ndarray:
@@ -330,24 +324,24 @@ def qna_forward(
     reductions per query; the mixing weights fold into the numerator's
     reduction kernel.
     """
-    _, e, v, num_k, den_k = _layer_maps(x, cfg, params)
+    a, v, num_k, den_k = _layer_maps(x, cfg, params)
 
     def quotient(l):
-        return _window_sums(e[..., l, :], v, num_k[l], den_k[l], cfg.stride, ledger)[0]
+        return _window_sums(x, a[l], v, num_k[l], den_k[l], cfg.stride, ledger)[0]
 
     y = quotient(0)  # its buffer accumulates the other queries' quotients
     for l in range(1, cfg.num_queries):
         y += quotient(l)
 
     # The ledger counts the heap high-water mark above the output. The mark
-    # is reached inside a numerator reduction: the exponentiated scores, the
-    # values, one query's weighted values, its normalizer and numerator, the
+    # is reached inside a numerator reduction: the values, one query's
+    # exponentiated scores, weighted values, normalizer and numerator, the
     # accumulator when there are earlier queries, the reduction's own
     # transients and the reduction kernels. Map sizes count the sites of
     # every sample.
     L, h, D = cfg.num_queries, cfg.heads, cfg.dim_out
     n, n_out = x.size // cfg.dim_in, y.size // D
-    peak = (n * (L * h + 2 * D) + n_out * (h + (2 if L > 1 else 1) * D)
+    peak = (n * (h + 2 * D) + n_out * (h + (2 if L > 1 else 1) * D)
             + wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize) + 2 * L * cfg.k * cfg.k)
     _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
     return _project(y, cfg, params)
@@ -371,7 +365,7 @@ def qna_upsample_forward(
     s = math.isqrt(cfg.num_queries)
     if s * s != cfg.num_queries:
         raise ShapeError(f"num_queries {cfg.num_queries} must be a perfect square")
-    _, e, v, _, den_k = _layer_maps(x, cfg, params)
+    a, v, _, den_k = _layer_maps(x, cfg, params)
 
     H, W, _ = x.shape
     L, h, D = cfg.num_queries, cfg.heads, cfg.dim_out
@@ -381,11 +375,11 @@ def qna_upsample_forward(
         # so projecting holds less than the reduction before it (the ledger's
         # peak).
         out[:, l // s, :, l % s] = _project(
-            _window_sums(e[:, :, l], v, den_k[l], den_k[l], 1, ledger)[0], cfg, params)
+            _window_sums(x, a[l], v, den_k[l], den_k[l], 1, ledger)[0], cfg, params)
 
     transient = (
-        H * W * (L * h + D)             # exponentiated scores, values
-        + H * W * (h + 2 * D)           # a query's normalizer, weighted values, numerator
+        H * W * D                       # values
+        + H * W * (2 * h + 2 * D)       # a query's scores, normalizer, weighted values, numerator
         + wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
         + 2 * L * cfg.k * cfg.k         # reduction kernels
     ) * x.dtype.itemsize
@@ -444,11 +438,10 @@ def qna_vjp(
 
     x is [N x] H x W x dim_in and d_out has the output's shape. d_input has
     x's shape; each parameter gradient is the sum over the batch. The
-    forward keeps a tape: the exponentiated scores, the values, the
-    reduction kernels and each query's (quotient, normalizer, weighted
-    values) from its window reductions. The pullback reads the tape and
-    recomputes none of it, and leaves it unchanged, so it may be called more
-    than once. ``params`` must not change between the call and its
+    forward keeps a tape: the values, the reduction kernels and each query's
+    (quotient, normalizer, weighted values, exponentiated scores E_l) from
+    its window reductions. The pullback reads the tape and recomputes none of
+    it, and leaves it unchanged, so it may be called more than once. ``params`` must not change between the call and its
     pullbacks. The forward records its heap high-water mark in ``ledger``,
     and so does each pullback.
 
@@ -458,13 +451,13 @@ def qna_vjp(
     enters through its Jacobian: projection onto the tangent of the unit
     sphere, scaled by the inverse raw norm.
     """
-    a, e, v, num_k, exp_b = _layer_maps(x, cfg, params)
-    tape = [_window_sums(e[..., l, :], v, num_k[l], exp_b[l], cfg.stride, ledger)
+    a, v, num_k, exp_b = _layer_maps(x, cfg, params)
+    tape = [_window_sums(x, a[l], v, num_k[l], exp_b[l], cfg.stride, ledger)
             for l in range(cfg.num_queries)]
     # Summed in query order as in qna_forward, but in a buffer of its own:
     # the tape keeps query 0's quotient.
     y = tape[0][0].copy() if len(tape) > 1 else tape[0][0]
-    for ratio, _, _ in tape[1:]:
+    for ratio, *_ in tape[1:]:
         y += ratio
     out = _project(y, cfg, params)
     out_shape = out.shape  # the pullback reads this, so that it does not hold the output
@@ -473,8 +466,8 @@ def qna_vjp(
     L, h, dh, Dout, k = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out, cfg.k
     # The ledger counts heap high-water marks from the start of this call:
     # the forward's above its output, the pullback's above its gradients.
-    # Both hold the tape: the exponentiated scores, the values, the kernels
-    # and every query's quotient, normalizer and weighted values. The
+    # Both hold the tape: the values, the kernels and every query's
+    # quotient, normalizer, weighted values and exponentiated scores. The
     # forward's mark is reached inside the last numerator reduction or while
     # projecting the summed quotients. Map sizes count the sites of every
     # sample.
@@ -498,45 +491,43 @@ def qna_vjp(
         g_flat = d_out.reshape(-1, Dout)
         d_y = (g_flat @ params.w_o.T).reshape(*out_shape[:-1], h, dh)
         d_w_o = np.zeros_like(params.w_o)
-        for ratio, _, _ in tape:
+        for ratio, *_ in tape:
             d_w_o += ratio.reshape(-1, Dout).T @ g_flat  # the output sums the quotients
         d_b_o = g_flat.sum(axis=0)
         del g_flat
-        d_e = np.empty_like(e)
+        x2 = x.reshape(-1, Din)
+        d_input = np.zeros_like(x2)
+        d_a = np.empty_like(a)
         d_v = np.zeros_like(v)
         d_mix = np.empty_like(params.mix)
         d_exp_b = np.empty_like(exp_b)
 
         # One pass per query over all its heads. The kernel adjoints sum over
         # channels, which is the sum over the heads sharing the kernel.
-        for l, (ratio, den, ev) in enumerate(tape):
-            e_l = e[..., l, :]
+        for l, (ratio, den, ev, e_l) in enumerate(tape):
             d_num = (d_y / den).reshape(out_shape)
             d_den = -np.einsum("...d,...d->...", d_y, ratio) / den[..., 0]
 
             d_ev = _wws_grad_map(d_num, num_k[l], cfg.stride, (H, W)).reshape(v.shape)
             d_nk = _wws_grad_kernel(d_num, ev, k, cfg.stride)
-            d_e1 = _wws_grad_map(d_den, exp_b[l], cfg.stride, (H, W))
+            d_s_l = _wws_grad_map(d_den, exp_b[l], cfg.stride, (H, W))
             d_dk = _wws_grad_kernel(d_den, e_l, k, cfg.stride)
 
-            d_e_l = np.einsum("...d,...d->...", d_ev, v, out=d_e[..., l, :])
-            d_e_l += d_e1
+            d_s_l += np.einsum("...d,...d->...", d_ev, v)
             d_ev *= e_l[..., None]  # in place: the value-map adjoint's last use
             d_v += d_ev
+            del d_num, d_den, d_ev  # free before the input gradient's product
+            # Through E_l; its max shift has zero total derivative because the
+            # normalized output is invariant to it.
+            d_s_l *= e_l
+            d_s_l = d_s_l.reshape(-1, h)
+            d_a[l] = d_s_l.T @ x2
+            d_input += d_s_l @ a[l]
             d_mix[l] = (d_nk * exp_b[l]).ravel()
             d_exp_b[l] = d_nk * mix_k[l] + d_dk
-            del d_num, d_den, d_ev, d_e1  # free before the next query
+            del d_s_l  # free before the next query
 
         d_bias = d_exp_b * exp_b
-
-        # Through the stabilized exponentials; the per-sample max shift has
-        # zero total derivative because the normalized output is invariant
-        # to it.
-        d_e *= e
-        d_s = d_e.reshape(-1, L * h)
-
-        x2 = x.reshape(-1, Din)
-        d_a = (d_s.T @ x2).reshape(L, h, Din)
 
         scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
         q_used = used_queries(params)
@@ -553,21 +544,19 @@ def qna_vjp(
         d_v2 = d_v.reshape(-1, Dout)
         d_w_v = x2.T @ d_v2
         d_b_v = d_v2.sum(axis=0)
-        d_input = d_s @ a.reshape(L * h, Din)
         d_input += d_v2 @ params.w_v.T
 
         # The pullback's mark is reached inside a query's map adjoints (the
-        # scores' and values' gradients, d_y, the query's normalizer
-        # gradient, the numerator and value-map adjoints, plus the adjoint's
-        # window reduction and, at stride above 1, its grid; the second
-        # adjoint also holds its result) or at the end (the input gradient
-        # and one product beside the gradients).
+        # values' gradient, d_y, the query's numerator and normalizer
+        # gradients, the value-map adjoint, plus the adjoint's window
+        # reduction and, at stride above 1, its grid; the second adjoint also
+        # holds its result) or in a product into the input gradient (the
+        # product, the values' gradient, d_y and the query's score gradient).
         adj_ev, adj_e = (_wws_grad_map_peak((*lead, H, W, c), k, cfg.stride, x.itemsize)
                          for c in (Dout, h))
-        in_loop = (n * (L * h + 2 * Dout - Din) + n_out * (2 * Dout + h)
-                   + max(adj_ev, n * h + adj_e))
-        at_end = n * (L * h + Dout + Din) + n_out * Dout
-        _record(ledger, "qna_vjp.pullback", (kept + max(in_loop, at_end)) * x.dtype.itemsize)
+        in_loop = n * 2 * Dout + n_out * (2 * Dout + h) + max(adj_ev, n * h + adj_e)
+        in_product = n * (h + Dout + Din) + n_out * Dout
+        _record(ledger, "qna_vjp.pullback", (kept + max(in_loop, in_product)) * x.dtype.itemsize)
         return GradBundle(
             d_input=d_input.reshape(x.shape),
             d_w_k=d_w_k,
@@ -616,8 +605,7 @@ def attention_heatmap(
         raise IndexError(f"head_index {head_index} out of range [0, {cfg.heads})")
     _validate_layer_inputs(x, cfg, params)
     # Only the chosen (query, head) score map is built.
-    a = _query_key_map(cfg, params)[query_index : query_index + 1, head_index : head_index + 1]
-    e = _exp_scores(x, a)[:, :, 0]
+    e = _exp_scores(x, _query_key_map(cfg, params)[query_index, head_index : head_index + 1])
     H, W, _ = e.shape
     _, den_k = _reduction_kernels(cfg, params)
     dk = den_k[query_index]
@@ -625,8 +613,9 @@ def attention_heatmap(
     # Each site's weight in window w is e[site] * kernel[site - w] / den[w];
     # summing over the windows containing the site is the reduction's map
     # adjoint applied to 1/den.
-    heat = _wws_grad_map(1.0 / den, dk, 1, (H, W))[:, :, 0]
-    heat *= e[:, :, 0]
+    heat = _wws_grad_map(1.0 / den, dk, 1, (H, W))
+    heat *= e
+    heat = heat.reshape(H, W)
     # The ledger counts the heap high-water mark above the output. The mark
     # is reached inside the normalizer's reduction (the chosen exponentiated
     # score map, the normalizer and the reduction's own transients) or the
@@ -691,9 +680,6 @@ def load_params(dirpath) -> tuple[QnAConfig, QnAParams]:
     path = os.path.join(dirpath, "config.json")
     cfg, dtype, names = read_config(path, QnAConfig)
     check_manifest(path, names, [f.name for f in fields(QnAParams)])
-    params = QnAParams(**{name: load_qnat(os.path.join(dirpath, f"{name}.qnat")) for name in names})
-    params.validate(cfg)
-    if params.dtype != dtype:
-        raise QnatFormatError(
-            f"{path}: key 'dtype' says {dtype_tag(dtype)}, the tensors are {params.dtype}")
+    params = draw_params(cfg, lambda shape: np.empty(shape, dtype=dtype), dtype)
+    fill_tensors(dirpath, params.tensors())
     return cfg, params

@@ -29,8 +29,8 @@ from .tensor import (
     check_manifest,
     conv2d,
     dtype_tag,
+    fill_tensors,
     layernorm,
-    load_qnat,
     make_rng,
     matmul,
     read_config,
@@ -569,12 +569,5 @@ def load_model(dirpath) -> Model:
     model = model_skeleton(arch, dtype)
     named = model.named_tensors()
     check_manifest(path, names, sorted(named))
-    weights = os.path.join(dirpath, "weights")
-    for name, t in named.items():
-        tensor_path = os.path.join(weights, f"{name}.qnat")
-        loaded = load_qnat(tensor_path)
-        if loaded.shape != t.shape or loaded.dtype != t.dtype:
-            raise ShapeError(f"{tensor_path}: tensor {name} is {loaded.dtype} of shape "
-                             f"{loaded.shape}, expected {t.dtype} of shape {t.shape}")
-        t[...] = loaded
+    fill_tensors(os.path.join(dirpath, "weights"), named)
     return model

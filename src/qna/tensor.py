@@ -8,8 +8,9 @@ normalization. The ones that allocate scratch accept an
 optional :class:`AllocationLedger` and record the transient buffers, which is
 what the complexity benchmark uses to verify memory claims. Saved tensor
 sets live here too: the QNAT container, :class:`TensorSet` (named tensors
-from a dataclass's fields) and :func:`read_config` (the one decoder of a
-saved bundle's JSON document).
+from a dataclass's fields), :func:`read_config` (the one decoder of a
+saved bundle's JSON document) and :func:`fill_tensors` (the one reader of
+its tensor files).
 
 Conventions shared by every windowed operation:
 
@@ -35,6 +36,7 @@ import collections
 import functools
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import dataclass, field, fields
@@ -422,7 +424,9 @@ def window_weighted_sum(
     shape, k, dt = map_.shape, kernel.shape[0], map_.dtype
     plan = wws_plan(shape, k, stride, dt.itemsize)
     if plan.pad:
-        map_ = np.pad(map_, [*[(0, 0)] * (map_.ndim - 2), (0, 1), (0, 0)])
+        padded = np.zeros((*shape[:-2], 2, 1), dtype=dt)
+        padded[..., :1, :] = map_
+        map_ = padded
         _record(ledger, "window_weighted_sum.pad", map_.nbytes)
     elif not map_.flags.c_contiguous:
         map_ = np.ascontiguousarray(map_)
@@ -606,3 +610,15 @@ def load_qnat(path) -> np.ndarray:
     flat = np.frombuffer(blob, dtype=dt, offset=dims_end, count=count)
     native = np.float32 if code == 0 else np.float64
     return flat.astype(native).reshape(shape)
+
+
+def fill_tensors(dirpath, named: dict[str, np.ndarray]) -> None:
+    """Fill each array of ``named`` in place from ``<dirpath>/<name>.qnat``;
+    a file of another dtype or shape raises ShapeError naming it."""
+    for name, t in named.items():
+        path = os.path.join(dirpath, f"{name}.qnat")
+        loaded = load_qnat(path)
+        if loaded.shape != t.shape or loaded.dtype != t.dtype:
+            raise ShapeError(f"{path}: tensor {name} is {loaded.dtype} of shape "
+                             f"{loaded.shape}, expected {t.dtype} of shape {t.shape}")
+        t[...] = loaded

@@ -23,8 +23,8 @@ from qna.layer import (
     used_queries,
 )
 from qna.layer import (
+    _exp_scores,
     _query_key_map,
-    _scores_from_map,
     _wws_grad_kernel,
     _wws_grad_map,
 )
@@ -36,7 +36,9 @@ from qna.tensor import (
     WWS_GEMM_BYTES,
     ShapeError,
     make_rng,
+    same_window_slices,
     window_weighted_sum,
+    wws_plan,
 )
 
 
@@ -113,20 +115,23 @@ def test_zero_norm_query_is_rejected():
 
 
 def test_scores_match_unfused_loops():
+    # each query's map holds exp(S - max S), one max per head
     rng = make_rng(3)
     cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=3, dim_in=5, dim_out=8)
     params = _rand_params(cfg, rng)
     x = rng.standard_normal((4, 6, 5))
-    s = _scores_from_map(_query_key_map(cfg, params), x)
-    assert s.shape == (4, 6, 3, 2)
+    a = _query_key_map(cfg, params)
     q = used_queries(params) / np.sqrt(cfg.head_dim)
     for l in range(3):
+        e = _exp_scores(x, a[l])
+        assert e.shape == (4, 6, 2)
         for g in range(2):
+            s = np.empty((4, 6))
             for i in range(4):
                 for j in range(6):
                     keys = x[i, j] @ params.w_k
-                    want = q[l, g * 4 : (g + 1) * 4] @ keys[g * 4 : (g + 1) * 4]
-                    assert abs(s[i, j, l, g] - want) < 1e-12
+                    s[i, j] = q[l, g * 4 : (g + 1) * 4] @ keys[g * 4 : (g + 1) * 4]
+            assert np.max(np.abs(e[:, :, g] - np.exp(s - s.max()))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +366,36 @@ def test_forward_ledger_aggregate_is_k_independent_up_to_kernels():
 
 
 def test_forward_ledger_event_names():
-    # all heads of a query share one numerator and one normalizer reduction
+    # all heads of a query share one numerator and one normalizer reduction,
+    # and on a contiguous x no window reduction copies its map: the forward,
+    # the training forward and its pullback each build every query's map
+    # contiguous
     rng = make_rng(13)
     for heads in (1, 4):
         cfg = QnAConfig(k=3, stride=1, heads=heads, num_queries=3, dim_in=3, dim_out=4)
         params = init_params(cfg, rng)
+        x = np.zeros((4, 4, 3))
         ledger = AllocationLedger()
-        qna_forward(np.zeros((4, 4, 3)), cfg, params, ledger)
+        qna_forward(x, cfg, params, ledger)
         names = [name for name, _ in ledger.events]
         assert "qna_forward" in names
         assert names.count("window_weighted_sum") == 2 * cfg.num_queries
+        assert "window_weighted_sum.copy" not in names
+        ledger = AllocationLedger()
+        out, pullback = qna_vjp(x, cfg, params, ledger)
+        pullback(np.ones_like(out))
+        names = [name for name, _ in ledger.events]
+        assert {"qna_vjp", "qna_vjp.pullback"} <= set(names)
+        assert "window_weighted_sum.copy" not in names
 
 
 def _assert_ledger_matches_heap_peak(call):
-    # the ledger's transient is the call's heap high-water mark above its output
+    # the ledger's transient is the call's heap high-water mark above its
+    # output. The per-shape caches are cleared first, so that every case is a
+    # first call, whatever ran before it: their entries are built inside the
+    # call and count in its heap peak.
+    wws_plan.cache_clear()
+    same_window_slices.cache_clear()
     ledger = AllocationLedger()
     tracemalloc.start()
     try:
@@ -770,10 +791,12 @@ def test_heatmap_matches_oracle_attention_sums():
     params = _rand_params(cfg, rng)
     H, W = 4, 5
     x = rng.standard_normal((H, W, 3))
-    scores = _scores_from_map(_query_key_map(cfg, params), x)
+    q = used_queries(params) / np.sqrt(cfg.head_dim)
+    keys = x @ params.w_k
+    dh = cfg.head_dim
     for l in range(cfg.num_queries):
         for g in range(cfg.heads):
-            s = scores[:, :, l, g]
+            s = keys[:, :, g * dh : (g + 1) * dh] @ q[l, g * dh : (g + 1) * dh]
             want = np.zeros((H, W))
             for i in range(H):
                 for j in range(W):
@@ -847,7 +870,8 @@ def test_load_rejects_mismatched_tensor(tmp_path):
     from qna.tensor import save_qnat
 
     save_qnat(tmp_path / "layer" / "w_k.qnat", np.zeros((9, 9)))
-    with pytest.raises(ShapeError):
+    # the error names the file, as load_model's does
+    with pytest.raises(ShapeError, match=r"w_k\.qnat: .* shape \(9, 9\), expected .* \(3, 4\)"):
         load_params(tmp_path / "layer")
 
 
@@ -884,10 +908,14 @@ def test_load_rejects_unknown_config_key(tmp_path):
         load_params(_saved_layer_with_config(tmp_path, lambda doc: {**doc, "retired_flag": False}))
 
 
-@pytest.mark.parametrize("tag", ["f16", None, "f32"])
-def test_load_rejects_unknown_or_wrong_dtype_tag(tmp_path, tag):
-    # "f32" is a known tag, but these tensors are float64
-    with pytest.raises(QnatFormatError):
+@pytest.mark.parametrize("tag,error,match", [
+    ("f16", QnatFormatError, "'dtype'"),
+    (None, QnatFormatError, "'dtype'"),
+    # a known tag, but these tensors are float64: the first file read is named
+    ("f32", ShapeError, "w_k.qnat"),
+], ids=["f16", "None", "f32"])
+def test_load_rejects_unknown_or_wrong_dtype_tag(tmp_path, tag, error, match):
+    with pytest.raises(error, match=match):
         load_params(_saved_layer_with_config(tmp_path, lambda doc: {**doc, "dtype": tag}))
 
 

@@ -31,3 +31,22 @@ def test_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_private_function_has_a_caller():
+    # a private module-level function that no module of the package refers
+    # to is a leftover of a refactor; tests do not count as callers
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(qna.__file__).parent.glob("*.py"))}
+    referred = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    uncalled = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and not node.name.startswith("__") and node.name not in referred]
+    assert uncalled == []
