@@ -66,11 +66,11 @@ from .tensor import (
     dtype_tag,
     fill_tensors,
     make_rng,
+    random_draw,
     read_config,
     require_finite,
     same_window_slices,
     save_qnat,
-    truncated_normal,
     window_weighted_sum,
     wws_peak,
 )
@@ -638,12 +638,13 @@ def init_params(cfg: QnAConfig, seed, dtype=np.float64) -> QnAParams:
     ``seed`` is an integer or an already-constructed numpy Generator (a
     caller may thread one generator through many layers)."""
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
-    return draw_params(cfg, lambda shape: truncated_normal(rng, shape, dtype=dtype), dtype)
+    return draw_params(cfg, random_draw(rng, dtype))
 
 
-def draw_params(cfg: QnAConfig, draw, dtype) -> QnAParams:
-    """Layer tensors with the fixed values of :func:`init_params`; each
-    drawn tensor (w_k, w_v, w_o, queries, in that order) is ``draw(shape)``."""
+def draw_params(cfg: QnAConfig, draw) -> QnAParams:
+    """Layer tensors with the fixed values of :func:`init_params`, each made
+    by ``draw(shape, value)``; the drawn ones (value None) are w_k, w_v, w_o
+    and queries, in that order."""
     L, k = cfg.num_queries, cfg.k
     w_k = draw((cfg.dim_in, cfg.dim_out))
     w_v = draw((cfg.dim_in, cfg.dim_out))
@@ -652,12 +653,12 @@ def draw_params(cfg: QnAConfig, draw, dtype) -> QnAParams:
     return QnAParams(
         w_k=w_k,
         w_v=w_v,
-        b_v=np.zeros(cfg.dim_out, dtype=dtype),
+        b_v=draw((cfg.dim_out,), 0.0),
         w_o=w_o,
-        b_o=np.zeros(cfg.dim_out, dtype=dtype),
+        b_o=draw((cfg.dim_out,), 0.0),
         queries=queries,
-        mix=np.full((L, k * k), 1.0 / L, dtype=dtype),
-        bias=np.zeros((L, k, k), dtype=dtype),
+        mix=draw((L, k * k), 1.0 / L),
+        bias=draw((L, k, k), 0.0),
     )
 
 
@@ -680,6 +681,4 @@ def load_params(dirpath) -> tuple[QnAConfig, QnAParams]:
     path = os.path.join(dirpath, "config.json")
     cfg, dtype, names = read_config(path, QnAConfig)
     check_manifest(path, names, [f.name for f in fields(QnAParams)])
-    params = draw_params(cfg, lambda shape: np.empty(shape, dtype=dtype), dtype)
-    fill_tensors(dirpath, params.tensors())
-    return cfg, params
+    return cfg, fill_tensors(dirpath, lambda draw: draw_params(cfg, draw), dtype)

@@ -24,6 +24,7 @@ from .layer import QnAConfig, QnAParams, draw_params, qna_forward
 from .tensor import (
     AllocationLedger,
     ShapeError,
+    _record,
     TensorSet,
     check_dtype,
     check_manifest,
@@ -33,12 +34,13 @@ from .tensor import (
     layernorm,
     make_rng,
     matmul,
+    random_draw,
     read_config,
     require_finite,
     same_output_size,
     save_qnat,
+    shape_draw,
     softmax_rows,
-    truncated_normal,
 )
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,9 @@ from .tensor import (
 PATCH_SIZE = 4
 # Hidden width of every feed-forward sub-block, as a multiple of its input.
 FFN_EXPANSION = 4
+# Rows of the feed-forward hidden map computed at a time: two buffers of
+# FFN_TILE_ROWS x hidden stay in cache across W1, the GELU and W2.
+FFN_TILE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,9 @@ class Model(TensorSet):
     def dtype(self) -> np.dtype:
         return self.patch_w.dtype
 
-    def named_tensors(self) -> dict[str, np.ndarray]:
+    def tensors(self) -> dict[str, np.ndarray]:
         """Every tensor of the model, each block's under ``stage{i}.block{j}.``."""
-        out = self.tensors()
+        out = super().tensors()
         for i, blocks in enumerate(self.stages):
             for j, blk in enumerate(blocks):
                 out.update({f"stage{i}.block{j}.{name}": t for name, t in blk.tensors().items()})
@@ -206,46 +211,47 @@ class Model(TensorSet):
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-# Every builder below takes ``draw(shape)``, which makes each drawn tensor in
-# the order of the determinism contract: build_model draws them from one
-# seeded generator, load_model only allocates them before filling them from
-# disk.
+# Every builder below makes each tensor with ``draw(shape, value=None)``: a
+# tensor filled with ``value``, or a drawn one where value is None, drawn in
+# the order of the determinism contract. build_model draws them from one
+# seeded generator, model_skeleton makes shape-only placeholders, and
+# load_model fills empty arrays from disk.
 
 
-def _init_ffn(draw, dim: int, dtype) -> FfnParams:
+def _init_ffn(draw, dim: int) -> FfnParams:
     hidden = FFN_EXPANSION * dim
     return FfnParams(
         w1=draw((dim, hidden)),
-        b1=np.zeros(hidden, dtype=dtype),
+        b1=draw((hidden,), 0.0),
         w2=draw((hidden, dim)),
-        b2=np.zeros(dim, dtype=dtype),
+        b2=draw((dim,), 0.0),
     )
 
 
-def _init_vit_block(draw, dim: int, heads: int, dtype) -> BlockParams:
+def _init_vit_block(draw, dim: int, heads: int) -> BlockParams:
     msa = MsaParams(
         heads=heads,
         w_q=draw((dim, dim)),
-        b_q=np.zeros(dim, dtype=dtype),
+        b_q=draw((dim,), 0.0),
         w_k=draw((dim, dim)),
-        b_k=np.zeros(dim, dtype=dtype),
+        b_k=draw((dim,), 0.0),
         w_v=draw((dim, dim)),
-        b_v=np.zeros(dim, dtype=dtype),
+        b_v=draw((dim,), 0.0),
         w_o=draw((dim, dim)),
-        b_o=np.zeros(dim, dtype=dtype),
+        b_o=draw((dim,), 0.0),
     )
     return BlockParams(
-        ln1_g=np.ones(dim, dtype=dtype),
-        ln1_b=np.zeros(dim, dtype=dtype),
-        ln2_g=np.ones(dim, dtype=dtype),
-        ln2_b=np.zeros(dim, dtype=dtype),
-        ffn=_init_ffn(draw, dim, dtype),
+        ln1_g=draw((dim,), 1.0),
+        ln1_b=draw((dim,), 0.0),
+        ln2_g=draw((dim,), 1.0),
+        ln2_b=draw((dim,), 0.0),
+        ffn=_init_ffn(draw, dim),
         msa=msa,
     )
 
 
 def _init_qna_block(draw, dim_in: int, dim_out: int, heads: int, stride: int,
-                    arch: ArchConfig, dtype) -> BlockParams:
+                    arch: ArchConfig) -> BlockParams:
     cfg = QnAConfig(
         k=arch.window,
         stride=stride,
@@ -254,17 +260,17 @@ def _init_qna_block(draw, dim_in: int, dim_out: int, heads: int, stride: int,
         dim_in=dim_in,
         dim_out=dim_out,
     )
-    qna = draw_params(cfg, draw, dtype)
+    qna = draw_params(cfg, draw)
     skip_w = skip_b = None
     if stride != 1:
         skip_w = draw((dim_in, dim_out))
-        skip_b = np.zeros(dim_out, dtype=dtype)
+        skip_b = draw((dim_out,), 0.0)
     return BlockParams(
-        ln1_g=np.ones(dim_in, dtype=dtype),
-        ln1_b=np.zeros(dim_in, dtype=dtype),
-        ln2_g=np.ones(dim_out, dtype=dtype),
-        ln2_b=np.zeros(dim_out, dtype=dtype),
-        ffn=_init_ffn(draw, dim_out, dtype),
+        ln1_g=draw((dim_in,), 1.0),
+        ln1_b=draw((dim_in,), 0.0),
+        ln2_g=draw((dim_out,), 1.0),
+        ln2_b=draw((dim_out,), 0.0),
+        ffn=_init_ffn(draw, dim_out),
         qna_cfg=cfg,
         qna=qna,
         skip_w=skip_w,
@@ -272,25 +278,25 @@ def _init_qna_block(draw, dim_in: int, dim_out: int, heads: int, stride: int,
     )
 
 
-def _stage_blocks(draw, arch: ArchConfig, i: int, dtype) -> list[BlockParams]:
+def _stage_blocks(draw, arch: ArchConfig, i: int) -> list[BlockParams]:
     dim = arch.stage_dims[i]
     n_local = arch.qna_blocks[i]
     has_ds = i < 3 and n_local > 0
     n_stride1 = n_local - 1 if has_ds else n_local
 
     local = [
-        _init_qna_block(draw, dim, dim, arch.qna_heads[i], 1, arch, dtype)
+        _init_qna_block(draw, dim, dim, arch.qna_heads[i], 1, arch)
         for _ in range(n_stride1)
     ]
     glob = [
-        _init_vit_block(draw, dim, arch.sa_heads[i], dtype)
+        _init_vit_block(draw, dim, arch.sa_heads[i])
         for _ in range(arch.vit_blocks[i])
     ]
     # Stage 3 runs its global blocks before its local ones.
     blocks = glob + local if i == 2 else local + glob
     if has_ds:
         blocks.append(
-            _init_qna_block(draw, dim, arch.stage_dims[i + 1], arch.ds_heads[i], 2, arch, dtype)
+            _init_qna_block(draw, dim, arch.stage_dims[i + 1], arch.ds_heads[i], 2, arch)
         )
     return blocks
 
@@ -298,34 +304,34 @@ def _stage_blocks(draw, arch: ArchConfig, i: int, dtype) -> list[BlockParams]:
 def build_model(variant_or_arch, seed: int, dtype=np.float32) -> Model:
     """Deterministic per (arch, seed, dtype): one generator streams through
     patch embed, stages in order, and the head."""
-    rng = make_rng(seed)
-    return _assemble(variant_or_arch, lambda s: truncated_normal(rng, s, dtype=dtype), dtype)
+    return _assemble(variant_or_arch, random_draw(make_rng(seed), dtype))
 
 
 def model_skeleton(variant_or_arch, dtype=np.float32) -> Model:
-    """:func:`build_model`'s model with its drawn tensors allocated but not
-    drawn, for :func:`count_flops` and :func:`load_model`."""
-    return _assemble(variant_or_arch, lambda shape: np.empty(shape, dtype=dtype), dtype)
+    """:func:`build_model`'s model with shape-only placeholders for tensors
+    (see :func:`shape_draw`), which allocate nothing, for
+    :func:`count_flops` and :func:`load_model`."""
+    return _assemble(variant_or_arch, shape_draw(dtype))
 
 
-def _assemble(preset, draw, dtype) -> Model:
+def _assemble(preset, draw) -> Model:
     arch = preset if isinstance(preset, ArchConfig) else make_arch(preset)
     d0 = arch.base_dim
     in_feats = PATCH_SIZE * PATCH_SIZE * 3
     patch_w = draw((in_feats, d0))
-    patch_b = np.zeros(d0, dtype=dtype)
+    patch_b = draw((d0,), 0.0)
     n_stages = arch.num_stages()
-    stages = [_stage_blocks(draw, arch, i, dtype) for i in range(n_stages)]
+    stages = [_stage_blocks(draw, arch, i) for i in range(n_stages)]
     d_last = arch.stage_dims[n_stages - 1]
     return Model(
         arch=arch,
         patch_w=patch_w,
         patch_b=patch_b,
         stages=stages,
-        final_ln_g=np.ones(d_last, dtype=dtype),
-        final_ln_b=np.zeros(d_last, dtype=dtype),
+        final_ln_g=draw((d_last,), 1.0),
+        final_ln_b=draw((d_last,), 0.0),
         head_w=draw((d_last, arch.num_classes)),
-        head_b=np.zeros(arch.num_classes, dtype=dtype),
+        head_b=draw((arch.num_classes,), 0.0),
     )
 
 
@@ -334,20 +340,51 @@ def _assemble(preset, draw, dtype) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation
+def _gelu_(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x <- gelu(x) by the tanh approximation, in place, with ``t`` (x's
+    shape) as scratch. Each operation is rounded as in
+    0.5 * x * (1 + tanh(c * (x + a * x * x * x))) evaluated left to right."""
     c = np.asarray(math.sqrt(2.0 / math.pi), dtype=x.dtype)
     a = np.asarray(0.044715, dtype=x.dtype)
-    half = np.asarray(0.5, dtype=x.dtype)
-    one = np.asarray(1.0, dtype=x.dtype)
-    return half * x * (one + np.tanh(c * (x + a * x * x * x)))
+    np.multiply(a, x, out=t)
+    t *= x
+    t *= x
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    t += np.asarray(1.0, dtype=x.dtype)
+    x *= np.asarray(0.5, dtype=x.dtype)
+    x *= t
+    return x
 
 
 def _ffn_residual(z: np.ndarray, params: BlockParams, ledger) -> np.ndarray:
-    """z + FFN(LN2(z)) over z's last axis: the pre-norm sub-block that ends every block."""
-    u = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger).reshape(-1, z.shape[-1])
-    h = matmul(u, params.ffn.w1) + params.ffn.b1
-    return z + (matmul(_gelu(h), params.ffn.w2) + params.ffn.b2).reshape(z.shape)
+    """z + FFN(LN2(z)) over z's last axis: the pre-norm sub-block that ends every block.
+
+    The hidden map is never held whole. Each tile of FFN_TILE_ROWS rows runs
+    W1, b1, the GELU and W2 in two tile-sized buffers; W2's product is
+    written straight into the tile's output rows, which then add b2 and z.
+    """
+    d = z.shape[-1]
+    ffn = params.ffn
+    u = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger).reshape(-1, d)
+    n = u.shape[0]
+    rows = min(FFN_TILE_ROWS, max(n, 1))
+    h = np.empty((rows, ffn.w1.shape[1]), dtype=z.dtype)
+    t = np.empty_like(h)
+    _record(ledger, "ffn", u.nbytes + h.nbytes + t.nbytes)
+    out = np.empty(z.shape, dtype=z.dtype)
+    flat, res = out.reshape(-1, d), z.reshape(-1, d)
+    for r0 in range(0, n, rows):
+        r = slice(r0, r0 + rows)
+        o = flat[r]
+        hr = h[:len(o)]
+        np.matmul(u[r], ffn.w1, out=hr)
+        hr += ffn.b1
+        np.matmul(_gelu_(hr, t[:len(hr)]), ffn.w2, out=o)
+        o += ffn.b2
+        o += res[r]
+    return out
 
 
 def vit_block_forward(z: np.ndarray, params: BlockParams, ledger: AllocationLedger | None = None) -> np.ndarray:
@@ -553,7 +590,7 @@ def count_flops(model: Model, resolution: int) -> CostReport:
 
 def save_model(dirpath, model: Model) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    named = model.named_tensors()
+    named = model.tensors()
     doc = {"arch": asdict(model.arch), "dtype": dtype_tag(model.dtype), "tensors": sorted(named)}
     with open(os.path.join(dirpath, "arch.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -566,8 +603,5 @@ def save_model(dirpath, model: Model) -> None:
 def load_model(dirpath) -> Model:
     path = os.path.join(dirpath, "arch.json")
     arch, dtype, names = read_config(path, ArchConfig, section="arch")
-    model = model_skeleton(arch, dtype)
-    named = model.named_tensors()
-    check_manifest(path, names, sorted(named))
-    fill_tensors(os.path.join(dirpath, "weights"), named)
-    return model
+    check_manifest(path, names, sorted(model_skeleton(arch, dtype).tensors()))
+    return fill_tensors(os.path.join(dirpath, "weights"), lambda draw: _assemble(arch, draw), dtype)

@@ -57,6 +57,8 @@ LAYERNORM_EPS = 1e-6
 # INIT_CLIP standard deviations.
 INIT_STD = 0.02
 INIT_CLIP = 2.0
+# truncated_normal draws its float64 values this many at a time.
+INIT_CHUNK = 1 << 16
 # window_weighted_sum contracts no GEMM over K elements with
 # K * itemsize >= WWS_GEMM_BYTES. Below that bound, for the product shapes it
 # issues (see WWS_GEMM_MACS), OpenBLAS 0.3.31 (SkylakeX kernels) adds each
@@ -549,15 +551,47 @@ def make_rng(seed: int) -> np.random.Generator:
 def truncated_normal(rng: np.random.Generator, shape, dtype=np.float64) -> np.ndarray:
     """Zero-mean normal with std INIT_STD, resampled until
     |x| <= INIT_CLIP * INIT_STD. Redraws fill the out-of-bound entries in
-    ascending index order, and only redrawn entries are checked again."""
-    out = rng.normal(0.0, INIT_STD, size=shape)
+    ascending index order, and only redrawn entries are checked again.
+
+    Values are drawn in float64, INIT_CHUNK at a time, tested against the
+    bound and written straight into the output of ``dtype``; the generator's
+    stream is consumed as by one draw of the whole shape, so the result is
+    the same."""
+    out = np.empty(shape, dtype=dtype)
     flat = out.reshape(-1)
     bound = INIT_CLIP * INIT_STD
-    bad = np.flatnonzero(np.abs(flat) > bound)
+    bad = [np.empty(0, dtype=np.intp)]
+    for start in range(0, flat.size, INIT_CHUNK):
+        draw = rng.normal(0.0, INIT_STD, size=min(INIT_CHUNK, flat.size - start))
+        flat[start:start + draw.size] = draw
+        bad.append(np.flatnonzero(np.abs(draw, out=draw) > bound))
+        bad[-1] += start
+        del draw  # before the next chunk is drawn
+    bad = np.concatenate(bad)
     while bad.size:
-        flat[bad] = rng.normal(0.0, INIT_STD, size=bad.size)
-        bad = bad[np.abs(flat[bad]) > bound]
-    return out.astype(dtype)
+        draw = rng.normal(0.0, INIT_STD, size=bad.size)
+        flat[bad] = draw
+        bad = bad[np.abs(draw, out=draw) > bound]
+    return out
+
+
+def random_draw(rng: np.random.Generator, dtype):
+    """``draw(shape, value=None)`` for the parameter builders: a tensor of
+    ``dtype`` filled with ``value``, or a :func:`truncated_normal` draw from
+    ``rng`` where ``value`` is None."""
+    def draw(shape, value=None):
+        if value is None:
+            return truncated_normal(rng, shape, dtype=dtype)
+        return np.full(shape, value, dtype=dtype)
+    return draw
+
+
+def shape_draw(dtype):
+    """``draw(shape, value=None)`` for the parameter builders that allocates
+    nothing: every tensor is a read-only zero of ``dtype`` broadcast to
+    ``shape``, for code that reads only shapes and sizes."""
+    zero = np.zeros((), dtype=dtype)
+    return lambda shape, value=None: np.broadcast_to(zero, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -587,38 +621,58 @@ def save_qnat(path, arr: np.ndarray) -> None:
         f.write(payload)
 
 
+def _qnat_header(f, path) -> tuple[np.dtype, tuple]:
+    """(native dtype, shape) from the header of the open QNAT file
+    ``f``, which is left at its payload. The file must hold exactly that
+    payload after the header; malformed input raises QnatFormatError naming
+    ``path``. Reads no payload."""
+    head = f.read(8)
+    if len(head) < 8 or head[:4] != _QNAT_MAGIC:
+        raise QnatFormatError(f"{path}: not a QNAT container (bad magic)")
+    code, rank = struct.unpack_from("<BBxx", head, 4)
+    if code not in _QNAT_CODE_TO_DTYPE:
+        raise QnatFormatError(f"{path}: unknown dtype code {code}")
+    dims = f.read(4 * rank)
+    if len(dims) < 4 * rank:
+        raise QnatFormatError(f"{path}: truncated dimension table")
+    shape = struct.unpack(f"<{rank}I", dims)
+    dt = _QNAT_CODE_TO_DTYPE[code]
+    expected = 8 + 4 * rank + math.prod(shape) * dt.itemsize
+    size = os.fstat(f.fileno()).st_size
+    if size != expected:
+        raise QnatFormatError(
+            f"{path}: payload size mismatch: expected {expected} bytes, file has {size}")
+    return np.dtype(dt.type), shape
+
+
 def load_qnat(path) -> np.ndarray:
     """Read a tensor written by :func:`save_qnat`; strict about every byte.
     A malformed file raises QnatFormatError naming the file."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 8 or blob[:4] != _QNAT_MAGIC:
-        raise QnatFormatError(f"{path}: not a QNAT container (bad magic)")
-    code, rank = struct.unpack_from("<BBxx", blob, 4)
-    if code not in _QNAT_CODE_TO_DTYPE:
-        raise QnatFormatError(f"{path}: unknown dtype code {code}")
-    dims_end = 8 + 4 * rank
-    if len(blob) < dims_end:
-        raise QnatFormatError(f"{path}: truncated dimension table")
-    shape = struct.unpack_from(f"<{rank}I", blob, 8) if rank else ()
-    dt = _QNAT_CODE_TO_DTYPE[code]
-    count = math.prod(shape)
-    expected = dims_end + count * dt.itemsize
-    if len(blob) != expected:
-        raise QnatFormatError(
-            f"{path}: payload size mismatch: expected {expected} bytes, file has {len(blob)}")
-    flat = np.frombuffer(blob, dtype=dt, offset=dims_end, count=count)
-    native = np.float32 if code == 0 else np.float64
-    return flat.astype(native).reshape(shape)
+        dt, shape = _qnat_header(f, path)
+        payload = f.read()
+    flat = np.frombuffer(payload, dtype=dt.newbyteorder("<"), count=math.prod(shape))
+    return flat.astype(dt).reshape(shape)
 
 
-def fill_tensors(dirpath, named: dict[str, np.ndarray]) -> None:
-    """Fill each array of ``named`` in place from ``<dirpath>/<name>.qnat``;
-    a file of another dtype or shape raises ShapeError naming it."""
-    for name, t in named.items():
+def fill_tensors(dirpath, build, dtype):
+    """``build(draw)``'s tensor set, each tensor read from
+    ``<dirpath>/<name>.qnat``.
+
+    ``build`` makes every tensor with ``draw(shape, value=None)`` and runs
+    twice. First on :func:`shape_draw`, which allocates nothing: every
+    file's header is compared with its tensor's dtype and shape, and a file
+    of another dtype or shape raises ShapeError naming it, before anything
+    is allocated. Then on empty arrays of ``dtype``, filled from the files.
+    """
+    for name, t in build(shape_draw(dtype)).tensors().items():
         path = os.path.join(dirpath, f"{name}.qnat")
-        loaded = load_qnat(path)
-        if loaded.shape != t.shape or loaded.dtype != t.dtype:
-            raise ShapeError(f"{path}: tensor {name} is {loaded.dtype} of shape "
-                             f"{loaded.shape}, expected {t.dtype} of shape {t.shape}")
-        t[...] = loaded
+        with open(path, "rb") as f:
+            dt, shape = _qnat_header(f, path)
+        if shape != t.shape or dt != t.dtype:
+            raise ShapeError(f"{path}: tensor {name} is {dt} of shape "
+                             f"{shape}, expected {t.dtype} of shape {t.shape}")
+    tset = build(lambda shape, value=None: np.empty(shape, dtype=dtype))
+    for name, t in tset.tensors().items():
+        t[...] = load_qnat(os.path.join(dirpath, f"{name}.qnat"))
+    return tset

@@ -894,6 +894,22 @@ def _saved_layer_with_config(tmp_path, edit):
     return tmp_path / "layer"
 
 
+def test_load_params_checks_every_header_before_allocating(tmp_path):
+    # a k = 3 layer whose config.json claims k = 1000: building that layer's
+    # tensors first would allocate 16 MB
+    layer = _saved_layer_with_config(tmp_path, lambda doc: {**doc, "k": 1000})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError) as info:
+            load_params(layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (f"{layer / 'mix.qnat'}: tensor mix is float64 of shape (1, 9), "
+                               "expected float64 of shape (1, 1000000)")
+    assert peak < 2**20, peak
+
+
 @pytest.mark.parametrize("key", ["stride", "dtype", "tensors"])
 def test_load_names_missing_config_key(tmp_path, key):
     with pytest.raises(QnatFormatError, match=key):

@@ -2,16 +2,20 @@
 block forwards against loop oracles, cost accounting, and serialization."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qna import layer as layer_mod
-from qna import model as model_mod
+from qna import tensor as tensor_mod
 from qna.layer import qna_forward
 from qna.model import (
+    FFN_TILE_ROWS,
     ArchConfig,
     CostReport,
+    _ffn_residual,
+    _gelu_,
     qna_flops,
     build_model,
     count_flops,
@@ -25,7 +29,15 @@ from qna.model import (
     vit_block_forward,
 )
 from qna.oracles import qna_window_oracle
-from qna.tensor import QnatFormatError, ShapeError, conv2d, layernorm, make_rng, save_qnat
+from qna.tensor import (
+    AllocationLedger,
+    QnatFormatError,
+    ShapeError,
+    conv2d,
+    layernorm,
+    make_rng,
+    save_qnat,
+)
 
 
 def _mini_arch(base_dim=8, vit=(0, 0, 1, 1), qna=(1, 1, 1, 0), classes=10, **kw):
@@ -107,7 +119,7 @@ def test_build_model_structure_and_determinism():
     assert model.stages[0][0].qna_cfg.heads == 8
 
     again = build_model("tiny", seed=1)
-    named, named2 = model.named_tensors(), again.named_tensors()
+    named, named2 = model.tensors(), again.tensors()
     assert named.keys() == named2.keys()
     assert all(np.array_equal(named[n], named2[n]) for n in named)
     other = build_model("tiny", seed=2)
@@ -124,9 +136,11 @@ def test_block_tensor_names_come_from_the_fields():
     assert list(downsampler.tensors()) == common + [f"qna.{n}" for n in qna] + ["skip_w", "skip_b"]
     msa = ["w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"]
     assert list(vit.tensors()) == common + [f"msa.{n}" for n in msa]
-    assert list(model.tensors()) == ["patch_w", "patch_b", "final_ln_g", "final_ln_b",
-                                     "head_w", "head_b"]
-    assert "stage0.block0.qna.w_k" in model.named_tensors()
+    # the model's own tensors come first, then each block's under its prefix
+    names = list(model.tensors())
+    assert names[:6] == ["patch_w", "patch_b", "final_ln_g", "final_ln_b", "head_w", "head_b"]
+    assert names[6:6 + len(common)] == [f"stage0.block0.{n}" for n in common]
+    assert "stage0.block0.qna.w_k" in names
 
 
 def test_build_model_skip_projection_only_on_downsamplers():
@@ -160,7 +174,7 @@ def test_zero_block_closed_form():
 def test_count_params_equals_tensor_sizes():
     model = build_model(_mini_arch(), seed=3)
     report = count_params(model)
-    assert report.params == sum(t.size for t in model.named_tensors().values())
+    assert report.params == sum(t.size for t in model.tensors().values())
     assert report.params == sum(r.params for r in report.rows)
     assert report.flops == 0
 
@@ -333,6 +347,75 @@ def test_qna_block_downsampler_skip_is_strided_conv():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def _ffn_formula(z, blk):
+    """z + gelu(LN2(z) W1 + b1) W2 + b2, unfused, over z's last axis."""
+    u2 = layernorm(z, blk.ln2_g, blk.ln2_b).reshape(-1, z.shape[-1])
+    hdn = u2 @ blk.ffn.w1 + blk.ffn.b1
+    gelu = 0.5 * hdn * (1 + np.tanh(np.sqrt(2 / np.pi) * (hdn + 0.044715 * hdn**3)))
+    return z + (gelu @ blk.ffn.w2 + blk.ffn.b2).reshape(z.shape)
+
+
+# Row counts below one tile, of exactly two tiles, and of two and a ragged tail.
+@pytest.mark.parametrize("rows", [FFN_TILE_ROWS // 4 + 3, 2 * FFN_TILE_ROWS,
+                                  2 * FFN_TILE_ROWS + 37])
+@pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_tiled_ffn_matches_the_unfused_formula(rows, dtype, atol):
+    rng = make_rng(30)
+    blk = build_model(_mini_arch(base_dim=8, qna=(2, 1, 1, 0)), seed=30, dtype=dtype).stages[0][0]
+    # the built biases and gains are zeros and ones; give every term a value
+    for t in (blk.ln2_g, blk.ln2_b, blk.ffn.b1, blk.ffn.b2):
+        t[...] = rng.standard_normal(t.shape)
+    z = rng.standard_normal((rows, 8)).astype(dtype)
+    got = _ffn_residual(z, blk, None)
+    assert got.dtype == np.dtype(dtype) and got.shape == z.shape
+    assert np.max(np.abs(got - _ffn_formula(z, blk))) <= atol
+    # a map of the same rows is the same computation
+    grid = _ffn_residual(z.reshape(rows, 1, 8), blk, None)
+    assert grid.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_gelu_is_bitwise_the_formula(dtype):
+    x = (4 * make_rng(31).standard_normal((67, 40))).astype(dtype)
+    c, a, half, one = (np.asarray(v, dtype=dtype)
+                       for v in (math.sqrt(2.0 / math.pi), 0.044715, 0.5, 1.0))
+    want = half * x * (one + np.tanh(c * (x + a * x * x * x)))
+    got = _gelu_(x.copy(), np.empty_like(x))
+    assert got.dtype == np.dtype(dtype) and got.tobytes() == want.tobytes()
+
+
+def test_ffn_ledger_matches_heap_peak():
+    # a stage-1 map of the tiny model at 224: several tiles and a ragged tail
+    blk = build_model(_mini_arch(base_dim=64, qna=(2, 1, 1, 0)), seed=32).stages[0][0]
+    z = make_rng(33).standard_normal((56, 56, 64)).astype(np.float32)
+    ledger = AllocationLedger()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = _ffn_residual(z, blk, ledger)
+        heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert [name for name, _ in ledger.events] == ["layernorm", "ffn"]
+    assert abs(ledger.peak_extra_bytes - heap) <= 0.1 * heap, (ledger.peak_extra_bytes, heap)
+
+
+def test_forward_heap_peak_of_tiny224():
+    # the feed-forward tail holds no hidden-sized map, so no block needs
+    # more than a few stage-1 maps at once; weights are allocated before
+    # tracing starts and are not counted
+    model = build_model("tiny", seed=34)
+    image = make_rng(35).standard_normal((224, 224, 3)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        forward_inference(model, image)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak / 2**20
+
+
 def test_qna_block_zeroed_branches_is_identity():
     arch = _mini_arch(base_dim=8, qna=(2, 1, 1, 0))
     model = build_model(arch, seed=9, dtype=np.float64)
@@ -429,10 +512,9 @@ def test_load_model_fills_an_undrawn_skeleton(tmp_path, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("load_model drew random numbers")
 
-    monkeypatch.setattr(model_mod, "truncated_normal", no_draws)
-    monkeypatch.setattr(layer_mod, "truncated_normal", no_draws)
-    loaded = load_model(tmp_path / "m").named_tensors()
-    want = model.named_tensors()
+    monkeypatch.setattr(tensor_mod, "truncated_normal", no_draws)
+    loaded = load_model(tmp_path / "m").tensors()
+    want = model.tensors()
     assert list(loaded) == list(want)
     for name, t in want.items():
         assert loaded[name].dtype == t.dtype and loaded[name].tobytes() == t.tobytes(), name
@@ -445,8 +527,7 @@ def test_model_skeleton_draws_nothing_and_costs_the_same(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("model_skeleton drew random numbers")
 
-    monkeypatch.setattr(model_mod, "truncated_normal", no_draws)
-    monkeypatch.setattr(layer_mod, "truncated_normal", no_draws)
+    monkeypatch.setattr(tensor_mod, "truncated_normal", no_draws)
     assert count_flops(model_skeleton(arch), 32) == want
 
 
@@ -469,6 +550,23 @@ def _saved_model_with_arch_json(tmp_path, edit, seed):
     path = tmp_path / "m" / "arch.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     return tmp_path / "m"
+
+
+def test_load_model_checks_every_header_before_allocating(tmp_path):
+    # an 8-wide model whose arch.json claims base_dim 64: building that
+    # model's tensors first would allocate 30 MB
+    root = _saved_model_with_arch_json(tmp_path, _set_arch_key("base_dim", 64), seed=28)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError) as info:
+            load_model(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path = root / "weights" / "patch_w.qnat"
+    assert str(info.value) == (f"{path}: tensor patch_w is float32 of shape (48, 8), "
+                               "expected float32 of shape (48, 64)")
+    assert peak < 2**20, peak
 
 
 def test_load_rejects_manifest_mismatch(tmp_path):

@@ -2,6 +2,7 @@
 ledger contract and the QNAT container format."""
 
 import contextlib
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qna import tensor
+from qna.layer import QnAConfig, init_params
+from qna.model import build_model
 from qna.tensor import (
     AllocationLedger,
     NumericalRangeError,
@@ -641,6 +644,77 @@ def test_truncated_normal_bounds_and_determinism():
     assert np.std(out) > 0.01
     again = truncated_normal(make_rng(7), (2000,))
     assert np.array_equal(out, again)
+
+
+def _truncated_normal_one_shot(rng, shape, dtype):
+    """The reference algorithm: one float64 draw of the whole shape, its
+    out-of-bound entries redrawn in ascending index order until none is
+    left, then one cast to ``dtype``."""
+    out = rng.normal(0.0, tensor.INIT_STD, size=shape)
+    flat = out.reshape(-1)
+    bound = tensor.INIT_CLIP * tensor.INIT_STD
+    bad = np.flatnonzero(np.abs(flat) > bound)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, tensor.INIT_STD, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > bound]
+    return out.astype(dtype)
+
+
+# Shapes below one chunk, of exactly two, and of three and a part; every
+# shape but the first draws values beyond the bound, so resamples run.
+_DRAW_SHAPES = [(5, 7), (2, tensor.INIT_CHUNK), (700, 300)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _DRAW_SHAPES)
+def test_truncated_normal_equals_the_one_shot_draw(shape, dtype):
+    for seed in (0, 41):
+        got = truncated_normal(make_rng(seed), shape, dtype=dtype)
+        want = _truncated_normal_one_shot(make_rng(seed), shape, dtype)
+        assert got.dtype == np.dtype(dtype) and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+    # the chunks are consumed from the generator as one draw: what follows
+    # in the stream is the same too
+    rng, ref = make_rng(5), make_rng(5)
+    truncated_normal(rng, shape, dtype=dtype)
+    _truncated_normal_one_shot(ref, shape, dtype)
+    assert rng.normal() == ref.normal()
+
+
+@pytest.mark.parametrize("seed", [0, 29])
+def test_built_weights_are_the_one_shot_draws(seed):
+    # every drawn tensor of the tiny model and of one layer, drawn by the
+    # reference algorithm instead, is bitwise the same
+    cfg = QnAConfig(k=5, stride=2, heads=2, num_queries=3, dim_in=40, dim_out=64)
+    got = {**build_model("tiny", seed).tensors(),
+           **{f"layer.{n}": t for n, t in init_params(cfg, seed).tensors().items()}}
+    with mock.patch.object(tensor, "truncated_normal",
+                           lambda rng, shape, dtype: _truncated_normal_one_shot(rng, shape, dtype)):
+        want = {**build_model("tiny", seed).tensors(),
+                **{f"layer.{n}": t for n, t in init_params(cfg, seed).tensors().items()}}
+    assert list(got) == list(want)
+    for name, t in want.items():
+        assert got[name].dtype == t.dtype and got[name].tobytes() == t.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_truncated_normal_heap_is_output_plus_one_chunk(dtype):
+    shape = (700, 300)
+    bound = tensor.INIT_CLIP * tensor.INIT_STD
+    n_bad = int(np.count_nonzero(
+        np.abs(make_rng(9).normal(0.0, tensor.INIT_STD, size=shape)) > bound))
+    assert n_bad > 0
+    tracemalloc.start()
+    try:
+        out = truncated_normal(make_rng(9), shape, dtype=dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, one chunk's float64 draw and its bool mask, and the index
+    # lists (each out-of-bound index held as its chunk's part and in the
+    # joined list), plus 4 KiB for small objects
+    chunk = tensor.INIT_CHUNK
+    assert peak <= out.nbytes + 9 * chunk + 2 * 8 * n_bad + 4096, peak
 
 
 # ---------------------------------------------------------------------------
