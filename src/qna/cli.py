@@ -19,17 +19,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import bench as bench_mod
-from .layer import (
-    QnAConfig,
-    QnAParams,
-    attention_heatmap,
-    init_params,
-    qna_backward,
-    qna_forward,
-    qna_vjp,
-)
-from .model import build_model, count_flops, forward_inference, model_skeleton
-from .oracles import finite_diff_grad, qna_window_oracle
+from .checks import FULL_GRID, SMALL_GRID, gradcheck, gradcheck_case, oracle_grid, oracle_swap
+from .layer import QnAConfig, attention_heatmap, init_params, qna_backward, qna_forward, qna_vjp
+from .model import count_flops, model_skeleton
 from .tensor import (
     DTYPE_TAGS,
     NumericalRangeError,
@@ -53,94 +45,27 @@ TRAIN_SLICE = 16
 # ---------------------------------------------------------------------------
 
 
-def _check_grid_dims(grid: str):
-    if grid == "small":
-        return (1, 3, 5), (1, 2), (1, 2), (1, 2), ((4, 5), (5, 4))
-    sizes = tuple((h, w) for h in range(4, 9) for w in range(4, 9))
-    return (1, 3, 5, 7), (1, 2), (1, 2, 4), (1, 2, 3), sizes
-
-
-def _run_oracle_grid(grid: str, dtype_tag: str, seed: int) -> bool:
-    ks, strides, heads_list, query_counts, sizes = _check_grid_dims(grid)
-    tol = _GRID_TOL[dtype_tag]
-    dt = DTYPE_TAGS[dtype_tag]
-    rng = make_rng(seed)
-    ok = True
-    dim_in, dim_out = 5, 8
-    for k in ks:
-        for stride in strides:
-            for h in heads_list:
-                for L in query_counts:
-                    for hh, ww in sizes:
-                        cfg = QnAConfig(k=k, stride=stride, heads=h, num_queries=L,
-                                        dim_in=dim_in, dim_out=dim_out)
-                        params = init_params(cfg, rng, dtype=dt)
-                        # keep relative bias and mixing active, not at init zeros
-                        params.bias[...] = rng.standard_normal(params.bias.shape).astype(dt) * 0.3
-                        params.mix[...] = (rng.standard_normal(params.mix.shape).astype(dt) * 0.2
-                                           + np.asarray(1.0 / L, dtype=dt))
-                        x = rng.standard_normal((hh, ww, dim_in)).astype(dt)
-                        got = qna_forward(x, cfg, params)
-                        want = qna_window_oracle(x, cfg, params)
-                        err = float(np.max(np.abs(got - want)))
-                        name = f"grid k={k} stride={stride} h={h} L={L} H={hh} W={ww} {dtype_tag}"
-                        if err < tol:
-                            print(f"PASS {name} max_err={err:.3e}")
-                        else:
-                            print(f"FAIL {name} max_err={err:.3e} tol={tol:.0e}")
-                            ok = False
-    return ok
-
-
-def _run_gradcheck(seed: int) -> bool:
-    cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=2, dim_in=6, dim_out=4)
-    rng = make_rng(seed)
-    params = init_params(cfg, rng, dtype=np.float64)
-    params.bias[...] = rng.standard_normal(params.bias.shape) * 0.2
-    params.mix[...] = rng.standard_normal(params.mix.shape) * 0.1 + 0.5
-    x = rng.standard_normal((4, 4, cfg.dim_in))
-    d_out = rng.standard_normal((4, 4, cfg.dim_out))
-
-    grads = qna_backward(x, cfg, params, d_out).tensors()
-    tensors = {"input": x, **params.tensors()}
-
-    ok = True
-    for name, target in tensors.items():
-        def f(v, _n=name):
-            t = {**tensors, _n: v}
-            return float(np.sum(d_out * qna_forward(t.pop("input"), cfg, QnAParams(**t))))
-        numeric = finite_diff_grad(f, target, 1e-5)
-        denom = max(float(np.max(np.abs(numeric))), 1e-12)
-        rel = float(np.max(np.abs(grads[f"d_{name}"] - numeric))) / denom
-        tag = f"gradcheck {name}"
-        if rel < 1e-4:
-            print(f"PASS {tag} max_rel_err={rel:.3e}")
-        else:
-            print(f"FAIL {tag} max_rel_err={rel:.3e} tol=1e-04")
-            ok = False
-    return ok
-
-
-def _run_tiny_model_check(seed: int) -> bool:
-    model = build_model("tiny", seed=seed, dtype=np.float32)
-    rng = make_rng((seed + 1) % 2**64)
-    image = rng.standard_normal((64, 64, 3)).astype(np.float32)
-    a = forward_inference(model, image)
-    b = forward_inference(model, image, qna_fn=qna_window_oracle)
-    err = float(np.max(np.abs(a - b)))
-    if err < 1e-4:
-        print(f"PASS tiny-model oracle swap max_err={err:.3e}")
+def _report(name: str, metric: str, err: float, tol: float) -> bool:
+    """Print one check result as a PASS or FAIL line; True if it passes."""
+    if err < tol:
+        print(f"PASS {name} {metric}={err:.3e}")
         return True
-    print(f"FAIL tiny-model oracle swap max_err={err:.3e} tol=1e-04")
+    print(f"FAIL {name} {metric}={err:.3e} tol={tol:.0e}")
     return False
 
 
 def _cmd_check(args) -> int:
     if args.grid == "tiny-model":
-        return 0 if _run_tiny_model_check(args.seed) else 1
-    ok = _run_oracle_grid(args.grid, args.dtype, args.seed)
+        err = oracle_swap("tiny", args.seed, 64)
+        return 0 if _report("tiny-model oracle swap", "max_err", err, 1e-4) else 1
+    ok = True
+    grid = {"small": SMALL_GRID, "full": FULL_GRID}[args.grid]
+    for name, err in oracle_grid(grid, args.dtype, args.seed):
+        ok = _report(name, "max_err", err, _GRID_TOL[args.dtype]) and ok
     if args.dtype == "f64":
-        ok = _run_gradcheck(args.seed) and ok
+        case = gradcheck_case(args.seed)
+        for name, rel in gradcheck(*case, qna_backward(*case)).items():
+            ok = _report(f"gradcheck {name}", "max_rel_err", rel, 1e-4) and ok
     return 0 if ok else 1
 
 

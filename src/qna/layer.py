@@ -441,9 +441,10 @@ def qna_vjp(
     forward keeps a tape: the values, the reduction kernels and each query's
     (quotient, normalizer, weighted values, exponentiated scores E_l) from
     its window reductions. The pullback reads the tape and recomputes none of
-    it, and leaves it unchanged, so it may be called more than once. ``params`` must not change between the call and its
-    pullbacks. The forward records its heap high-water mark in ``ledger``,
-    and so does each pullback.
+    it, and leaves it unchanged, so it may be called more than once.
+    ``params`` must not change between the call and its pullbacks. The
+    forward records its heap high-water mark in ``ledger``, and so does each
+    pullback.
 
     The per-window softmax Jacobian enters through the quotient rule on the
     numerator/denominator reductions; the stabilizing max shift contributes

@@ -645,14 +645,25 @@ def _qnat_header(f, path) -> tuple[np.dtype, tuple]:
     return np.dtype(dt.type), shape
 
 
+def _read_payload(f, path, out: np.ndarray) -> np.ndarray:
+    """Read the payload of the QNAT file ``f``, left at it by
+    :func:`_qnat_header`, straight into the C-contiguous array ``out`` of the
+    header's dtype and shape, with no intermediate buffer. A short read
+    raises QnatFormatError naming ``path``."""
+    buf = out.reshape(-1).view(np.uint8)
+    if f.readinto(buf) != buf.size:
+        raise QnatFormatError(f"{path}: payload ends early")
+    if not np.little_endian:
+        out.byteswap(inplace=True)
+    return out
+
+
 def load_qnat(path) -> np.ndarray:
     """Read a tensor written by :func:`save_qnat`; strict about every byte.
     A malformed file raises QnatFormatError naming the file."""
     with open(path, "rb") as f:
         dt, shape = _qnat_header(f, path)
-        payload = f.read()
-    flat = np.frombuffer(payload, dtype=dt.newbyteorder("<"), count=math.prod(shape))
-    return flat.astype(dt).reshape(shape)
+        return _read_payload(f, path, np.empty(shape, dtype=dt))
 
 
 def fill_tensors(dirpath, build, dtype):
@@ -674,5 +685,8 @@ def fill_tensors(dirpath, build, dtype):
                              f"{shape}, expected {t.dtype} of shape {t.shape}")
     tset = build(lambda shape, value=None: np.empty(shape, dtype=dtype))
     for name, t in tset.tensors().items():
-        t[...] = load_qnat(os.path.join(dirpath, f"{name}.qnat"))
+        path = os.path.join(dirpath, f"{name}.qnat")
+        with open(path, "rb") as f:
+            _qnat_header(f, path)
+            _read_payload(f, path, t)
     return tset

@@ -11,16 +11,11 @@ import time
 import numpy as np
 
 from qna.bench import default_cases, run_sweep
+from qna.checks import FULL_GRID, gradcheck, gradcheck_case, oracle_grid, oracle_swap
 from qna.cli import build_parser, run_train_toy
-from qna.layer import (
-    QnAConfig,
-    init_params,
-    qna_backward,
-    qna_forward,
-    qna_upsample_forward,
-)
-from qna.model import build_model, count_flops, count_params, forward_inference, make_arch
-from qna.oracles import finite_diff_grad, qna_window_oracle, unfold
+from qna.layer import QnAConfig, init_params, qna_backward, qna_forward, qna_upsample_forward
+from qna.model import build_model, count_flops, count_params, make_arch
+from qna.oracles import unfold
 from qna.tensor import AllocationLedger, make_rng, offset_bounds
 
 
@@ -28,39 +23,14 @@ def _v(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _active_params(cfg, rng, dtype):
-    """Init plus non-degenerate bias and mixing weights, so both code paths
-    the grid compares actually exercise those tensors."""
-    params = init_params(cfg, rng, dtype=dtype)
-    params.bias[...] = (rng.standard_normal(params.bias.shape) * 0.3).astype(dtype)
-    params.mix[...] = (rng.standard_normal(params.mix.shape) * 0.2
-                       + 1.0 / cfg.num_queries).astype(dtype)
-    return params
-
-
 def test_01_oracle_equivalence_grid(acceptance_log):
-    tols = {"f64": (np.float64, 1e-10), "f32": (np.float32, 1e-5)}
     start = time.perf_counter()
     worst = {}
     cases = 0
-    for tag, (dt, _) in tols.items():
-        rng = make_rng(42)
-        w = 0.0
-        for k in (1, 3, 5, 7):
-            for stride in (1, 2):
-                for heads in (1, 2, 4):
-                    for L in (1, 2, 3):
-                        for hh in range(4, 9):
-                            for ww in range(4, 9):
-                                cfg = QnAConfig(k=k, stride=stride, heads=heads,
-                                                num_queries=L, dim_in=5, dim_out=8)
-                                params = _active_params(cfg, rng, dt)
-                                x = rng.standard_normal((hh, ww, 5)).astype(dt)
-                                got = qna_forward(x, cfg, params)
-                                want = qna_window_oracle(x, cfg, params)
-                                w = max(w, float(np.max(np.abs(got - want))))
-                                cases += 1
-        worst[tag] = w
+    for tag in ("f64", "f32"):
+        errs = [err for _, err in oracle_grid(FULL_GRID, tag, 42)]
+        worst[tag] = max(errs)
+        cases += len(errs)
     elapsed = time.perf_counter() - start
     ok = worst["f64"] < 1e-10 and worst["f32"] < 1e-5 and elapsed < 60.0
     acceptance_log(
@@ -75,31 +45,8 @@ def test_01_oracle_equivalence_grid(acceptance_log):
 
 def test_02_gradient_check(acceptance_log):
     start = time.perf_counter()
-    cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=2, dim_in=6, dim_out=4)
-    rng = make_rng(42)
-    params = _active_params(cfg, rng, np.float64)
-    x = rng.standard_normal((4, 4, cfg.dim_in))
-    d_out = rng.standard_normal((4, 4, cfg.dim_out))
-    grads = qna_backward(x, cfg, params, d_out)
-
-    def loss_at(name, v):
-        if name == "input":
-            return float(np.sum(d_out * qna_forward(v, cfg, params)))
-        saved = params.tensors()[name].copy()
-        params.tensors()[name][...] = v
-        try:
-            return float(np.sum(d_out * qna_forward(x, cfg, params)))
-        finally:
-            params.tensors()[name][...] = saved
-
-    analytic = {"input": grads.d_input}
-    analytic.update({n: grads.tensors()[f"d_{n}"] for n in params.tensors()})
-    rels = {}
-    for name in analytic:
-        target = x if name == "input" else params.tensors()[name]
-        numeric = finite_diff_grad(lambda v, _n=name: loss_at(_n, v), target, 1e-5)
-        denom = max(float(np.max(np.abs(numeric))), 1e-12)
-        rels[name] = float(np.max(np.abs(analytic[name] - numeric))) / denom
+    case = gradcheck_case(42)
+    rels = gradcheck(*case, qna_backward(*case))
     elapsed = time.perf_counter() - start
     worst_name = max(rels, key=rels.get)
     ok = max(rels.values()) < 1e-4 and elapsed < 30.0
@@ -264,11 +211,7 @@ def test_07_upsampling(acceptance_log):
 
 
 def test_08_model_oracle_swap(acceptance_log):
-    model = build_model("tiny", seed=42, dtype=np.float32)
-    image = make_rng(43).standard_normal((64, 64, 3)).astype(np.float32)
-    fast = forward_inference(model, image)
-    slow = forward_inference(model, image, qna_fn=qna_window_oracle)
-    err = float(np.max(np.abs(fast - slow)))
+    err = oracle_swap("tiny", 42, 64)  # image drawn from seed 43
     ok = err < 1e-4
     acceptance_log(
         f"{_v(ok)} 08 model oracle swap: tiny logits at 64x64 differ by "

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qna import cli
+from qna import checks, cli
 from qna.cli import build_parser, main, run_train_toy
 from qna.layer import QnAParams
 from qna.tensor import NumericalRangeError, make_rng, save_qnat
@@ -71,25 +71,25 @@ def test_check_small_grid_f32(capsys):
     assert "gradcheck" not in out
 
 
-def test_check_accepts_stringio_sink(capsys):
-    # the grid prints to whatever sys.stdout is at call time, one line a case
-    from qna.cli import _run_oracle_grid
-
-    assert _run_oracle_grid("small", "f32", 42)
-    assert capsys.readouterr().out.count("PASS") == 48
+def test_small_f32_grid_has_48_passing_cases():
+    errs = [err for _, err in checks.oracle_grid(checks.SMALL_GRID, "f32", 42)]
+    assert len(errs) == 48
+    assert max(errs) < 1e-5
 
 
 @pytest.mark.parametrize("tensor", ["w_o", "bias"])
 def test_check_fault_injection_fails(tensor, capsys, monkeypatch):
     # an oracle that disagrees with the layer must fail the grid
-    monkeypatch.setattr(cli, "qna_window_oracle", _with_perturbed(cli.qna_window_oracle, tensor))
+    monkeypatch.setattr(checks, "qna_window_oracle",
+                        _with_perturbed(checks.qna_window_oracle, tensor))
     assert main(["check", "--grid", "small", "--dtype", "f32"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_check_gradcheck_fault_injection(capsys, monkeypatch):
+@pytest.mark.parametrize("tensor", ["w_v", "queries", "bias"])
+def test_check_gradcheck_fault_injection(tensor, capsys, monkeypatch):
     # analytic gradients of other weights must fail the finite-difference check
-    monkeypatch.setattr(cli, "qna_backward", _with_perturbed(cli.qna_backward, "w_v"))
+    monkeypatch.setattr(cli, "qna_backward", _with_perturbed(cli.qna_backward, tensor))
     assert main(["check", "--grid", "small"]) == 1
     out = capsys.readouterr().out
     assert "FAIL gradcheck" in out and "FAIL grid" not in out

@@ -5,6 +5,7 @@ and finite differences."""
 import numpy as np
 import pytest
 
+from qna.checks import active_params
 from qna.layer import QnAConfig, QnAParams, qna_forward
 from qna.oracles import SasaParams, finite_diff_grad, qna_window_oracle, sasa_forward, unfold
 from qna.tensor import (
@@ -14,7 +15,6 @@ from qna.tensor import (
     make_rng,
     offset_bounds,
     same_output_size,
-    softmax_rows,
 )
 
 
@@ -83,12 +83,7 @@ def test_unfold_validates():
 
 def _tiny_cfg_params(rng, k=3, stride=1, heads=1, L=1, dtype=np.float64):
     cfg = QnAConfig(k=k, stride=stride, heads=heads, num_queries=L, dim_in=3, dim_out=4)
-    from qna.layer import init_params
-
-    params = init_params(cfg, rng, dtype=dtype)
-    params.bias[...] = rng.standard_normal(params.bias.shape) * 0.3
-    params.mix[...] = rng.standard_normal(params.mix.shape) * 0.2 + 1.0 / L
-    return cfg, params
+    return cfg, active_params(cfg, rng, dtype)
 
 
 def test_oracle_k1_is_pointwise():

@@ -2,6 +2,7 @@
 ledger contract and the QNAT container format."""
 
 import contextlib
+import io
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -787,6 +788,13 @@ def test_qnat_rejects_corruption(tmp_path):
     bad.write_bytes(path.read_bytes() + b"\x00")  # trailing garbage
     with pytest.raises(QnatFormatError):
         load_qnat(bad)
+
+
+def test_qnat_short_payload_read_raises():
+    # a file cut short after its size was checked reads fewer bytes than
+    # the tensor holds
+    with pytest.raises(QnatFormatError, match=r"t\.qnat: payload ends early"):
+        tensor._read_payload(io.BytesIO(bytes(7)), "t.qnat", np.empty(1))
 
 
 def test_qnat_rejects_non_float_dtypes(tmp_path):
