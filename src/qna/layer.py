@@ -256,7 +256,7 @@ def _normalizer(e_l, den_kernel, stride: int, ledger) -> np.ndarray:
     return den
 
 
-def _window_sums(x, a_l, v, num_kernel, den_kernel, stride: int, ledger):
+def _window_sums(x, a_l, v, num_kernel, den_kernel, stride: int, ledger, ev_out=None):
     """Per-window softmax quotients of one query, with its heads as channels.
 
     ``a_l`` (heads x dim_in) is the query's fold, from which its stabilized
@@ -268,13 +268,15 @@ def _window_sums(x, a_l, v, num_kernel, den_kernel, stride: int, ledger):
 
     Returns (quotient, normalizer, weighted values, E_l) of shapes
     [N x] H' x W' x heads x head_dim, [N x] H' x W' x heads x 1,
-    [N x] H x W x heads*head_dim and [N x] H x W x heads. A normalizer that
+    [N x] H x W x heads*head_dim and [N x] H x W x heads. The weighted
+    values E_l * V are written into ``ev_out`` (of v's shape; v itself where
+    nothing reads the values after) or a new buffer. A normalizer that
     underflowed to zero is an error.
     """
     *sites, h, dh = v.shape
     e_l = _exp_scores(x, a_l)
     den = _normalizer(e_l, den_kernel, stride, ledger)
-    ev = (e_l[..., None] * v).reshape(*sites, h * dh)
+    ev = np.multiply(e_l[..., None], v, out=ev_out).reshape(*sites, h * dh)
     quotient = window_weighted_sum(ev, num_kernel, stride, ledger).reshape(*den.shape, dh)
     den = den[..., None]
     np.divide(quotient, den, out=quotient)
@@ -315,33 +317,42 @@ def qna_forward(
     of the call on x[n] alone, bitwise where the window reduction's BLAS
     adds in order (see ``tensor.window_weighted_sum``).
 
-    The map-sized transients do not depend on the window size k: the
-    exponentiated score maps, the value map, and per-query output-sized
-    sums. Only the reduction kernels (2 k x k per query) and each window
-    reduction's scratch (``tensor.wws_peak``, which does not grow with the
-    map's height) grow with k. The per-window softmax over in-bounds offsets
-    (with additive score bias) is realized as a quotient of two window
-    reductions per query; the mixing weights fold into the numerator's
-    reduction kernel.
+    The map-sized transients do not depend on the window size k: the value
+    map, one query's exponentiated score map and weighted values at a time,
+    and output-sized sums. The last query's weighted values are written
+    into the value map, which nothing reads after them, and the value map is
+    released before the output projection; with one query, no more than one
+    value-sized map is held beside the output-sized ones. Only the
+    reduction kernels (2 k x k per query) and each window reduction's
+    scratch (``tensor.wws_peak``, which does not grow with the map's height)
+    grow with k. The per-window softmax over in-bounds offsets (with
+    additive score bias) is realized as a quotient of two window reductions
+    per query; the mixing weights fold into the numerator's reduction
+    kernel.
     """
     a, v, num_k, den_k = _layer_maps(x, cfg, params)
+    L = cfg.num_queries
 
     def quotient(l):
-        return _window_sums(x, a[l], v, num_k[l], den_k[l], cfg.stride, ledger)[0]
+        # Nothing reads V after the last query's E_L * V: it goes into V's buffer.
+        return _window_sums(x, a[l], v, num_k[l], den_k[l], cfg.stride, ledger,
+                            v if l == L - 1 else None)[0]
 
     y = quotient(0)  # its buffer accumulates the other queries' quotients
-    for l in range(1, cfg.num_queries):
+    for l in range(1, L):
         y += quotient(l)
+    del v  # before the projection
 
     # The ledger counts the heap high-water mark above the output. The mark
     # is reached inside a numerator reduction: the values, one query's
-    # exponentiated scores, weighted values, normalizer and numerator, the
-    # accumulator when there are earlier queries, the reduction's own
-    # transients and the reduction kernels. Map sizes count the sites of
-    # every sample.
-    L, h, D = cfg.num_queries, cfg.heads, cfg.dim_out
+    # exponentiated scores, weighted values (in the values' buffer for the
+    # last query), normalizer and numerator, the accumulator when there are
+    # earlier queries, the reduction's own transients and the reduction
+    # kernels. With two queries the first one's reduction sets it, with more
+    # a middle one's. Map sizes count the sites of every sample.
+    h, D = cfg.heads, cfg.dim_out
     n, n_out = x.size // cfg.dim_in, y.size // D
-    peak = (n * (h + 2 * D) + n_out * (h + (2 if L > 1 else 1) * D)
+    peak = (n * (h + (2 if L > 1 else 1) * D) + n_out * (h + (2 if L > 2 else 1) * D)
             + wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize) + 2 * L * cfg.k * cfg.k)
     _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
     return _project(y, cfg, params)
@@ -371,15 +382,24 @@ def qna_upsample_forward(
     L, h, D = cfg.num_queries, cfg.heads, cfg.dim_out
     out = np.empty((H, s, W, s, D), dtype=x.dtype)
     for l in range(L):
+        # Nothing reads V after the last query's E_L * V: it goes into V's
+        # buffer, and V is released before the last projection.
+        last = l == L - 1
+        ratio = _window_sums(x, a[l], v, den_k[l], den_k[l], 1, ledger, v if last else None)[0]
+        if last:
+            del v
+        out[:, l // s, :, l % s] = _project(ratio, cfg, params)
         # No quotient outlives its projection, which adds the bias in place,
         # so projecting holds less than the reduction before it (the ledger's
         # peak).
-        out[:, l // s, :, l % s] = _project(
-            _window_sums(x, a[l], v, den_k[l], den_k[l], 1, ledger)[0], cfg, params)
+        del ratio
 
+    # The first query's numerator reduction holds the most: the values, its
+    # weighted values (in the values' buffer when it is the only query), its
+    # scores, normalizer and numerator.
     transient = (
-        H * W * D                       # values
-        + H * W * (2 * h + 2 * D)       # a query's scores, normalizer, weighted values, numerator
+        H * W * (2 if L > 1 else 1) * D  # values and weighted values
+        + H * W * (2 * h + D)           # a query's scores, normalizer, numerator
         + wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
         + 2 * L * cfg.k * cfg.k         # reduction kernels
     ) * x.dtype.itemsize

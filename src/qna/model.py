@@ -31,6 +31,7 @@ from .tensor import (
     conv2d,
     dtype_tag,
     fill_tensors,
+    _layernorm_into,
     layernorm,
     make_rng,
     matmul,
@@ -358,28 +359,38 @@ def _gelu_(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in place."""
+    out = matmul(x, w)
+    out += b
+    return out
+
+
 def _ffn_residual(z: np.ndarray, params: BlockParams, ledger) -> np.ndarray:
     """z + FFN(LN2(z)) over z's last axis: the pre-norm sub-block that ends every block.
 
-    The hidden map is never held whole. Each tile of FFN_TILE_ROWS rows runs
-    W1, b1, the GELU and W2 in two tile-sized buffers; W2's product is
-    written straight into the tile's output rows, which then add b2 and z.
+    Neither the normalized map nor the hidden one is held whole. Each tile
+    of FFN_TILE_ROWS rows is normalized (LN2) into a tile buffer, then runs
+    W1, b1, the GELU and W2 in two tile-sized hidden buffers; W2's product
+    is written straight into the tile's output rows, which then add b2 and
+    z. The ledger event is the three tile buffers.
     """
     d = z.shape[-1]
     ffn = params.ffn
-    u = layernorm(z, params.ln2_g, params.ln2_b, ledger=ledger).reshape(-1, d)
-    n = u.shape[0]
+    res = z.reshape(-1, d)
+    n = res.shape[0]
     rows = min(FFN_TILE_ROWS, max(n, 1))
+    u = np.empty((rows, d), dtype=z.dtype)
     h = np.empty((rows, ffn.w1.shape[1]), dtype=z.dtype)
     t = np.empty_like(h)
     _record(ledger, "ffn", u.nbytes + h.nbytes + t.nbytes)
     out = np.empty(z.shape, dtype=z.dtype)
-    flat, res = out.reshape(-1, d), z.reshape(-1, d)
+    flat = out.reshape(-1, d)
     for r0 in range(0, n, rows):
         r = slice(r0, r0 + rows)
         o = flat[r]
         hr = h[:len(o)]
-        np.matmul(u[r], ffn.w1, out=hr)
+        np.matmul(_layernorm_into(res[r], params.ln2_g, params.ln2_b, u[:len(o)]), ffn.w1, out=hr)
         hr += ffn.b1
         np.matmul(_gelu_(hr, t[:len(hr)]), ffn.w2, out=o)
         o += ffn.b2
@@ -395,22 +406,32 @@ def vit_block_forward(z: np.ndarray, params: BlockParams, ledger: AllocationLedg
         raise ShapeError("vit_block_forward needs a vit block")
     if z.ndim != 2:
         raise ShapeError(f"tokens must be N x D, got shape {z.shape}")
-    n, d = z.shape
-    h = m.heads
-    if d % h != 0:
-        raise ShapeError(f"token dim {d} not divisible by heads {h}")
-    dh = d // h
+    if z.shape[1] % m.heads != 0:
+        raise ShapeError(f"token dim {z.shape[1]} not divisible by heads {m.heads}")
+    # The attention's maps (the scores among them) are freed on its return,
+    # before the feed-forward sub-block. The residual is added in place,
+    # bitwise as the unfused sum, since IEEE addition is commutative.
+    y = _self_attention(layernorm(z, params.ln1_g, params.ln1_b, ledger=ledger), m, ledger)
+    y += z
+    return _ffn_residual(y, params, ledger)
 
-    # Heads are the batch axis of two stacked products: the transposes are
-    # strided views, so no head is copied out of the projections.
-    u = layernorm(z, params.ln1_g, params.ln1_b, ledger=ledger)
-    q = (matmul(u, m.w_q) + m.b_q).reshape(n, h, dh).transpose(1, 0, 2)
-    k = (matmul(u, m.w_k) + m.b_k).reshape(n, h, dh).transpose(1, 2, 0)
-    v = (matmul(u, m.w_v) + m.b_v).reshape(n, h, dh).transpose(1, 0, 2)
-    scale = np.asarray(1.0 / math.sqrt(dh), dtype=z.dtype)
-    att = softmax_rows(matmul(q, k) * scale, ledger)
-    y = matmul(att, v).transpose(1, 0, 2).reshape(n, d)
-    return _ffn_residual(z + (matmul(y, m.w_o) + m.b_o), params, ledger)
+
+def _self_attention(u: np.ndarray, m: MsaParams, ledger) -> np.ndarray:
+    """Global multi-head attention over the N x D tokens u, output projection included.
+
+    Heads are the batch axis of two stacked products: the transposes are
+    strided views, so no head is copied out of the projections. Biases and
+    the score scale are applied in place."""
+    n, d = u.shape
+    h = m.heads
+    dh = d // h
+    q, k, v = (_affine(u, w, b).reshape(n, h, dh)
+               for w, b in ((m.w_q, m.b_q), (m.w_k, m.b_k), (m.w_v, m.b_v)))
+    s = matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0))
+    s *= np.asarray(1.0 / math.sqrt(dh), dtype=u.dtype)
+    att = softmax_rows(s, ledger)
+    del s  # before the product with the values
+    return _affine(matmul(att, v.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(n, d), m.w_o, m.b_o)
 
 
 def qna_block_forward(
@@ -426,11 +447,15 @@ def qna_block_forward(
         raise ShapeError("qna_block_forward needs a qna block")
     u = layernorm(x, params.ln1_g, params.ln1_b, ledger=ledger)
     y = qna_fn(u, cfg, params.qna, ledger)
+    del u  # before the skip's convolution
     skip = x
     if cfg.stride != 1:
         skip = conv2d(x, params.skip_w.reshape(1, 1, cfg.dim_in, cfg.dim_out),
-                      cfg.stride, ledger) + params.skip_b
-    return _ffn_residual(skip + y, params, ledger)
+                      cfg.stride, ledger)
+        skip += params.skip_b
+    y += skip  # in place, bitwise skip + y
+    del skip
+    return _ffn_residual(y, params, ledger)
 
 
 def _check_side(name: str, side: int) -> None:
@@ -444,7 +469,7 @@ def _patch_embed(model: Model, image: np.ndarray) -> np.ndarray:
     H, W, c = image.shape
     hp, wp = H // p, W // p
     flat = image.reshape(hp, p, wp, p, c).transpose(0, 2, 1, 3, 4).reshape(hp * wp, p * p * c)
-    return (matmul(flat, model.patch_w) + model.patch_b).reshape(hp, wp, model.arch.base_dim)
+    return _affine(flat, model.patch_w, model.patch_b).reshape(hp, wp, model.arch.base_dim)
 
 
 def forward_inference(

@@ -520,19 +520,39 @@ def layernorm(
     beta: np.ndarray,
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The output is the one map-sized buffer (see :func:`_layernorm_into`).
+    The ledger event is what is held beside it: a per-row statistic and the
+    ufunc buffer, up to getbufsize() elements, of a broadcast update."""
     check_dtype(x, "x")
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"x must have a feature axis, got shape {x.shape}")
     D = x.shape[-1]
     if gamma.shape != (D,) or beta.shape != (D,):
         raise ShapeError(f"gamma/beta must have shape ({D},), got {gamma.shape} and {beta.shape}")
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    centered /= np.sqrt(var + LAYERNORM_EPS)
-    out = centered * gamma + beta
-    _record(ledger, "layernorm", 2 * x.nbytes)
+    out = _layernorm_into(x, gamma, beta, np.empty(x.shape, dtype=x.dtype))
+    _record(ledger, "layernorm", (x.size // D + min(np.getbufsize(), x.size)) * x.itemsize)
+    return out
+
+
+def _layernorm_into(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out: np.ndarray):
+    """``out`` <- :func:`layernorm` of x, unchecked, for an ``out`` of x's
+    shape and dtype that does not overlap x. Two passes: the rows are
+    centered into ``out``, their variance is the mean of the centered
+    squares (summed by einsum, so no squared map is made), and the scaling
+    and affine are applied in place. Beside ``out`` it holds one per-row
+    statistic at a time, and the ufunc buffers of the broadcast updates."""
+    mean = x.sum(axis=-1, keepdims=True)
+    mean /= x.shape[-1]  # x.mean() would allocate a ufunc buffer for this division
+    np.subtract(x, mean, out=out)
+    del mean
+    var = np.einsum("...d,...d->...", out, out)[..., None]
+    var /= x.shape[-1]
+    var += LAYERNORM_EPS
+    out /= np.sqrt(var, out=var)
+    out *= gamma
+    out += beta
     return out
 
 

@@ -39,6 +39,7 @@ from qna.tensor import (
     make_rng,
     same_window_slices,
     window_weighted_sum,
+    wws_peak,
     wws_plan,
 )
 
@@ -408,8 +409,9 @@ def _assert_ledger_matches_heap_peak(call):
 # 128 x 128 x 64 f32 maps, and small f64 maps (the toy trainer's shape among
 # them, alone and as its 16-sample batch) where numpy's fixed-size ufunc
 # buffers are a large share of the maps. The 128 x 128 maps and the 64 x 64
-# f64 one span several row bands of the window reduction; the others fit
-# one. ``batch`` is the leading N, if any.
+# f64 ones span several row bands of the window reduction; the others fit
+# one. One, two and three queries each reach the high-water mark in another
+# query's reduction. ``batch`` is the leading N, if any.
 @pytest.mark.parametrize("batch,size,dim_in,dim_out,k,heads,L,dtype", [
     ((), 128, 64, 64, 3, 1, 1, np.float32),
     ((), 128, 64, 64, 15, 1, 1, np.float32),
@@ -418,8 +420,9 @@ def _assert_ledger_matches_heap_peak(call):
     ((), 24, 8, 16, 5, 4, 2, np.float64),
     ((16,), 12, 4, 8, 3, 2, 2, np.float64),
     ((), 64, 16, 32, 5, 2, 2, np.float64),
+    ((), 64, 16, 32, 5, 2, 3, np.float64),
 ], ids=["3-1-1", "15-1-1", "7-4-2", "12-4-8-3-2-2-float64", "24-8-16-5-4-2-float64",
-        "16x12-4-8-3-2-2-float64", "64-16-32-5-2-2-float64"])
+        "16x12-4-8-3-2-2-float64", "64-16-32-5-2-2-float64", "64-16-32-5-2-3-float64"])
 def test_forward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, k, heads, L, dtype):
     rng = make_rng(14)
     cfg = QnAConfig(k=k, stride=1, heads=heads, num_queries=L, dim_in=dim_in, dim_out=dim_out)
@@ -428,11 +431,37 @@ def test_forward_ledger_matches_heap_peak(batch, size, dim_in, dim_out, k, heads
     _assert_ledger_matches_heap_peak(lambda ledger: qna_forward(x, cfg, params, ledger))
 
 
+@pytest.mark.parametrize("k", [3, 15])
+def test_forward_holds_one_value_map(k):
+    # One query and one head at 128 x 128 x 64 f32 (4 MiB maps): E·V is
+    # written into the value map, which is released before the projection.
+    # Beside its output the forward holds the value map, two one-channel
+    # maps (scores and normalizer, 64 KiB each) and a window reduction's
+    # scratch. Holding E·V apart from the values, or the values through the
+    # projection, adds a second 4 MiB map.
+    cfg = QnAConfig(k=k, stride=1, heads=1, num_queries=1, dim_in=64, dim_out=64)
+    params = init_params(cfg, make_rng(39), dtype=np.float32)
+    x = make_rng(40).standard_normal((128, 128, 64)).astype(np.float32)
+    wws_plan.cache_clear()
+    same_window_slices.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = qna_forward(x, cfg, params)
+        heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+    finally:
+        tracemalloc.stop()
+    one_channel = x.nbytes // 64
+    assert heap <= x.nbytes + 2 * one_channel + wws_peak(x.shape, k, 1, 4) * 4, heap
+
+
 def test_upsample_ledger_matches_heap_peak():
     rng = make_rng(17)
-    # f64 maps that fit one row band of the window reduction, and that span four
-    for size, k, dim_in, dim_out in [(12, 3, 4, 8), (64, 5, 16, 32)]:
-        cfg = QnAConfig(k=k, stride=1, heads=2, num_queries=4, dim_in=dim_in, dim_out=dim_out)
+    # f64 maps that fit one row band of the window reduction, and that span
+    # four; with one query (upsampling by 1), its weighted values take the
+    # values' buffer
+    for size, k, dim_in, dim_out, L in [(12, 3, 4, 8, 4), (64, 5, 16, 32, 4), (64, 5, 16, 32, 1)]:
+        cfg = QnAConfig(k=k, stride=1, heads=2, num_queries=L, dim_in=dim_in, dim_out=dim_out)
         params = init_params(cfg, rng)
         x = rng.standard_normal((size, size, dim_in))
         _assert_ledger_matches_heap_peak(

@@ -10,7 +10,7 @@ import pytest
 
 from qna import tensor as tensor_mod
 from qna.checks import oracle_swap
-from qna.layer import qna_forward
+from qna.layer import QnAConfig, init_params, qna_forward, qna_upsample_forward
 from qna.model import (
     FFN_TILE_ROWS,
     ArchConfig,
@@ -396,14 +396,16 @@ def test_ffn_ledger_matches_heap_peak():
         heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
     finally:
         tracemalloc.stop()
-    assert [name for name, _ in ledger.events] == ["layernorm", "ffn"]
+    # LN2 normalizes each tile into a tile buffer, so one event covers the sub-block
+    assert [name for name, _ in ledger.events] == ["ffn"]
     assert abs(ledger.peak_extra_bytes - heap) <= 0.1 * heap, (ledger.peak_extra_bytes, heap)
 
 
 def test_forward_heap_peak_of_tiny224():
-    # the feed-forward tail holds no hidden-sized map, so no block needs
-    # more than a few stage-1 maps at once; weights are allocated before
-    # tracing starts and are not counted
+    # the feed-forward tail holds no hidden-sized or normalized map, and the
+    # layer writes its last query's weighted values into its value map, so
+    # no block needs more than a few stage-1 maps (0.77 MiB each) at once;
+    # weights are allocated before tracing starts and are not counted
     model = build_model("tiny", seed=34)
     image = make_rng(35).standard_normal((224, 224, 3)).astype(np.float32)
     tracemalloc.start()
@@ -413,7 +415,42 @@ def test_forward_heap_peak_of_tiny224():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20, peak / 2**20
+    assert peak <= 5.6 * 2**20, peak / 2**20
+
+
+def _tensor_bytes(tensor_set):
+    return [t.tobytes() for t in tensor_set.tensors().values()]
+
+
+def test_forward_entry_points_leave_their_inputs_unchanged():
+    # the forward passes update their own buffers in place; the input map
+    # and every parameter must come out bitwise as they went in
+    rng = make_rng(38)
+    model = build_model(_mini_arch(base_dim=8, vit=(1, 0, 0, 0), qna=(2, 1, 1, 0)), seed=38,
+                        dtype=np.float64)
+    for t in model.tensors().values():  # the built biases and gains are zeros and ones
+        t[...] = rng.standard_normal(t.shape)
+    vit, qna1, ds = model.stages[0][1], model.stages[0][0], model.stages[0][2]
+    assert (vit.kind, qna1.qna_cfg.stride, ds.qna_cfg.stride) == ("vit", 1, 2)
+    up_cfg = QnAConfig(k=3, stride=1, heads=2, num_queries=4, dim_in=8, dim_out=8)
+    up_params = init_params(up_cfg, rng)
+    up_params.bias[...] = rng.standard_normal(up_params.bias.shape)
+    x = rng.standard_normal((6, 6, 8))
+    calls = {
+        "layernorm": (lambda x: layernorm(x, vit.ln1_g, vit.ln1_b), vit),
+        "_ffn_residual": (lambda x: _ffn_residual(x, vit, None), vit),
+        "vit_block_forward": (lambda x: vit_block_forward(x.reshape(36, 8), vit), vit),
+        "qna_block_forward stride 1": (lambda x: qna_block_forward(x, qna1), qna1),
+        "qna_block_forward stride 2": (lambda x: qna_block_forward(x, ds), ds),
+        "qna_forward": (lambda x: qna_forward(x, qna1.qna_cfg, qna1.qna), qna1.qna),
+        "qna_upsample_forward": (lambda x: qna_upsample_forward(x, up_cfg, up_params), up_params),
+    }
+    for name, (call, params) in calls.items():
+        before, x_before = _tensor_bytes(params), x.tobytes()
+        out = call(x)
+        assert not np.shares_memory(out, x), name
+        assert x.tobytes() == x_before, name
+        assert _tensor_bytes(params) == before, name
 
 
 def test_qna_block_zeroed_branches_is_identity():

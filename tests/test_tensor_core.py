@@ -621,6 +621,53 @@ def test_layernorm_affine_and_eps():
         layernorm(x, np.ones(2), np.zeros(3))
 
 
+# Rows far from zero (|mean| / std = 1e4 in f32, 1e8 in f64) and near it. A
+# one-pass E[x^2] - E[x]^2 variance loses every digit of the first kind
+# (eps * mean^2 / var = 6 in f32, 1.1 in f64); the two-pass one only rounds
+# the mean, which shifts each centered value by about eps * |mean|.
+@pytest.mark.parametrize("dtype,offset", [(np.float32, 1e4), (np.float64, 1e8)])
+def test_layernorm_against_two_pass_f64_reference(dtype, offset):
+    rng = make_rng(36)
+    D = 64
+    x = rng.standard_normal((3, 40, D)).astype(dtype)
+    x[:2] += np.asarray(offset, dtype=dtype) * np.sign(rng.standard_normal((2, 40, 1)))
+    gamma, beta = (rng.standard_normal(D).astype(dtype) for _ in range(2))
+    before = x.copy()
+    got = layernorm(x, gamma, beta)
+
+    x64 = x.astype(np.float64)
+    centered = x64 - x64.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    want = centered / np.sqrt(var + 1e-6) * gamma.astype(np.float64) + beta.astype(np.float64)
+
+    assert got.dtype == np.dtype(dtype) and got.shape == x.shape
+    assert not np.shares_memory(got, x)
+    assert x.tobytes() == before.tobytes()
+    eps = np.finfo(dtype).eps
+    scale = np.abs(gamma).max()
+    # the rows near zero round like any other chain of a few operations
+    assert np.max(np.abs(got[2] - want[2])) <= 8 * eps * (1 + scale)
+    # far rows: the mean's rounding, times the std's inverse and gamma
+    assert np.max(np.abs(got[:2] - want[:2])) <= 8 * eps * offset * scale
+
+
+def test_layernorm_ledger_matches_heap_peak():
+    # a stage-1 map of the tiny model at 224: the output is the one
+    # map-sized buffer; beside it are a per-row statistic and a ufunc buffer
+    x = make_rng(37).standard_normal((56, 56, 64)).astype(np.float32)
+    gamma, beta = np.ones(64, dtype=np.float32), np.zeros(64, dtype=np.float32)
+    ledger = AllocationLedger()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = layernorm(x, gamma, beta, ledger)
+        heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert [name for name, _ in ledger.events] == ["layernorm"]
+    assert abs(ledger.peak_extra_bytes - heap) <= 0.1 * heap, (ledger.peak_extra_bytes, heap)
+
+
 # ---------------------------------------------------------------------------
 # RNG and init helpers
 # ---------------------------------------------------------------------------
