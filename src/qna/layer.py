@@ -234,8 +234,12 @@ def _exp_scores(x, a_l: np.ndarray) -> np.ndarray:
     # the shift-equivariance guarantee, and the equality of a batched call
     # with per-sample calls) independent of the site's position.
     h, Din = a_l.shape
+    lead = x.shape[:-3]
     e = (x.reshape(-1, Din) @ np.ascontiguousarray(a_l.T)).reshape(*x.shape[:-1], h)
-    e -= e.max(axis=(-3, -2), keepdims=True, initial=-np.inf)
+    # The max over a heads-first copy reduces contiguous rows, 5-10x faster
+    # than over the middle site axes; a max is exact in any order.
+    heads_first = np.ascontiguousarray(e.reshape(*lead, -1, h).swapaxes(-1, -2))
+    e -= heads_first.max(axis=-1, initial=-np.inf).reshape(*lead, 1, 1, h)
     np.exp(e, out=e)
     return e
 
@@ -347,13 +351,14 @@ def qna_forward(
     # is reached inside a numerator reduction: the values, one query's
     # exponentiated scores, weighted values (in the values' buffer for the
     # last query), normalizer and numerator, the accumulator when there are
-    # earlier queries, the reduction's own transients and the reduction
-    # kernels. With two queries the first one's reduction sets it, with more
-    # a middle one's. Map sizes count the sites of every sample.
+    # earlier queries, the reduction's own transients, the query/key fold and
+    # the reduction kernels. With two queries the first one's reduction sets
+    # it, with more a middle one's. Map sizes count the sites of every sample.
     h, D = cfg.heads, cfg.dim_out
     n, n_out = x.size // cfg.dim_in, y.size // D
     peak = (n * (h + (2 if L > 1 else 1) * D) + n_out * (h + (2 if L > 2 else 1) * D)
-            + wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize) + 2 * L * cfg.k * cfg.k)
+            + wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize)
+            + L * (h * cfg.dim_in + 2 * cfg.k * cfg.k))
     _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
     return _project(y, cfg, params)
 
@@ -396,12 +401,12 @@ def qna_upsample_forward(
 
     # The first query's numerator reduction holds the most: the values, its
     # weighted values (in the values' buffer when it is the only query), its
-    # scores, normalizer and numerator.
+    # scores, normalizer and numerator, the query/key fold and the kernels.
     transient = (
         H * W * (2 if L > 1 else 1) * D  # values and weighted values
         + H * W * (2 * h + D)           # a query's scores, normalizer, numerator
         + wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
-        + 2 * L * cfg.k * cfg.k         # reduction kernels
+        + L * (h * cfg.dim_in + 2 * cfg.k * cfg.k)  # query/key fold, reduction kernels
     ) * x.dtype.itemsize
     _record(ledger, "qna_upsample_forward", transient)
     return out.reshape(H * s, W * s, D)
@@ -487,13 +492,13 @@ def qna_vjp(
     L, h, dh, Dout, k = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out, cfg.k
     # The ledger counts heap high-water marks from the start of this call:
     # the forward's above its output, the pullback's above its gradients.
-    # Both hold the tape: the values, the kernels and every query's
-    # quotient, normalizer, weighted values and exponentiated scores. The
-    # forward's mark is reached inside the last numerator reduction or while
-    # projecting the summed quotients. Map sizes count the sites of every
-    # sample.
+    # Both hold the tape: the values, the query/key fold, the kernels and
+    # every query's quotient, normalizer, weighted values and exponentiated
+    # scores. The forward's mark is reached inside the last numerator
+    # reduction or while projecting the summed quotients. Map sizes count the
+    # sites of every sample.
     n, n_out = x.size // Din, out.size // Dout
-    kept = n * (L * h + Dout) + L * (n_out * (Dout + h) + n * Dout) + 2 * L * k * k
+    kept = n * (L * h + Dout) + L * (n_out * (Dout + h) + n * Dout + h * Din + 2 * k * k)
     fwd = max(wws_peak((*lead, H, W, Dout), k, cfg.stride, x.itemsize),
               (2 if L > 1 else 1) * n_out * Dout)
     _record(ledger, "qna_vjp", (kept + fwd - n_out * Dout) * x.dtype.itemsize)
@@ -641,11 +646,11 @@ def attention_heatmap(
     # is reached inside the normalizer's reduction (the chosen exponentiated
     # score map, the normalizer and the reduction's own transients) or the
     # map adjoint's, which also holds 1/den and its result, the output's
-    # buffer. The kernels are held throughout.
+    # buffer. The query/key fold and the kernels are held throughout.
     n = H * W
     peak = (max(2 * n + wws_peak((H, W, 1), cfg.k, 1, x.itemsize),
                 4 * n + _wws_grad_map_peak((H, W, 1), cfg.k, 1, x.itemsize))
-            + 2 * cfg.num_queries * cfg.k * cfg.k)
+            + cfg.num_queries * (cfg.heads * cfg.dim_in + 2 * cfg.k * cfg.k))
     _record(ledger, "attention_heatmap", (peak - heat.size) * x.dtype.itemsize)
     return heat
 

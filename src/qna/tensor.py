@@ -23,7 +23,9 @@ Conventions shared by every windowed operation:
   slice they read, is worked out per axis in one place,
   :func:`_same_axis_ranges`. :func:`same_window_slices` combines the two
   axes for the convolution and the layer's kernel adjoint; :func:`wws_plan`
-  uses the column ranges for the window reduction's products.
+  uses the column ranges for the input columns each window-reduction product
+  reads. The reduction then adds a product into every output column through
+  one view, whose out-of-bounds reads land in zero margins of its buffer.
 * Inputs are expected to be finite. Layer-level entry points validate this;
   the primitives trust their callers so that benchmark loops are not
   dominated by scans. A deliberate exception: ``softmax_rows`` accepts
@@ -312,7 +314,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-WWSPlan = collections.namedtuple("WWSPlan", "rows group stack prod out pad fill cols bands")
+WWSPlan = collections.namedtuple("WWSPlan", "rows group stack prod out pad cols bands")
 
 
 @functools.lru_cache(maxsize=256)
@@ -324,14 +326,17 @@ def wws_plan(shape, k: int, stride: int, itemsize: int) -> WWSPlan:
     and contracts over the (rows - 1) * stride + group input rows the band
     reaches there. The kernel rows form the fewest equal groups that keep a
     two-row band's contraction under WWS_GEMM_BYTES. Bands get as many rows
-    as that bound and WWS_GEMM_MACS allow, and at least one. Products are as
-    wide as an input row; one-row and one-column ones are padded to two, so
-    ``stack`` (kernel column, group, band row, input row) and ``prod`` hold
-    two rows and two columns at least. ``fill`` holds where each band row's
-    taps sit in a kernel column's flat stack. ``cols`` holds each kernel
-    column's input, product, output and kept product columns; ``bands``
-    holds each band's output, product and kept rows, and each group's stack
-    columns and input rows, clipped to the map.
+    as that bound and WWS_GEMM_MACS allow for products as wide as an input
+    row, and at least one. One-row and one-column products are padded to
+    two, so ``stack`` (kernel column, group, band row, input row) and
+    ``prod`` hold two rows and two columns at least. ``prod`` is the band
+    buffer: the products of input column c sit at its column c + (k - 1) //
+    2, between zero margins as wide as the window reaches beyond the map on
+    each side. ``cols`` holds each kernel column j, the input columns its
+    product reads (and writes, in the buffer), and the buffer columns its
+    output columns read: column j and every stride-th one after it;
+    ``bands`` holds each band's output, product and kept rows, and each
+    group's stack columns and input rows, clipped to the map.
     """
     *lead, H, W, C = shape
     pad, width = W * C == 1, max(W * C, 2)
@@ -341,10 +346,6 @@ def wws_plan(shape, k: int, stride: int, itemsize: int) -> WWSPlan:
     while rows > 1 and rows * ((rows - 1) * stride + group) * width > WWS_GEMM_MACS:
         rows -= 1
     groups, reach, m2 = _ceil_div(k, group), (rows - 1) * stride + group, max(rows, 2)
-    # band row r holds kernel row i = g * group + t in slab g, at column r * stride + t
-    i = np.arange(k)
-    fill = i // group * (m2 * reach) + np.arange(rows)[:, None] * (reach + stride) + i % group
-    fill.flags.writeable = False
 
     lo, _ = offset_bounds(k)
     Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
@@ -356,8 +357,8 @@ def wws_plan(shape, k: int, stride: int, itemsize: int) -> WWSPlan:
             span = (d1 - d0 - 1) * stride + 1
             w = max(span, 2) if C == 1 else span
             c0 = min(c, W + pad - w)
-            cols.append((j, slice(c0 * C, (c0 + w) * C), slice(0, w * C), slice(d0, d1),
-                         slice(c - c0, c - c0 + span, stride)))
+            seen = slice(j, j + (Wp - 1) * stride + 1, stride)
+            cols.append((j, slice(c0 * C, (c0 + w) * C), seen))
     bands = []
     for b0 in range(0, Hp, rows):
         m = min(rows, Hp - b0)
@@ -368,19 +369,38 @@ def wws_plan(shape, k: int, stride: int, itemsize: int) -> WWSPlan:
             if r0 < r1:
                 reads.append((g, slice(r0, r1), slice(first + r0, first + r1)))
         bands.append((slice(b0, b0 + m), slice(0, max(m, 2)), slice(0, m), tuple(reads)))
-    return WWSPlan(rows, group, (k, groups, m2, reach), (*lead, m2, width), (*lead, Hp, Wp, C),
-                   pad, fill, tuple(cols), tuple(bands))
+    return WWSPlan(rows, group, (k, groups, m2, reach), (*lead, m2, (W + pad + k - 1) * C),
+                   (*lead, Hp, Wp, C), pad, tuple(cols), tuple(bands))
 
 
 def wws_peak(shape, k: int, stride: int, itemsize: int) -> int:
     """Elements that a :func:`window_weighted_sum` over a map of ``shape``
     with a size-k kernel records in its "window_weighted_sum" ledger event:
-    the two buffers of :func:`wws_plan` and the three ufunc buffers, up to
-    getbufsize() elements each, of its strided adds into a band, none of
-    which grows with H. A copy of the map is an event of its own."""
+    the two buffers of :func:`wws_plan` and the buffers of numpy's iterator,
+    up to getbufsize() elements each and at most the band buffer, none of
+    which grows with H. numpy adds a band's product view through one such
+    buffer. Where a batch of maps spans several bands, the output band is
+    strided too, and the add may take three. A copy of the map is an event
+    of its own."""
     plan = wws_plan(shape, k, stride, itemsize)
     prod = math.prod(plan.prod)
-    return prod + math.prod(plan.stack) + 3 * min(np.getbufsize(), prod)
+    buffers = 3 if len(plan.bands) > 1 and math.prod(shape[:-3]) > 1 else 1
+    return prod + math.prod(plan.stack) + buffers * min(np.getbufsize(), prod)
+
+
+def _tap_stack(kernel: np.ndarray, plan: WWSPlan, stride: int) -> np.ndarray:
+    """The Toeplitz matrices of :func:`wws_plan`'s ``stack``: kernel column j
+    in stack[j], where band row r of group g holds kernel row g * group + t
+    at input row r * stride + t."""
+    k, groups, _, reach = plan.stack
+    stack = np.zeros(plan.stack, dtype=kernel.dtype)
+    step = kernel.itemsize
+    taps = np.ndarray((k, groups, plan.rows, plan.group), kernel.dtype, stack, 0,
+                      (*stack.strides[:2], (reach + stride) * step, step))
+    for g in range(groups):
+        kernel_rows = kernel.T[:, None, g * plan.group : (g + 1) * plan.group]
+        taps[:, g, :, : kernel_rows.shape[-1]] = kernel_rows
+    return stack
 
 
 def window_weighted_sum(
@@ -400,8 +420,14 @@ def window_weighted_sum(
     a matrix. The output is walked in bands of whole rows, and each band
     takes one GEMM per kernel column and group of kernel rows. Each product
     reads the band's input rows in place, over the contiguous input columns
-    its output columns reach, and every stride-th of its columns is added
-    into the band. :func:`wws_plan` works all of this out once per shape.
+    its output columns reach, and is written at those columns of a band
+    buffer whose margins hold zeros. One view of that buffer then adds the
+    product into every output column at once: for kernel column j, output
+    column o reads buffer column o * stride + j, a margin where the window
+    leaves the map. At stride 1 that is one add of whole rows. An
+    out-of-bounds term adds +0.0 to a sum that starts at +0.0, which leaves
+    every sum bitwise what it is without the term. :func:`wws_plan` works
+    all of this out once per shape.
     Where the BLAS adds each output's terms of such products in order (see
     WWS_GEMM_BYTES), each output element adds its terms in one order (kernel
     columns outer, kernel rows inner) whatever its position, band or batch,
@@ -439,18 +465,21 @@ def window_weighted_sum(
     if not out.size:
         return out
 
-    stack = np.zeros(plan.stack, dtype=dt)
-    stack.reshape(k, -1)[:, plan.fill] = kernel.T[:, None]  # kernel column j in stack[j]
+    stack = _tap_stack(kernel, plan, stride)
     prod = np.empty(plan.prod, dtype=dt)
     terms = prod.reshape(*prod.shape[:-1], -1, out.shape[-1])  # product columns
     rows = map_.reshape(*map_.shape[:-2], -1)  # input rows as matrix rows
+    margin = (k - 1) // 2 * out.shape[-1]
+    at_input = prod[..., margin : margin + rows.shape[-1]]  # input column c's products at c
+    prod[..., :margin] = 0  # the margins, which no product writes
+    prod[..., margin + rows.shape[-1] :] = 0
     for out_rows, prod_rows, kept_rows, reads in plan.bands:
-        for j, src, used, dst, kept in plan.cols:
-            band = out[..., out_rows, dst, :]
+        band = out[..., out_rows, :, :]
+        for j, src, seen in plan.cols:
             for g, taps_cols, in_rows in reads:
                 np.matmul(stack[j, g, prod_rows, taps_cols], rows[..., in_rows, src],
-                          out=prod[..., prod_rows, used])
-                band += terms[..., kept_rows, kept, :]
+                          out=at_input[..., prod_rows, src])
+                band += terms[..., kept_rows, seen, :]
     return out
 
 

@@ -132,6 +132,22 @@ def test_scores_match_unfused_loops():
             assert np.max(np.abs(e[:, :, g] - np.exp(s - s.max()))) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 16])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["hwc", "nhwc"])
+def test_exp_scores_shift_by_each_heads_max(lead, heads, dtype):
+    # the max taken over a heads-first copy is each sample's and head's max
+    # over its sites, so E_l is bitwise the shift by the middle-axes max
+    rng = make_rng(90 + heads)
+    a_l = rng.standard_normal((heads, 5)).astype(dtype)
+    for hw in [(4, 6), (0, 6)]:  # the second map has no sites
+        x = rng.standard_normal((*lead, *hw, 5)).astype(dtype)
+        s = (x.reshape(-1, 5) @ np.ascontiguousarray(a_l.T)).reshape(*x.shape[:-1], heads)
+        want = np.exp(s - s.max(axis=(-3, -2), keepdims=True, initial=-np.inf))
+        got = _exp_scores(x, a_l)
+        assert got.shape == want.shape and np.array_equal(got, want), hw
+
+
 # ---------------------------------------------------------------------------
 # Forward: hand-computed cases
 # ---------------------------------------------------------------------------

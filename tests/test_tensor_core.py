@@ -179,7 +179,10 @@ def _wws_loop(map_, kernel, stride):
     return out
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+# Even k reaches one column further right than left, so the band's margins
+# differ; k = 8 and 9 are wider than the 6 x 7 map. Strides 2 and 3 do not
+# divide its width.
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 9])
 @pytest.mark.parametrize("stride", [1, 2, 3], ids=[*_SAME_IDS, "same-3"])
 def test_wws_matches_loop(k, stride):
     rng = make_rng(k * 10 + stride)
@@ -203,6 +206,12 @@ def test_wws_matches_loop(k, stride):
     # a map without channels reduces to an empty output
     got = window_weighted_sum(np.zeros((5, 4, 0)), kernel, stride)
     assert got.shape == (same_output_size(5, stride), same_output_size(4, stride), 0)
+    # one-column, one-channel maps (the padded path) and other narrow ones,
+    # whose windows read mostly the band's margins
+    for shape in [(5, 1, 1), (1, 1, 1), (4, 2, 1), (3, 5, 2)]:
+        narrow = rng.standard_normal(shape)
+        got = window_weighted_sum(narrow, kernel, stride)
+        assert np.allclose(got, _wws_loop(narrow, kernel, stride), atol=1e-12), shape
 
 
 def test_wws_zero_weights_are_exact_skips():
@@ -223,7 +232,8 @@ def _bands_of(map_, k, stride, rows):
     contraction bound allows if that is fewer. Plans are cached per shape,
     so the cache is cleared on entry and on exit."""
     plan = tensor.wws_plan(map_.shape, k, stride, map_.itemsize)
-    macs = rows * ((rows - 1) * stride + plan.group) * plan.prod[-1]
+    width = max(map_.shape[-2] * map_.shape[-1], 2)  # the input row width the rule uses
+    macs = rows * ((rows - 1) * stride + plan.group) * width
     tensor.wws_plan.cache_clear()
     try:
         with mock.patch.object(tensor, "WWS_GEMM_MACS", macs):
@@ -329,11 +339,11 @@ def test_wws_one_row_bands_and_one_column_maps(stride, dtype):
 
 def test_wws_f64_k17_splits_kernel_rows():
     # 17 kernel rows exceed the 15-element f64 contraction: two groups of 9,
-    # each contracting over 7 - 1 + 9 input rows, with products as wide as
-    # an input row (20 * 2)
+    # each contracting over 7 - 1 + 9 input rows, into a band as wide as an
+    # input row and the window's reach on both sides ((20 + 16) * 2)
     rng = make_rng(60)
     map_ = rng.standard_normal((2, 30, 20, 2))
-    assert tensor.wws_plan(map_.shape, 17, 1, 8)[:4] == (7, 9, (17, 2, 7, 15), (2, 7, 40))
+    assert tensor.wws_plan(map_.shape, 17, 1, 8)[:4] == (7, 9, (17, 2, 7, 15), (2, 7, 72))
     for stride in (1, 2):
         _assert_bands_bitwise(map_, rng.standard_normal((17, 17)), stride, (1, 3, 7))
 
@@ -382,24 +392,25 @@ def test_wws_batch_equals_single_on_multi_band_maps(dtype):
 
 
 def test_wws_ledger_is_one_band_of_scratch():
-    # The transients are one band of products as wide as an input row (two
-    # rows at least), the Toeplitz stack (k kernel columns x band rows x
-    # contracted input rows), and the three ufunc buffers (up to getbufsize()
-    # elements each) of the strided adds into a band; none grows with the map.
+    # The transients are one band of products as wide as an input row and the
+    # window's reach on both sides (two rows at least), the Toeplitz stack (k
+    # kernel columns x band rows x contracted input rows), and the ufunc
+    # buffer (up to getbufsize() elements, at most the band) through which a
+    # band's product view is added; none grows with the map.
     buf = np.getbufsize()
     ledger = AllocationLedger()
     map_ = np.ones((6, 6, 3), dtype=np.float32)
     window_weighted_sum(map_, np.ones((3, 3), dtype=np.float32), 2, ledger)
     # f32 contractions stop at 31 rows: bands of 15 rows reach 2 * 14 + 3;
-    # at stride 2 the products still span all 6 * 3 elements of an input row
+    # at stride 2 the band still holds every input column, (6 + 2) * 3 wide
     assert ledger.events == [
-        ("window_weighted_sum", (15 * 18 + 3 * 15 * 31 + 3 * 15 * 18) * 4)]
+        ("window_weighted_sum", (15 * 24 + 3 * 15 * 31 + 15 * 24) * 4)]
     # 1600-element rows hold bands to 24 rows at k = 3 (24 * 26 * 1600
     # multiply-adds per product) and to 17 rows at k = 15 (the contraction
     # bound)
     for k, rows in ((3, 24), (15, 17)):
         contracted = rows - 1 + k
-        want = (rows * 1600 + k * rows * contracted + 3 * buf) * 4
+        want = (rows * (100 + k - 1) * 16 + k * rows * contracted + buf) * 4
         for H in (100, 300):
             ledger = AllocationLedger()
             window_weighted_sum(np.ones((H, 100, 16), dtype=np.float32),
@@ -417,6 +428,38 @@ def test_wws_ledger_is_one_band_of_scratch():
     ledger = AllocationLedger()
     window_weighted_sum(np.ones((9, 1, 1)), np.ones((3, 3)), 1, ledger)
     assert ledger.events[0] == ("window_weighted_sum.pad", 9 * 2 * 8)
+    # a batch of maps that span several bands adds into a strided band,
+    # through up to three buffers
+    want = (2 * 24 * 102 * 16 + 3 * 24 * 26 + 3 * buf) * 4
+    assert tensor.wws_peak((2, 100, 100, 16), 3, 1, 4) * 4 == want
+
+
+# The toy trainer's numerator and a narrow map, at stride 1, and at stride 2
+# a map whose output rows (16 x 64 elements) fill numpy's buffer exactly.
+@pytest.mark.parametrize("shape,dtype,stride", [
+    ((16, 12, 12, 8), np.float64, 1), ((128, 128, 1), np.float32, 1),
+    ((32, 32, 64), np.float32, 2),
+], ids=["16x12x12x8-f64-s1", "128x128x1-f32-s1", "32x32x64-f32-s2"])
+def test_wws_heap_is_its_ledger_event(shape, dtype, stride):
+    # numpy adds each band's product view through one iterator buffer, so a
+    # call's heap above its output is its ledger event, up to numpy's own
+    # iterator state and the call's array views (under 3 KiB). Adds of each
+    # kernel column's product into a strided band took three buffers.
+    rng = make_rng(91)
+    map_ = rng.standard_normal(shape).astype(dtype)
+    kernel = rng.standard_normal((3, 3)).astype(dtype)
+    window_weighted_sum(map_, kernel, stride)  # plans the shape
+    ledger = AllocationLedger()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = window_weighted_sum(map_, kernel, stride, ledger)
+        heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+    finally:
+        tracemalloc.stop()
+    (label, event), = ledger.events
+    assert label == "window_weighted_sum"
+    assert 0 <= heap - event < 3 * 1024, (heap, event)
 
 
 def _fma_chain(a, b, dtype):
