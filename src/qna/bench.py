@@ -1,11 +1,11 @@
 """Single-layer forward-pass complexity sweep.
 
-Four implementations over a window-size sweep on one fixed input: the
+Three implementations over a window-size sweep on one fixed input: the
 linear-memory shared-query layer, the same layer computed through explicit
-k**2 patch extraction, center-query window attention through patch
-extraction, and direct convolution. Transient memory comes from the
-deterministic AllocationLedger (never OS RSS); latency from a monotonic wall
-clock, single-threaded, mean/std plus median over the post-warmup repeats.
+k**2 patch extraction, and center-query window attention through patch
+extraction. Transient memory comes from the deterministic AllocationLedger
+(never OS RSS); latency from a monotonic wall clock, single-threaded,
+mean/std plus median over the post-warmup repeats.
 
 The unfold-based paths are the reference oracles themselves. They extract,
 use and free the key patches before extracting the value patches, so they
@@ -28,11 +28,10 @@ from .tensor import (
     AllocationLedger,
     ShapeError,
     make_rng,
-    conv2d,
     truncated_normal,
 )
 
-IMPLS = ("qna_efficient", "qna_unfold", "sasa_unfold", "conv")
+IMPLS = ("qna_efficient", "qna_unfold", "sasa_unfold")
 DEFAULT_K_SWEEP = (3, 5, 7, 9, 11, 13, 15)
 # Untimed calls before, and timed calls after, per case.
 WARMUP = 2
@@ -87,18 +86,13 @@ def _build_runner(case: BenchCase, rng):
             return (lambda ledger: qna_forward(x, cfg, params, ledger)), macs
         return (lambda ledger: qna_window_oracle(x, cfg, params, ledger)), macs
 
-    if case.impl == "sasa_unfold":
-        params = SasaParams(
-            w_q=truncated_normal(rng, (case.D, case.D), dtype=dt),
-            w_k=truncated_normal(rng, (case.D, case.D), dtype=dt),
-            w_v=truncated_normal(rng, (case.D, case.D), dtype=dt),
-        )
-        macs = 3 * n * case.D * case.D + 2 * case.k * case.k * n * case.D
-        return (lambda ledger: sasa_forward(x, case.k, params, ledger)), macs
-
-    w = truncated_normal(rng, (case.k, case.k, case.D, case.D), dtype=dt)
-    macs = n * case.k * case.k * case.D * case.D
-    return (lambda ledger: conv2d(x, w, ledger=ledger)), macs
+    params = SasaParams(
+        w_q=truncated_normal(rng, (case.D, case.D), dtype=dt),
+        w_k=truncated_normal(rng, (case.D, case.D), dtype=dt),
+        w_v=truncated_normal(rng, (case.D, case.D), dtype=dt),
+    )
+    macs = 3 * n * case.D * case.D + 2 * case.k * case.k * n * case.D
+    return (lambda ledger: sasa_forward(x, case.k, params, ledger)), macs
 
 
 def run_sweep(cases, seed: int = 42, progress=None) -> list[BenchRow]:

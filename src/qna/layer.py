@@ -234,11 +234,12 @@ def _exp_scores(x, a_l: np.ndarray) -> np.ndarray:
     # the shift-equivariance guarantee, and the equality of a batched call
     # with per-sample calls) independent of the site's position.
     h, Din = a_l.shape
-    lead = x.shape[:-3]
+    *lead, H, W, _ = x.shape
     e = (x.reshape(-1, Din) @ np.ascontiguousarray(a_l.T)).reshape(*x.shape[:-1], h)
     # The max over a heads-first copy reduces contiguous rows, 5-10x faster
-    # than over the middle site axes; a max is exact in any order.
-    heads_first = np.ascontiguousarray(e.reshape(*lead, -1, h).swapaxes(-1, -2))
+    # than over the middle site axes; a max is exact in any order. The site
+    # count is explicit: -1 cannot be resolved for an empty batch.
+    heads_first = np.ascontiguousarray(e.reshape(*lead, H * W, h).swapaxes(-1, -2))
     e -= heads_first.max(axis=-1, initial=-np.inf).reshape(*lead, 1, 1, h)
     np.exp(e, out=e)
     return e

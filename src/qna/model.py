@@ -450,8 +450,7 @@ def qna_block_forward(
     del u  # before the skip's convolution
     skip = x
     if cfg.stride != 1:
-        skip = conv2d(x, params.skip_w.reshape(1, 1, cfg.dim_in, cfg.dim_out),
-                      cfg.stride, ledger)
+        skip = conv2d(x, params.skip_w, cfg.stride, ledger)
         skip += params.skip_b
     y += skip  # in place, bitwise skip + y
     del skip

@@ -3,8 +3,8 @@
 Plain numpy arrays (row-major, float32 or float64) are the tensor currency
 of this package. The functions here are the handful of primitives the
 shared-query attention layer needs: matrix products, a per-offset weighted
-window reduction, row softmax, direct 2-D convolution and layer
-normalization. The ones that allocate scratch accept an
+window reduction, row softmax, the downsampler's strided 1x1 convolution and
+layer normalization. The ones that allocate scratch accept an
 optional :class:`AllocationLedger` and record the transient buffers, which is
 what the complexity benchmark uses to verify memory claims. Saved tensor
 sets live here too: the QNAT container, :class:`TensorSet` (named tensors
@@ -22,9 +22,9 @@ Conventions shared by every windowed operation:
 * Which output sites each kernel offset touches, and which strided input
   slice they read, is worked out per axis in one place,
   :func:`_same_axis_ranges`. :func:`same_window_slices` combines the two
-  axes for the convolution and the layer's kernel adjoint; :func:`wws_plan`
-  uses the column ranges for the input columns each window-reduction product
-  reads. The reduction then adds a product into every output column through
+  axes for the layer's kernel adjoint; :func:`wws_plan` uses the column
+  ranges for the input columns each window-reduction product reads. The
+  reduction then adds a product into every output column through
   one view, whose out-of-bounds reads land in zero margins of its buffer.
 * Inputs are expected to be finite. Layer-level entry points validate this;
   the primitives trust their callers so that benchmark loops are not
@@ -270,8 +270,9 @@ def same_window_slices(H: int, W: int, k: int, stride: int) -> tuple:
     whose windows see that offset in bounds, and ``src`` the strided input
     positions those sites read there. Both are index tuples
     ``(..., rows, cols, slice(None))``, so they select the same sites of a
-    ``[N x] H x W x C`` map of any leading shape. Computed once per shape: the
-    training loop asks for the same small geometry many times per step.
+    ``[N x] H x W x C`` map of any leading shape. Its one caller is the
+    layer's kernel adjoint. Computed once per shape: the training loop asks
+    for the same small geometry many times per step.
     """
     lo, _ = offset_bounds(k)
 
@@ -512,35 +513,28 @@ def conv2d(
     stride: int = 1,
     ledger: AllocationLedger | None = None,
 ) -> np.ndarray:
-    """Direct 2-D convolution of x [N x] H x W x Din with w [k x k x Din x Dout].
+    """1x1 convolution of x [N x] H x W x Din with w [Din x Dout] at a stride:
+    ``out[..., i, j, :] = x[..., i*stride, j*stride, :] @ w``.
 
-    True convolution: the tap multiplying the input at window offset d is
-    w[k//2 - d_row, k//2 - d_col]. Computed as one GEMM per kernel tap.
-    """
+    One product over the strided sites. The ledger event is the contiguous
+    copy of those sites, when the call makes one."""
     check_dtype(x, "x")
     check_dtype(w, "w")
     if x.ndim not in (3, 4):
         raise ShapeError(f"x must be [N x] H x W x Din, got shape {x.shape}")
-    if w.ndim != 4 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"w must be k x k x Din x Dout, got shape {w.shape}")
-    if w.shape[2] != x.shape[-1]:
-        raise ShapeError(f"channel mismatch: x has {x.shape[-1]}, w expects {w.shape[2]}")
+    if w.ndim != 2:
+        raise ShapeError(f"w must be Din x Dout, got shape {w.shape}")
+    if w.shape[0] != x.shape[-1]:
+        raise ShapeError(f"channel mismatch: x has {x.shape[-1]}, w expects {w.shape[0]}")
     if w.dtype != x.dtype:
         raise ShapeError(f"w dtype {w.dtype} must match x dtype {x.dtype}")
     if stride < 1:
         raise ShapeError(f"stride must be positive, got {stride}")
 
-    *lead, H, W, Din = x.shape
-    k, Dout = w.shape[0], w.shape[3]
-    Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
-    out = np.zeros((*lead, Hp, Wp, Dout), dtype=x.dtype)
-    for i, j, dst, src in same_window_slices(H, W, k, stride):
-        patch = np.ascontiguousarray(x[src]).reshape(-1, Din)
-        o = out[dst]
-        np.add(o, (patch @ w[k - 1 - i, k - 1 - j]).reshape(o.shape), out=o)
-    # Per-tap scratch: one input-slice copy plus one GEMM result.
-    _record(ledger, "conv2d", (out.size // Dout * (Din + Dout)) * x.dtype.itemsize)
-    return out
+    sites = np.ascontiguousarray(x[..., ::stride, ::stride, :])
+    if not np.may_share_memory(sites, x):
+        _record(ledger, "conv2d", sites.nbytes)
+    return (sites.reshape(-1, w.shape[0]) @ w).reshape(*sites.shape[:-1], w.shape[1])
 
 
 def layernorm(

@@ -97,7 +97,7 @@ def test_mac_counts_closed_forms():
 def test_run_sweep_rows_and_determinism():
     cases = [
         BenchCase(impl=impl, H=16, W=16, D=8, k=k)
-        for impl in ("qna_efficient", "conv")
+        for impl in ("qna_efficient", "sasa_unfold")
         for k in (3, 5)
     ]
     rows = run_sweep(cases, seed=7)
@@ -137,9 +137,9 @@ def test_unfold_peak_scales_with_k_squared_and_efficient_does_not():
 
 def test_sweep_progress_callback_order():
     seen = []
-    cases = [BenchCase(impl="conv", H=8, W=8, D=4, k=k) for k in (1, 3)]
+    cases = [BenchCase(impl="sasa_unfold", H=8, W=8, D=4, k=k) for k in (1, 3)]
     run_sweep(cases, seed=3, progress=lambda r: seen.append((r.impl, r.k)))
-    assert seen == [("conv", 1), ("conv", 3)]
+    assert seen == [("sasa_unfold", 1), ("sasa_unfold", 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +176,8 @@ def test_emit_csv_header_and_roundtrip(tmp_path):
 
 def test_build_runner_unknown_dtype_guard():
     with pytest.raises(ShapeError):
-        BenchCase(impl="conv", H=8, W=8, D=4, k=3, dtype="f64x")
-    case = BenchCase(impl="conv", H=8, W=8, D=4, k=3, dtype="f64")
+        BenchCase(impl="sasa_unfold", H=8, W=8, D=4, k=3, dtype="f64x")
+    case = BenchCase(impl="sasa_unfold", H=8, W=8, D=4, k=3, dtype="f64")
     fn, _ = _build_runner(case, make_rng(0))
     out = fn(AllocationLedger())
     assert out.dtype == np.float64

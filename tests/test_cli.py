@@ -40,13 +40,20 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_bench_conv_impl_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--impls", "conv"])
+    assert exc.value.code == 2
+    assert "choose from qna_efficient, qna_unfold, sasa_unfold" in capsys.readouterr().err
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["check"])
     assert args.grid == "small" and args.dtype == "f64" and args.seed == 42
     args = build_parser().parse_args(["bench"])
     assert args.input == (256, 256, 64)
     assert args.k == (3, 5, 7, 9, 11, 13, 15)
-    assert len(args.impls) == 4
+    assert len(args.impls) == 3
     assert args.out == "qna_bench.csv"
     args = build_parser().parse_args(["train-toy"])
     assert args.steps == 200 and args.seed == 42
@@ -108,7 +115,7 @@ def test_check_tiny_model(capsys):
 def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["bench", "--input", "12x12x4", "--k", "1,3",
-                 "--impls", "qna_efficient,conv", "--out", str(out)])
+                 "--impls", "qna_efficient,sasa_unfold", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("impl,k,H")
@@ -119,7 +126,7 @@ def test_bench_writes_csv(tmp_path, capsys):
 
 def test_bench_unwritable_path_exits_three(tmp_path, capsys):
     code = main(["bench", "--input", "8x8x4", "--k", "1",
-                 "--impls", "conv", "--out", str(tmp_path / "missing" / "x.csv")])
+                 "--impls", "sasa_unfold", "--out", str(tmp_path / "missing" / "x.csv")])
     assert code == 3
     assert "error" in capsys.readouterr().err
 
@@ -328,7 +335,7 @@ EXIT_CONTRACT = [
     (["viz", "--input", "{tmp}/no_cols.qnat", "--out", "{tmp}/maps"], {2}, True),
     (["viz", "--input", "{tmp}/missing.qnat", "--out", "{tmp}/maps"], {3}, True),
     (["viz", "--input", "{tmp}/corrupt.qnat", "--out", "{tmp}/maps"], {3}, True),
-    (["bench", "--input", "8x8x4", "--k", "1", "--impls", "conv",
+    (["bench", "--input", "8x8x4", "--k", "1", "--impls", "sasa_unfold",
       "--out", "{tmp}/missing/x.csv"], {3}, True),
 ]
 

@@ -314,19 +314,22 @@ def test_forward_matches_oracle_on_wide_bias_tables(dtype, b):
 @pytest.mark.parametrize("stride", [1, 2])
 def test_maps_without_sites_give_the_oracles_empty_output(stride):
     # the oracle answers on a map without rows or columns, so every entry
-    # point does, with zero parameter gradients
+    # point does, with zero parameter gradients; so does an empty batch
     rng = make_rng(20)
     cfg = QnAConfig(k=3, stride=stride, heads=2, num_queries=4, dim_in=2, dim_out=4)
     params = _rand_params(cfg, rng)
-    for shape in [(0, 4, 2), (4, 0, 2), (2, 0, 4, 2)]:
+    for shape in [(0, 4, 2), (4, 0, 2), (2, 0, 4, 2), (0, 5, 7, 2)]:
         x = np.zeros(shape)
         out, pullback = qna_vjp(x, cfg, params)
-        one = x if x.ndim == 3 else x[0]
-        assert out.shape[-3:] == qna_window_oracle(one, cfg, params).shape
+        sites = qna_window_oracle(np.zeros(shape[-3:]), cfg, params).shape
+        assert out.shape == (*shape[:-3], *sites)
         assert qna_forward(x, cfg, params).shape == out.shape
-        grads = pullback(np.zeros(out.shape))
-        assert grads.d_input.shape == shape
-        assert not any(g.any() for name, g in grads.tensors().items() if name != "d_input")
+        d_out = np.zeros(out.shape)
+        for grads in (pullback(d_out), qna_backward(x, cfg, params, d_out)):
+            assert grads.d_input.shape == shape
+            for name, g in grads.tensors().items():
+                if name != "d_input":
+                    assert g.shape == getattr(params, name[2:]).shape and not g.any(), name
         if len(shape) == 3 and stride == 1:
             assert qna_upsample_forward(x, cfg, params).shape == (2 * shape[0], 2 * shape[1], 4)
             assert attention_heatmap(x, cfg, params, 0, 1).shape == shape[:2]
