@@ -24,7 +24,7 @@ unchanged and keeps any finite table in range), mix_l blends the L
 attention maps, and WWS is ``tensor.window_weighted_sum``, which computes
 each band of output rows as one small GEMM per kernel column (a banded
 Toeplitz matrix times the band's input rows) and needs scratch that does
-not grow with the map.
+not grow with the map; each thread keeps that scratch between calls.
 The concatenated heads z are projected by W_O. Out-of-bounds window
 positions carry exactly zero weight because the exponentiated maps are never
 padded with fabricated keys (masked softmax).
@@ -60,7 +60,6 @@ from .tensor import (
     NumericalRangeError,
     ShapeError,
     TensorSet,
-    _record,
     check_dtype,
     check_manifest,
     dtype_tag,
@@ -71,9 +70,19 @@ from .tensor import (
     require_finite,
     same_window_slices,
     save_qnat,
+    ufunc_buffers,
     window_weighted_sum,
-    wws_peak,
+    wws_buffers,
+    wws_scratch,
 )
+
+# Bytes of Python objects that a layer call holds at its heap high-water
+# mark beside the array data its ledger event counts: array headers and
+# views, the window reductions' per-shape plans and numpy's iterator state.
+# This is a measured allowance, not a derived count: they came to 5-12 KiB
+# on 12 x 12 maps (CPython 3.11, numpy 2.4) and do not grow with the maps,
+# and every layer event counts 4 KiB, below the smallest reading.
+CALL_OBJECT_BYTES = 4096
 
 # ---------------------------------------------------------------------------
 # Configuration and parameter containers
@@ -261,7 +270,8 @@ def _normalizer(e_l, den_kernel, stride: int, ledger) -> np.ndarray:
     return den
 
 
-def _window_sums(x, a_l, v, num_kernel, den_kernel, stride: int, ledger, ev_out=None):
+def _window_sums(x, a_l, v, num_kernel, den_kernel, stride: int, ledger, ev_out=None,
+                 tape=None):
     """Per-window softmax quotients of one query, with its heads as channels.
 
     ``a_l`` (heads x dim_in) is the query's fold, from which its stabilized
@@ -271,21 +281,41 @@ def _window_sums(x, a_l, v, num_kernel, den_kernel, stride: int, ledger, ev_out=
 
         quotient = WWS(E_l * V ; num_kernel) / WWS(E_l ; den_kernel)
 
-    Returns (quotient, normalizer, weighted values, E_l) of shapes
-    [N x] H' x W' x heads x head_dim, [N x] H' x W' x heads x 1,
-    [N x] H x W x heads*head_dim and [N x] H x W x heads. The weighted
+    Returns the quotient, [N x] H' x W' x heads x head_dim. The weighted
     values E_l * V are written into ``ev_out`` (of v's shape; v itself where
-    nothing reads the values after) or a new buffer. A normalizer that
-    underflowed to zero is an error.
+    nothing reads the values after) or a new buffer. A ``tape`` list gets
+    (quotient, normalizer, weighted values, E_l) appended, of shapes
+    [N x] H' x W' x heads x head_dim, [N x] H' x W' x heads x 1,
+    [N x] H x W x heads*head_dim and [N x] H x W x heads; without one, the
+    weighted values and E_l are released before the division. A normalizer
+    that underflowed to zero is an error.
     """
     *sites, h, dh = v.shape
     e_l = _exp_scores(x, a_l)
     den = _normalizer(e_l, den_kernel, stride, ledger)
     ev = np.multiply(e_l[..., None], v, out=ev_out).reshape(*sites, h * dh)
+    if tape is None:
+        del e_l  # only the tape reads it after E_l * V
     quotient = window_weighted_sum(ev, num_kernel, stride, ledger).reshape(*den.shape, dh)
     den = den[..., None]
+    if tape is None:
+        del ev  # nor this, after the numerator
+    else:
+        tape.append((quotient, den, ev, e_l))
     np.divide(quotient, den, out=quotient)
-    return quotient, den, ev, e_l
+    return quotient
+
+
+def _broadcast_buffers(shape, axis: int) -> int:
+    """Elements that numpy's iterator buffers for an elementwise update of a
+    C-contiguous array of ``shape`` by an operand broadcast to it along
+    ``axis``: E_l or a normalizer across each head's channels, or the
+    output bias across the sites."""
+    thin = list(shape)
+    thin[axis] = 1
+    full, part = ([math.prod(t[i + 1:]) for i in range(len(t))] for t in (shape, thin))
+    part[axis] = 0
+    return ufunc_buffers(shape, full, part, full)
 
 
 def _layer_maps(x, cfg: QnAConfig, params: QnAParams):
@@ -324,12 +354,14 @@ def qna_forward(
 
     The map-sized transients do not depend on the window size k: the value
     map, one query's exponentiated score map and weighted values at a time,
-    and output-sized sums. The last query's weighted values are written
-    into the value map, which nothing reads after them, and the value map is
-    released before the output projection; with one query, no more than one
-    value-sized map is held beside the output-sized ones. Only the
-    reduction kernels (2 k x k per query) and each window reduction's
-    scratch (``tensor.wws_peak``, which does not grow with the map's height)
+    and output-sized sums. A query's scores are released once its weighted
+    values are made, and its weighted values once they are reduced. The
+    last query's weighted values are written into the value map, which
+    nothing reads after them, and the value map is released before the
+    output projection; with one query, no more than one value-sized map is
+    held beside the output-sized ones. Only the reduction kernels (2 k x k
+    per query) and each window reduction's working set
+    (``tensor.wws_peak``, which does not grow with the map's height)
     grow with k. The per-window softmax over in-bounds offsets (with
     additive score bias) is realized as a quotient of two window reductions
     per query; the mixing weights fold into the numerator's reduction
@@ -341,26 +373,35 @@ def qna_forward(
     def quotient(l):
         # Nothing reads V after the last query's E_L * V: it goes into V's buffer.
         return _window_sums(x, a[l], v, num_k[l], den_k[l], cfg.stride, ledger,
-                            v if l == L - 1 else None)[0]
+                            v if l == L - 1 else None)
 
     y = quotient(0)  # its buffer accumulates the other queries' quotients
     for l in range(1, L):
         y += quotient(l)
     del v  # before the projection
 
-    # The ledger counts the heap high-water mark above the output. The mark
-    # is reached inside a numerator reduction: the values, one query's
-    # exponentiated scores, weighted values (in the values' buffer for the
-    # last query), normalizer and numerator, the accumulator when there are
-    # earlier queries, the reduction's own transients, the query/key fold and
-    # the reduction kernels. With two queries the first one's reduction sets
-    # it, with more a middle one's. Map sizes count the sites of every sample.
-    h, D = cfg.heads, cfg.dim_out
-    n, n_out = x.size // cfg.dim_in, y.size // D
-    peak = (n * (h + (2 if L > 1 else 1) * D) + n_out * (h + (2 if L > 2 else 1) * D)
-            + wws_peak((*x.shape[:-1], D), cfg.k, cfg.stride, x.itemsize)
-            + L * (h * cfg.dim_in + 2 * cfg.k * cfg.k))
-    _record(ledger, "qna_forward", (peak - n_out * D) * x.dtype.itemsize)
+    if ledger is not None:
+        # The ledger counts the heap high-water mark above the output. The
+        # mark is reached inside a numerator reduction or in the division
+        # after it. Both hold the values, one query's normalizer and
+        # numerator, the accumulator when there are earlier queries, the
+        # window-reduction scratch (held from the first reduction on, as
+        # large as the larger reduction's), the query/key fold and the
+        # reduction kernels. The reduction also holds the query's weighted
+        # values unless they are in the values' buffer (the last query's)
+        # and its iterator buffers; the division, the buffered normalizer.
+        # With one query either can set the mark; with two the first
+        # reduction or the last division, with more a middle reduction. Map
+        # sizes count the sites of every sample.
+        h, D = cfg.heads, cfg.dim_out
+        n, n_out = x.size // cfg.dim_in, y.size // D
+        num, den = (((*x.shape[:-1], c), cfg.k, cfg.stride, x.itemsize) for c in (D, h))
+        in_num = (n * (2 if L > 1 else 1) * D + n_out * (h + (2 if L > 2 else 1) * D)
+                  + wws_buffers(*num))
+        in_div = n * D + n_out * (h + (2 if L > 1 else 1) * D) + _broadcast_buffers(y.shape, -1)
+        peak = (max(in_num, in_div) + max(wws_scratch(*num), wws_scratch(*den))
+                + L * (h * cfg.dim_in + 2 * cfg.k * cfg.k))
+        ledger.record("qna_forward", (peak - n_out * D) * x.dtype.itemsize + CALL_OBJECT_BYTES)
     return _project(y, cfg, params)
 
 
@@ -391,7 +432,7 @@ def qna_upsample_forward(
         # Nothing reads V after the last query's E_L * V: it goes into V's
         # buffer, and V is released before the last projection.
         last = l == L - 1
-        ratio = _window_sums(x, a[l], v, den_k[l], den_k[l], 1, ledger, v if last else None)[0]
+        ratio = _window_sums(x, a[l], v, den_k[l], den_k[l], 1, ledger, v if last else None)
         if last:
             del v
         out[:, l // s, :, l % s] = _project(ratio, cfg, params)
@@ -400,16 +441,25 @@ def qna_upsample_forward(
         # peak).
         del ratio
 
-    # The first query's numerator reduction holds the most: the values, its
-    # weighted values (in the values' buffer when it is the only query), its
-    # scores, normalizer and numerator, the query/key fold and the kernels.
-    transient = (
-        H * W * (2 if L > 1 else 1) * D  # values and weighted values
-        + H * W * (2 * h + D)           # a query's scores, normalizer, numerator
-        + wws_peak((H, W, D), cfg.k, 1, x.itemsize)  # the numerator WWS's own
-        + L * (h * cfg.dim_in + 2 * cfg.k * cfg.k)  # query/key fold, reduction kernels
-    ) * x.dtype.itemsize
-    _record(ledger, "qna_upsample_forward", transient)
+    if ledger is not None:
+        # The mark is reached in the first query's numerator reduction (the
+        # values, its weighted values unless it is the only query and they
+        # are in the values' buffer, its normalizer and numerator, and the
+        # reduction's iterator buffers), a division (the values, a
+        # normalizer and numerator, the buffered normalizer) or a projection
+        # (the values unless they are released, the quotient, its
+        # projection and the buffered bias). The window-reduction scratch,
+        # the query/key fold and the kernels are held throughout.
+        n = H * W
+        num, den = (((H, W, c), cfg.k, 1, x.itemsize) for c in (D, h))
+        transient = (
+            max(n * ((2 if L > 1 else 1) * D + h + D) + wws_buffers(*num),
+                n * (2 * D + h) + _broadcast_buffers((H, W, h, cfg.head_dim), -1),
+                n * (3 if L > 1 else 2) * D + _broadcast_buffers((n, D), 0))
+            + max(wws_scratch(*num), wws_scratch(*den))
+            + L * (h * cfg.dim_in + 2 * cfg.k * cfg.k)  # query/key fold, reduction kernels
+        ) * x.dtype.itemsize
+        ledger.record("qna_upsample_forward", transient + CALL_OBJECT_BYTES)
     return out.reshape(H * s, W * s, D)
 
 
@@ -435,10 +485,12 @@ def _wws_grad_map(grad_out: np.ndarray, kernel: np.ndarray, stride: int, in_hw) 
     return window_weighted_sum(grad_out, turned, 1)
 
 
-def _wws_grad_map_peak(shape, k: int, stride: int, itemsize: int) -> int:
-    """Elements of scratch that :func:`_wws_grad_map` holds for an input map of
-    ``shape``: the stride grid, if any, and its size-(k | 1) window reduction's."""
-    return (math.prod(shape) if stride > 1 else 0) + wws_peak(shape, k | 1, 1, itemsize)
+def _wws_grad_map_peak(shape, k: int, stride: int, itemsize: int) -> tuple[int, int]:
+    """Elements that :func:`_wws_grad_map` holds for an input map of
+    ``shape``: (its size-(k | 1) window reduction's scratch, the stride grid
+    if any and the reduction's iterator buffers)."""
+    call = (shape, k | 1, 1, itemsize)
+    return wws_scratch(*call), (math.prod(shape) if stride > 1 else 0) + wws_buffers(*call)
 
 
 def _wws_grad_kernel(grad_out: np.ndarray, map_: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -479,8 +531,9 @@ def qna_vjp(
     sphere, scaled by the inverse raw norm.
     """
     a, v, num_k, exp_b = _layer_maps(x, cfg, params)
-    tape = [_window_sums(x, a[l], v, num_k[l], exp_b[l], cfg.stride, ledger)
-            for l in range(cfg.num_queries)]
+    tape = []
+    for l in range(cfg.num_queries):
+        _window_sums(x, a[l], v, num_k[l], exp_b[l], cfg.stride, ledger, tape=tape)
     # Summed in query order as in qna_forward, but in a buffer of its own:
     # the tape keeps query 0's quotient.
     y = tape[0][0].copy() if len(tape) > 1 else tape[0][0]
@@ -491,18 +544,24 @@ def qna_vjp(
 
     *lead, H, W, Din = x.shape
     L, h, dh, Dout, k = cfg.num_queries, cfg.heads, cfg.head_dim, cfg.dim_out, cfg.k
-    # The ledger counts heap high-water marks from the start of this call:
-    # the forward's above its output, the pullback's above its gradients.
-    # Both hold the tape: the values, the query/key fold, the kernels and
-    # every query's quotient, normalizer, weighted values and exponentiated
-    # scores. The forward's mark is reached inside the last numerator
-    # reduction or while projecting the summed quotients. Map sizes count the
-    # sites of every sample.
-    n, n_out = x.size // Din, out.size // Dout
-    kept = n * (L * h + Dout) + L * (n_out * (Dout + h) + n * Dout + h * Din + 2 * k * k)
-    fwd = max(wws_peak((*lead, H, W, Dout), k, cfg.stride, x.itemsize),
-              (2 if L > 1 else 1) * n_out * Dout)
-    _record(ledger, "qna_vjp", (kept + fwd - n_out * Dout) * x.dtype.itemsize)
+    if ledger is not None:
+        # The ledger counts heap high-water marks from the start of this
+        # call: the forward's above its output, the pullback's above its
+        # gradients. Both hold the tape (the values, the query/key fold, the
+        # kernels and every query's quotient, normalizer, weighted values and
+        # exponentiated scores) and the window-reduction scratch. The
+        # forward's mark is reached inside the last numerator reduction, its
+        # division (by a buffered normalizer), or while projecting the
+        # summed quotients (a copy of them when there are several, the
+        # output and the buffered bias). Map sizes count the sites of every
+        # sample.
+        n, n_out = x.size // Din, out.size // Dout
+        kept = n * (L * h + Dout) + L * (n_out * (Dout + h) + n * Dout + h * Din + 2 * k * k)
+        num, den = (((*lead, H, W, c), k, cfg.stride, x.itemsize) for c in (Dout, h))
+        held = max(wws_scratch(*num), wws_scratch(*den))
+        fwd = held + max(wws_buffers(*num), _broadcast_buffers(y.shape, -1),
+                         (2 if L > 1 else 1) * n_out * Dout + _broadcast_buffers((n_out, Dout), 0))
+        ledger.record("qna_vjp", (kept + fwd - n_out * Dout) * x.dtype.itemsize + CALL_OBJECT_BYTES)
 
     def pullback(d_out: np.ndarray) -> GradBundle:
         if d_out.shape != out_shape:
@@ -573,17 +632,27 @@ def qna_vjp(
         d_b_v = d_v2.sum(axis=0)
         d_input += d_v2 @ params.w_v.T
 
-        # The pullback's mark is reached inside a query's map adjoints (the
-        # values' gradient, d_y, the query's numerator and normalizer
-        # gradients, the value-map adjoint, plus the adjoint's window
-        # reduction and, at stride above 1, its grid; the second adjoint also
-        # holds its result) or in a product into the input gradient (the
-        # product, the values' gradient, d_y and the query's score gradient).
-        adj_ev, adj_e = (_wws_grad_map_peak((*lead, H, W, c), k, cfg.stride, x.itemsize)
-                         for c in (Dout, h))
-        in_loop = n * 2 * Dout + n_out * (2 * Dout + h) + max(adj_ev, n * h + adj_e)
-        in_product = n * (h + Dout + Din) + n_out * Dout
-        _record(ledger, "qna_vjp.pullback", (kept + max(in_loop, in_product)) * x.dtype.itemsize)
+        if ledger is not None:
+            # The pullback's mark is reached inside a query's map adjoints
+            # (the values' gradient, d_y, the query's numerator and
+            # normalizer gradients, the value-map adjoint, plus the
+            # adjoint's window reduction and, at stride above 1, its grid;
+            # the second adjoint also holds its result, which the value-map
+            # adjoint's product by the buffered E_l holds too) or in a
+            # product into the input gradient (the product, the values'
+            # gradient, d_y and the query's score gradient). The
+            # window-reduction scratch of the forward and the adjoints is
+            # held throughout.
+            (held_ev, adj_ev), (held_e, adj_e) = (
+                _wws_grad_map_peak((*lead, H, W, c), k, cfg.stride, x.itemsize)
+                for c in (Dout, h))
+            by_e = _broadcast_buffers(v.shape, -1)
+            in_loop = (n * 2 * Dout + n_out * (2 * Dout + h)
+                       + max(adj_ev, n * h + max(adj_e, by_e)))
+            in_product = n * (h + Dout + Din) + n_out * Dout
+            ledger.record("qna_vjp.pullback", (kept + max(held, held_ev, held_e)
+                                               + max(in_loop, in_product)) * x.dtype.itemsize
+                          + CALL_OBJECT_BYTES)
         return GradBundle(
             d_input=d_input.reshape(x.shape),
             d_w_k=d_w_k,
@@ -643,16 +712,20 @@ def attention_heatmap(
     heat = _wws_grad_map(1.0 / den, dk, 1, (H, W))
     heat *= e
     heat = heat.reshape(H, W)
-    # The ledger counts the heap high-water mark above the output. The mark
-    # is reached inside the normalizer's reduction (the chosen exponentiated
-    # score map, the normalizer and the reduction's own transients) or the
-    # map adjoint's, which also holds 1/den and its result, the output's
-    # buffer. The query/key fold and the kernels are held throughout.
-    n = H * W
-    peak = (max(2 * n + wws_peak((H, W, 1), cfg.k, 1, x.itemsize),
-                4 * n + _wws_grad_map_peak((H, W, 1), cfg.k, 1, x.itemsize))
-            + cfg.num_queries * (cfg.heads * cfg.dim_in + 2 * cfg.k * cfg.k))
-    _record(ledger, "attention_heatmap", (peak - heat.size) * x.dtype.itemsize)
+    if ledger is not None:
+        # The ledger counts the heap high-water mark above the output. The
+        # mark is reached inside the normalizer's reduction (the chosen
+        # exponentiated score map, the normalizer and the reduction's working
+        # set) or the map adjoint's, which also holds 1/den, its result (the
+        # output's buffer) and the larger of the two reductions' scratch. The
+        # query/key fold and the kernels are held throughout.
+        n = H * W
+        den_call = ((H, W, 1), cfg.k, 1, x.itemsize)
+        held_adj, adj = _wws_grad_map_peak((H, W, 1), cfg.k, 1, x.itemsize)
+        peak = (max(2 * n + wws_scratch(*den_call) + wws_buffers(*den_call),
+                    4 * n + max(wws_scratch(*den_call), held_adj) + adj)
+                + cfg.num_queries * (cfg.heads * cfg.dim_in + 2 * cfg.k * cfg.k))
+        ledger.record("attention_heatmap", (peak - heat.size) * x.dtype.itemsize + CALL_OBJECT_BYTES)
     return heat
 
 

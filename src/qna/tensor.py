@@ -26,6 +26,8 @@ Conventions shared by every windowed operation:
   ranges for the input columns each window-reduction product reads. The
   reduction then adds a product into every output column through
   one view, whose out-of-bounds reads land in zero margins of its buffer.
+  That buffer and the reduction's Toeplitz matrices are views of one
+  scratch buffer per thread, kept between calls (:func:`wws_scratch`).
 * Inputs are expected to be finite. Layer-level entry points validate this;
   the primitives trust their callers so that benchmark loops are not
   dominated by scans. A deliberate exception: ``softmax_rows`` accepts
@@ -40,6 +42,7 @@ import json
 import math
 import os
 import struct
+import threading
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -374,34 +377,130 @@ def wws_plan(shape, k: int, stride: int, itemsize: int) -> WWSPlan:
                    (*lead, Hp, Wp, C), pad, tuple(cols), tuple(bands))
 
 
+def wws_scratch(shape, k: int, stride: int, itemsize: int) -> int:
+    """Elements of scratch that a :func:`window_weighted_sum` over a map of
+    ``shape`` with a size-k kernel needs: the two buffers of
+    :func:`wws_plan`, the Toeplitz stack and the band buffer. Each thread
+    keeps them in one buffer of its own between calls, grown to the largest
+    scratch its calls have needed (:func:`release_wws_scratch` frees it)."""
+    plan = wws_plan(shape, k, stride, itemsize)
+    return math.prod(plan.stack) + math.prod(plan.prod)
+
+
 def wws_peak(shape, k: int, stride: int, itemsize: int) -> int:
     """Elements that a :func:`window_weighted_sum` over a map of ``shape``
-    with a size-k kernel records in its "window_weighted_sum" ledger event:
-    the two buffers of :func:`wws_plan` and the buffers of numpy's iterator,
-    up to getbufsize() elements each and at most the band buffer, none of
-    which grows with H. numpy adds a band's product view through one such
-    buffer. Where a batch of maps spans several bands, the output band is
-    strided too, and the add may take three. A copy of the map is an event
-    of its own."""
+    with a size-k kernel records in its "window_weighted_sum" ledger event,
+    its working set: its scratch (:func:`wws_scratch`) and its iterator
+    buffers (:func:`wws_buffers`). None of it grows with H. A copy of the
+    map is an event of its own."""
+    return wws_scratch(shape, k, stride, itemsize) + wws_buffers(shape, k, stride, itemsize)
+
+
+def wws_buffers(shape, k: int, stride: int, itemsize: int) -> int:
+    """Elements of the buffers numpy's iterator takes for the adds of a
+    :func:`window_weighted_sum` over a map of ``shape`` with a size-k
+    kernel, each of a product view into a band of the output: the most any
+    one add takes (:func:`ufunc_buffers`), at most getbufsize() elements
+    per buffered operand."""
     plan = wws_plan(shape, k, stride, itemsize)
-    prod = math.prod(plan.prod)
-    buffers = 3 if len(plan.bands) > 1 and math.prod(shape[:-3]) > 1 else 1
-    return prod + math.prod(plan.stack) + buffers * min(np.getbufsize(), prod)
+    # A band's first add is 0 + product and its others band + product, so
+    # the band is an operand once or twice.
+    *lead, Hp, Wp, C = plan.out
+    width = plan.prod[-1]  # of a band buffer row
+    band_strides = (*(Hp * Wp * C,) * len(lead), Wp * C, C, 1)
+    terms_strides = (*(plan.prod[-2] * width,) * len(lead), width, stride * C, 1)
+    buffers = 0
+    for _, _, kept_rows, reads in plan.bands:
+        band = (*lead, kept_rows.stop, Wp, C)
+        buffers = max(buffers, ufunc_buffers(band, (0,) * len(band), terms_strides, band_strides))
+        if len(plan.cols) * len(reads) > 1:
+            buffers = max(buffers, ufunc_buffers(band, band_strides, terms_strides, band_strides))
+    return buffers
 
 
-def _tap_stack(kernel: np.ndarray, plan: WWSPlan, stride: int) -> np.ndarray:
-    """The Toeplitz matrices of :func:`wws_plan`'s ``stack``: kernel column j
-    in stack[j], where band row r of group g holds kernel row g * group + t
-    at input row r * stride + t."""
+def ufunc_buffers(shape, *strides) -> int:
+    """Elements of the buffers that numpy's iterator (numpy 2.3 and later)
+    takes, at getbufsize(), for a ufunc without casts over operands of
+    ``shape`` with these element strides (0 along a broadcast axis).
+
+    Axes that every operand steps through with one stride merge. Walking
+    the axes outward from the innermost, the iterator cuts its chunks at
+    the axis of least cost per chunk element, where the cost is one plus
+    the operands that do not step through all the axes inside it with one
+    stride; a chunk counts at most getbufsize() elements. Those operands
+    are buffered, each in a chunk: the size inside the cut axis times as
+    many of its steps as fit, or everything where all of it fits."""
+    bufsize = np.getbufsize()
+    axes = []  # (size, stride per operand), innermost first
+    for n, st in zip(shape[::-1], list(zip(*strides))[::-1]):
+        if n == 1:
+            continue
+        if axes and all(s == p * axes[-1][0] for s, p in zip(st, axes[-1][1])):
+            axes[-1] = (axes[-1][0] * n, axes[-1][1])
+        else:
+            axes.append((n, st))
+    if not axes:
+        return 0
+    single = [1] * len(strides)  # axes each operand steps through with one stride
+    cost, size = 1, axes[0][0]
+    best = (cost, size, 0, 1)  # cost, size through the cut axis, cut axis, size inside it
+    for d in range(1, len(axes)):
+        if size >= bufsize and cost > 1:
+            break
+        (n0, st0), (n, st) = axes[d - 1], axes[d]
+        for i in range(len(strides)):
+            if single[i] == d:
+                if st0[i] * n0 == st[i]:
+                    single[i] += 1
+                else:
+                    cost += 1
+        inner, size = size, size * n
+        if cost * best[1] <= best[0] * (min(size, bufsize) if cost > 1 else size):
+            best = (cost, size, d, inner)
+    cost, size, d, inner = best
+    if cost == 1:
+        return 0
+    chunk = size if size <= bufsize else bufsize // inner * inner
+    return chunk * sum(s <= d for s in single)
+
+
+# The calling thread's window-reduction scratch: see wws_scratch.
+_scratch = threading.local()
+
+
+def release_wws_scratch() -> None:
+    """Free the calling thread's window-reduction scratch; its next
+    :func:`window_weighted_sum` makes it anew."""
+    _scratch.buf = None
+
+
+def _scratch_views(plan: WWSPlan, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(Toeplitz stack, band buffer) of ``plan`` as views of the calling
+    thread's scratch buffer. A buffer too small for them is released before
+    the larger one is made."""
+    stack, prod = math.prod(plan.stack), math.prod(plan.prod)
+    nbytes = (stack + prod) * dtype.itemsize
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < nbytes:
+        buf = _scratch.buf = None
+        buf = _scratch.buf = np.empty(nbytes, dtype=np.uint8)
+    flat = buf[:nbytes].view(dtype)
+    return flat[:stack].reshape(plan.stack), flat[stack:].reshape(plan.prod)
+
+
+def _fill_taps(stack: np.ndarray, kernel: np.ndarray, plan: WWSPlan, stride: int) -> None:
+    """Write the Toeplitz matrices of :func:`wws_plan`'s ``stack`` into
+    ``stack``: kernel column j in stack[j], where band row r of group g
+    holds kernel row g * group + t at input row r * stride + t, and zeros
+    everywhere else."""
     k, groups, _, reach = plan.stack
-    stack = np.zeros(plan.stack, dtype=kernel.dtype)
+    stack[...] = 0
     step = kernel.itemsize
     taps = np.ndarray((k, groups, plan.rows, plan.group), kernel.dtype, stack, 0,
                       (*stack.strides[:2], (reach + stride) * step, step))
     for g in range(groups):
         kernel_rows = kernel.T[:, None, g * plan.group : (g + 1) * plan.group]
         taps[:, g, :, : kernel_rows.shape[-1]] = kernel_rows
-    return stack
 
 
 def window_weighted_sum(
@@ -425,10 +524,12 @@ def window_weighted_sum(
     buffer whose margins hold zeros. One view of that buffer then adds the
     product into every output column at once: for kernel column j, output
     column o reads buffer column o * stride + j, a margin where the window
-    leaves the map. At stride 1 that is one add of whole rows. An
-    out-of-bounds term adds +0.0 to a sum that starts at +0.0, which leaves
-    every sum bitwise what it is without the term. :func:`wws_plan` works
-    all of this out once per shape.
+    leaves the map. At stride 1 that is one add of whole rows. The output
+    is not zero-filled: a band's first add writes 0 + product, bitwise what
+    adding the product to a zeroed band gives (a -0.0 product gives +0.0).
+    An out-of-bounds term adds +0.0 to a sum that starts at +0.0, which
+    leaves every sum bitwise what it is without the term. :func:`wws_plan`
+    works all of this out once per shape.
     Where the BLAS adds each output's terms of such products in order (see
     WWS_GEMM_BYTES), each output element adds its terms in one order (kernel
     columns outer, kernel rows inner) whatever its position, band or batch,
@@ -437,8 +538,12 @@ def window_weighted_sum(
     too: its map adjoints are window reductions.
     The N maps of a batch share every pass. A map that is not C-contiguous
     is copied once on entry, and a one-column, one-channel map gets a zero
-    second column; each copy is a ledger event of its own. The other
-    transients (:func:`wws_peak`) do not grow with the map.
+    second column; each copy is a ledger event of its own. The output is
+    the one buffer a call makes besides these: the Toeplitz matrices and
+    the band buffer are views of the calling thread's scratch
+    (:func:`wws_scratch`), whose margins and zeros are written anew on
+    every call. The event of the call is its working set
+    (:func:`wws_peak`), which does not grow with the map.
     """
     check_dtype(map_, "map")
     if map_.ndim not in (3, 4):
@@ -460,27 +565,26 @@ def window_weighted_sum(
     elif not map_.flags.c_contiguous:
         map_ = np.ascontiguousarray(map_)
         _record(ledger, "window_weighted_sum.copy", map_.nbytes)
-    out = np.zeros(plan.out, dtype=dt)
-    if ledger is not None:
+    out = np.empty(plan.out, dtype=dt)
+    if out.size:
+        stack, prod = _scratch_views(plan, dt)
+        _fill_taps(stack, kernel, plan, stride)
+        terms = prod.reshape(*prod.shape[:-1], -1, out.shape[-1])  # product columns
+        rows = map_.reshape(*map_.shape[:-2], -1)  # input rows as matrix rows
+        margin = (k - 1) // 2 * out.shape[-1]
+        at_input = prod[..., margin : margin + rows.shape[-1]]  # input column c's products at c
+        prod[..., :margin] = 0  # the margins, which no product writes
+        prod[..., margin + rows.shape[-1] :] = 0
+        for out_rows, prod_rows, kept_rows, reads in plan.bands:
+            band = out[..., out_rows, :, :]
+            acc = 0.0  # the band's sums so far
+            for j, src, seen in plan.cols:
+                for g, taps_cols, in_rows in reads:
+                    np.matmul(stack[j, g, prod_rows, taps_cols], rows[..., in_rows, src],
+                              out=at_input[..., prod_rows, src])
+                    acc = np.add(acc, terms[..., kept_rows, seen, :], out=band)
+    if ledger is not None:  # after the adds, so that sizing the event adds nothing to their peak
         ledger.record("window_weighted_sum", wws_peak(shape, k, stride, dt.itemsize) * dt.itemsize)
-    if not out.size:
-        return out
-
-    stack = _tap_stack(kernel, plan, stride)
-    prod = np.empty(plan.prod, dtype=dt)
-    terms = prod.reshape(*prod.shape[:-1], -1, out.shape[-1])  # product columns
-    rows = map_.reshape(*map_.shape[:-2], -1)  # input rows as matrix rows
-    margin = (k - 1) // 2 * out.shape[-1]
-    at_input = prod[..., margin : margin + rows.shape[-1]]  # input column c's products at c
-    prod[..., :margin] = 0  # the margins, which no product writes
-    prod[..., margin + rows.shape[-1] :] = 0
-    for out_rows, prod_rows, kept_rows, reads in plan.bands:
-        band = out[..., out_rows, :, :]
-        for j, src, seen in plan.cols:
-            for g, taps_cols, in_rows in reads:
-                np.matmul(stack[j, g, prod_rows, taps_cols], rows[..., in_rows, src],
-                          out=at_input[..., prod_rows, src])
-                band += terms[..., kept_rows, seen, :]
     return out
 
 

@@ -35,7 +35,10 @@ from qna.tensor import (
     ShapeError,
     layernorm,
     make_rng,
+    release_wws_scratch,
+    same_window_slices,
     save_qnat,
+    wws_plan,
 )
 
 
@@ -404,9 +407,14 @@ def test_forward_heap_peak_of_tiny224():
     # the feed-forward tail holds no hidden-sized or normalized map, and the
     # layer writes its last query's weighted values into its value map, so
     # no block needs more than a few stage-1 maps (0.77 MiB each) at once;
-    # weights are allocated before tracing starts and are not counted
+    # weights are allocated before tracing starts and are not counted. The
+    # per-shape caches and the window-reduction scratch are cleared, so the
+    # pass makes them as a first pass does, whatever ran before it.
     model = build_model("tiny", seed=34)
     image = make_rng(35).standard_normal((224, 224, 3)).astype(np.float32)
+    wws_plan.cache_clear()
+    same_window_slices.cache_clear()
+    release_wws_scratch()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

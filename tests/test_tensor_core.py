@@ -3,6 +3,8 @@ ledger contract and the QNAT container format."""
 
 import contextlib
 import io
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -315,7 +317,9 @@ def test_wws_plans_once_per_shape():
     first = window_weighted_sum(map_, kernel, 2, AllocationLedger())
     assert np.array_equal(window_weighted_sum(map_, kernel, 2), first)
     info = tensor.wws_plan.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # planned by the first call; read again by the ledger's sizing (scratch
+    # and iterator buffers) and by the second call
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -394,23 +398,25 @@ def test_wws_batch_equals_single_on_multi_band_maps(dtype):
 def test_wws_ledger_is_one_band_of_scratch():
     # The transients are one band of products as wide as an input row and the
     # window's reach on both sides (two rows at least), the Toeplitz stack (k
-    # kernel columns x band rows x contracted input rows), and the ufunc
-    # buffer (up to getbufsize() elements, at most the band) through which a
-    # band's product view is added; none grows with the map.
-    buf = np.getbufsize()
+    # kernel columns x band rows x contracted input rows), and the buffer
+    # through which numpy's iterator adds a band's product view (at most
+    # getbufsize() elements); none grows with the map.
     ledger = AllocationLedger()
     map_ = np.ones((6, 6, 3), dtype=np.float32)
     window_weighted_sum(map_, np.ones((3, 3), dtype=np.float32), 2, ledger)
     # f32 contractions stop at 31 rows: bands of 15 rows reach 2 * 14 + 3;
-    # at stride 2 the band still holds every input column, (6 + 2) * 3 wide
+    # at stride 2 the band still holds every input column, (6 + 2) * 3 wide.
+    # The strided view of the one 3 x 3 x 3 output band is buffered whole.
     assert ledger.events == [
-        ("window_weighted_sum", (15 * 24 + 3 * 15 * 31 + 15 * 24) * 4)]
+        ("window_weighted_sum", (15 * 24 + 3 * 15 * 31 + 3 * 3 * 3) * 4)]
     # 1600-element rows hold bands to 24 rows at k = 3 (24 * 26 * 1600
     # multiply-adds per product) and to 17 rows at k = 15 (the contraction
-    # bound)
+    # bound). numpy buffers a band's product view five whole output rows at
+    # a time, 8000 of getbufsize()'s 8192 elements.
+    assert np.getbufsize() == 8192
     for k, rows in ((3, 24), (15, 17)):
         contracted = rows - 1 + k
-        want = (rows * (100 + k - 1) * 16 + k * rows * contracted + buf) * 4
+        want = (rows * (100 + k - 1) * 16 + k * rows * contracted + 8000) * 4
         for H in (100, 300):
             ledger = AllocationLedger()
             window_weighted_sum(np.ones((H, 100, 16), dtype=np.float32),
@@ -428,38 +434,132 @@ def test_wws_ledger_is_one_band_of_scratch():
     ledger = AllocationLedger()
     window_weighted_sum(np.ones((9, 1, 1)), np.ones((3, 3)), 1, ledger)
     assert ledger.events[0] == ("window_weighted_sum.pad", 9 * 2 * 8)
-    # a batch of maps that span several bands adds into a strided band,
-    # through up to three buffers
-    want = (2 * 24 * 102 * 16 + 3 * 24 * 26 + 3 * buf) * 4
+    # a batch of maps that span several bands adds into a strided band, and
+    # numpy still buffers only the product view, five rows of one map at a
+    # time
+    want = (2 * 24 * 102 * 16 + 3 * 24 * 26 + 8000) * 4
     assert tensor.wws_peak((2, 100, 100, 16), 3, 1, 4) * 4 == want
 
 
-# The toy trainer's numerator and a narrow map, at stride 1, and at stride 2
-# a map whose output rows (16 x 64 elements) fill numpy's buffer exactly.
+def test_ufunc_buffers_counts_the_iterators_buffers():
+    # one buffer of the whole operand, when a strided operand fits in one
+    # chunk; none for contiguous operands or inner rows of getbufsize()
+    # elements or more; the cut axis's whole steps when it does not fit
+    bufsize = np.getbufsize()
+    assert tensor.ufunc_buffers((6, 4), (4, 1), (8, 1), (4, 1)) == 24
+    assert tensor.ufunc_buffers((6, 4), (4, 1), (4, 1), (4, 1)) == 0
+    assert tensor.ufunc_buffers((3, bufsize), (bufsize, 1), (2 * bufsize, 1)) == 0
+    assert tensor.ufunc_buffers((30, 1000), (1000, 1), (1100, 1)) == bufsize // 1000 * 1000
+    # a row broadcast over the other axis is buffered, one chunk of it
+    assert tensor.ufunc_buffers((100, 8), (8, 1), (0, 1), (8, 1)) == 800
+
+
+# The toy trainer's numerator and a narrow map, at stride 1; at stride 2 a
+# map whose output rows (16 x 64 elements) fill numpy's buffer exactly and
+# the trainer's numerator, whose strided band view is buffered whole; and a
+# batch of maps spanning several bands.
 @pytest.mark.parametrize("shape,dtype,stride", [
     ((16, 12, 12, 8), np.float64, 1), ((128, 128, 1), np.float32, 1),
-    ((32, 32, 64), np.float32, 2),
-], ids=["16x12x12x8-f64-s1", "128x128x1-f32-s1", "32x32x64-f32-s2"])
+    ((32, 32, 64), np.float32, 2), ((16, 12, 12, 8), np.float64, 2),
+    ((2, 100, 100, 16), np.float32, 1),
+], ids=["16x12x12x8-f64-s1", "128x128x1-f32-s1", "32x32x64-f32-s2", "16x12x12x8-f64-s2",
+        "2x100x100x16-f32-s1"])
 def test_wws_heap_is_its_ledger_event(shape, dtype, stride):
-    # numpy adds each band's product view through one iterator buffer, so a
-    # call's heap above its output is its ledger event, up to numpy's own
-    # iterator state and the call's array views (under 3 KiB). Adds of each
-    # kernel column's product into a strided band took three buffers.
+    # A first call's heap above its output is its ledger event: the scratch
+    # it makes and keeps, and the buffers numpy's iterator takes for its
+    # adds, up to numpy's own iterator state and the call's array views
+    # (under 3 KiB). A repeat call of the shape makes no scratch.
     rng = make_rng(91)
     map_ = rng.standard_normal(shape).astype(dtype)
     kernel = rng.standard_normal((3, 3)).astype(dtype)
     window_weighted_sum(map_, kernel, stride)  # plans the shape
-    ledger = AllocationLedger()
-    tracemalloc.start()
+    scratch = tensor.wws_scratch(shape, 3, stride, map_.itemsize) * map_.itemsize
+    for first in (True, False):
+        if first:
+            tensor.release_wws_scratch()
+        ledger = AllocationLedger()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = window_weighted_sum(map_, kernel, stride, ledger)
+            heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+        finally:
+            tracemalloc.stop()
+        (label, event), = ledger.events
+        assert label == "window_weighted_sum"
+        if not first:
+            event -= scratch
+        assert 0 <= heap - event < 3 * 1024, (first, heap, event)
+
+
+class _ZeroFilled:
+    """numpy as window_weighted_sum sees it, but with a zero-filled output,
+    into which each band's first product is added."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype):
+        return np.zeros(shape, dtype)
+
+    @staticmethod
+    def add(a, b, out):
+        return np.add(out if isinstance(a, float) else a, b, out=out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["hwc", "nhwc"])
+@pytest.mark.parametrize("stride", [1, 2], ids=_SAME_IDS)
+def test_wws_output_is_the_zero_filled_sum_bitwise(stride, lead, dtype):
+    # The output is never zero-filled: a band's first add writes 0 + product,
+    # bitwise what adding the product into a zeroed band gives, -0.0 terms
+    # included. Maps of one band and of several, and maps of -0.0 entries,
+    # whose outputs hold +0.0.
+    rng = make_rng(92 + stride)
+    for H, k in ((9, 3), (48, 5), (48, 2)):
+        map_ = rng.standard_normal((*lead, H, 7, 3)).astype(dtype)
+        map_[rng.random(map_.shape) < 0.3] = -0.0
+        kernel = rng.standard_normal((k, k)).astype(dtype)
+        kernel[0] = -0.0
+        for m in (map_, np.full_like(map_, -0.0)):
+            got = window_weighted_sum(m, kernel, stride)
+            with mock.patch.object(tensor, "np", _ZeroFilled()):
+                want = window_weighted_sum(m, kernel, stride)
+            assert got.tobytes() == want.tobytes(), (H, k)
+        assert not np.signbit(got).any()
+
+
+def test_wws_threads_keep_their_own_scratch():
+    # threads reducing maps of different shapes at once, each through its
+    # own scratch buffer, give the serial results; more threads than cores
+    # and a short switch interval interleave their calls
+    rng = make_rng(93)
+    cases = [(rng.standard_normal((40, 30, 8)), rng.standard_normal((5, 5)), 1),
+             (rng.standard_normal((2, 24, 50, 3)), rng.standard_normal((3, 3)), 2),
+             (rng.standard_normal((9, 70, 2)).astype(np.float32),
+              rng.standard_normal((7, 7)).astype(np.float32), 1),
+             (rng.standard_normal((16, 12, 12, 8)), rng.standard_normal((3, 3)), 1)]
+    want = [window_weighted_sum(*case) for case in cases]
+    start = threading.Barrier(len(cases))
+    same = [None] * len(cases)
+
+    def run(i):
+        start.wait()
+        same[i] = all(np.array_equal(window_weighted_sum(*cases[i]), want[i]) for _ in range(30))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = window_weighted_sum(map_, kernel, stride, ledger)
-        heap = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
-        tracemalloc.stop()
-    (label, event), = ledger.events
-    assert label == "window_weighted_sum"
-    assert 0 <= heap - event < 3 * 1024, (heap, event)
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert same == [True] * len(cases)
 
 
 def _fma_chain(a, b, dtype):
