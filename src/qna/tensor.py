@@ -64,14 +64,15 @@ INIT_STD = 0.02
 INIT_CLIP = 2.0
 # truncated_normal draws its float64 values this many at a time.
 INIT_CHUNK = 1 << 16
-# window_weighted_sum contracts no GEMM over K elements with
-# K * itemsize >= WWS_GEMM_BYTES. Below that bound, for the product shapes it
-# issues (see WWS_GEMM_MACS), OpenBLAS 0.3.31 (SkylakeX kernels) adds each
-# output's K products in order, one fused multiply-add apiece, wherever in K
-# the nonzero terms sit; at K = 16 in f64 and K = 32 in f32 it no longer did.
-# That order keeps the window reduction's results independent of a site's
-# position (test_blas_adds_toeplitz_rows_in_order checks it). It was measured
-# at one BLAS thread only; other CPUs get other kernels from the same wheel.
+# window_weighted_sum contracts no GEMM of bands of two or more rows over K
+# elements with K * itemsize >= WWS_GEMM_BYTES. Below that bound, for the
+# product shapes it issues (see WWS_GEMM_MACS), OpenBLAS 0.3.31 (SkylakeX
+# kernels) adds each output's K products in order, one fused multiply-add
+# apiece, wherever in K the nonzero terms sit; at K = 16 in f64 and K = 32 in
+# f32 it no longer did. That order keeps the window reduction's results
+# independent of a site's position (test_blas_adds_toeplitz_rows_in_order
+# checks it). It was measured at one BLAS thread only; other CPUs get other
+# kernels from the same wheel. One-row bands need no such bound.
 WWS_GEMM_BYTES = 128
 # A band is cut so that each of its products makes at most this many
 # multiply-adds, unless only one-row bands fit. OpenBLAS runs such products
@@ -318,7 +319,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-WWSPlan = collections.namedtuple("WWSPlan", "rows group stack prod out pad cols bands")
+WWSPlan = collections.namedtuple("WWSPlan", "rows stack prod out cols bands")
 
 
 @functools.lru_cache(maxsize=256)
@@ -326,31 +327,24 @@ def wws_plan(shape, k: int, stride: int, itemsize: int) -> WWSPlan:
     """Everything :func:`window_weighted_sum` derives from the shape of its
     map ([N x] H x W x C) and a size-k kernel, computed once per shape.
 
-    A band's product covers one kernel column and one group of kernel rows,
-    and contracts over the (rows - 1) * stride + group input rows the band
-    reaches there. The kernel rows form the fewest equal groups that keep a
-    two-row band's contraction under WWS_GEMM_BYTES. Bands get as many rows
-    as that bound and WWS_GEMM_MACS allow for products as wide as an input
-    row, and at least one. One-row and one-column products are padded to
-    two, so ``stack`` (kernel column, group, band row, input row) and
-    ``prod`` hold two rows and two columns at least. ``prod`` is the band
-    buffer: the products of input column c sit at its column c + (k - 1) //
-    2, between zero margins as wide as the window reaches beyond the map on
-    each side. ``cols`` holds each kernel column j, the input columns its
-    product reads (and writes, in the buffer), and the buffer columns its
-    output columns read: column j and every stride-th one after it;
-    ``bands`` holds each band's output, product and kept rows, and each
-    group's stack columns and input rows, clipped to the map.
+    A band's product covers one kernel column and contracts over the
+    (rows - 1) * stride + k input rows the band reaches. Bands get as many
+    rows as keep that contraction under WWS_GEMM_BYTES and each product
+    within WWS_GEMM_MACS, and at least one; so does a map where some kernel
+    column's product would be one element wide. A one-row band holds the
+    kernel's taps at one place in every band's product, so its sums do not
+    depend on a site's position on any BLAS. One-row products are padded to
+    two rows, so ``stack`` (kernel column, band row, input row) and ``prod``
+    hold two rows at least. ``prod`` is the band buffer: the products of
+    input column c sit at its column c + (k - 1) // 2, between zero margins
+    as wide as the window reaches beyond the map on each side. ``cols``
+    holds each kernel column j, the input columns its product reads (and
+    writes, in the buffer), and the buffer columns its output columns read:
+    column j and every stride-th one after it; ``bands`` holds each band's
+    output, product and kept rows, stack columns and input rows, clipped to
+    the map.
     """
     *lead, H, W, C = shape
-    pad, width = W * C == 1, max(W * C, 2)
-    kmax = (WWS_GEMM_BYTES - 1) // itemsize
-    group = _ceil_div(k, _ceil_div(k, max(1, kmax - stride)))
-    rows = (kmax - group) // stride + 1
-    while rows > 1 and rows * ((rows - 1) * stride + group) * width > WWS_GEMM_MACS:
-        rows -= 1
-    groups, reach, m2 = _ceil_div(k, group), (rows - 1) * stride + group, max(rows, 2)
-
     lo, _ = offset_bounds(k)
     Hp, Wp = same_output_size(H, stride), same_output_size(W, stride)
     cols = []
@@ -358,23 +352,24 @@ def wws_plan(shape, k: int, stride: int, itemsize: int) -> WWSPlan:
         ranges = _same_axis_ranges(W, Wp, lo + j, stride)
         if ranges is not None:
             d0, d1, c = ranges
-            span = (d1 - d0 - 1) * stride + 1
-            w = max(span, 2) if C == 1 else span
-            c0 = min(c, W + pad - w)
+            w = (d1 - d0 - 1) * stride + 1
             seen = slice(j, j + (Wp - 1) * stride + 1, stride)
-            cols.append((j, slice(c0 * C, (c0 + w) * C), seen))
+            cols.append((j, slice(c * C, (c + w) * C), seen))
+    rows = 1
+    if all(src.stop - src.start != 1 for _, src, _ in cols):
+        rows = max(1, ((WWS_GEMM_BYTES - 1) // itemsize - k) // stride + 1)
+        while rows > 1 and rows * ((rows - 1) * stride + k) * W * C > WWS_GEMM_MACS:
+            rows -= 1
+    reach, m2 = (rows - 1) * stride + k, max(rows, 2)
     bands = []
     for b0 in range(0, Hp, rows):
         m = min(rows, Hp - b0)
-        reads = []
-        for g in range(groups):
-            first = b0 * stride + lo + g * group
-            r0, r1 = max(0, -first), min((m - 1) * stride + group, H - first)
-            if r0 < r1:
-                reads.append((g, slice(r0, r1), slice(first + r0, first + r1)))
-        bands.append((slice(b0, b0 + m), slice(0, max(m, 2)), slice(0, m), tuple(reads)))
-    return WWSPlan(rows, group, (k, groups, m2, reach), (*lead, m2, (W + pad + k - 1) * C),
-                   (*lead, Hp, Wp, C), pad, tuple(cols), tuple(bands))
+        first = b0 * stride + lo
+        r0, r1 = max(0, -first), min((m - 1) * stride + k, H - first)
+        bands.append((slice(b0, b0 + m), slice(0, max(m, 2)), slice(0, m),
+                      slice(r0, r1), slice(first + r0, first + r1)))
+    return WWSPlan(rows, (k, m2, reach), (*lead, m2, (W + k - 1) * C), (*lead, Hp, Wp, C),
+                   tuple(cols), tuple(bands))
 
 
 def wws_scratch(shape, k: int, stride: int, itemsize: int) -> int:
@@ -410,10 +405,10 @@ def wws_buffers(shape, k: int, stride: int, itemsize: int) -> int:
     band_strides = (*(Hp * Wp * C,) * len(lead), Wp * C, C, 1)
     terms_strides = (*(plan.prod[-2] * width,) * len(lead), width, stride * C, 1)
     buffers = 0
-    for _, _, kept_rows, reads in plan.bands:
+    for _, _, kept_rows, _, _ in plan.bands:
         band = (*lead, kept_rows.stop, Wp, C)
         buffers = max(buffers, ufunc_buffers(band, (0,) * len(band), terms_strides, band_strides))
-        if len(plan.cols) * len(reads) > 1:
+        if len(plan.cols) > 1:
             buffers = max(buffers, ufunc_buffers(band, band_strides, terms_strides, band_strides))
     return buffers
 
@@ -490,17 +485,14 @@ def _scratch_views(plan: WWSPlan, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 def _fill_taps(stack: np.ndarray, kernel: np.ndarray, plan: WWSPlan, stride: int) -> None:
     """Write the Toeplitz matrices of :func:`wws_plan`'s ``stack`` into
-    ``stack``: kernel column j in stack[j], where band row r of group g
-    holds kernel row g * group + t at input row r * stride + t, and zeros
-    everywhere else."""
-    k, groups, _, reach = plan.stack
+    ``stack``: kernel column j in stack[j], where band row r holds kernel
+    row t at input row r * stride + t, and zeros everywhere else."""
+    k, _, reach = plan.stack
     stack[...] = 0
     step = kernel.itemsize
-    taps = np.ndarray((k, groups, plan.rows, plan.group), kernel.dtype, stack, 0,
-                      (*stack.strides[:2], (reach + stride) * step, step))
-    for g in range(groups):
-        kernel_rows = kernel.T[:, None, g * plan.group : (g + 1) * plan.group]
-        taps[:, g, :, : kernel_rows.shape[-1]] = kernel_rows
+    taps = np.ndarray((k, plan.rows, k), kernel.dtype, stack, 0,
+                      (stack.strides[0], (reach + stride) * step, step))
+    taps[...] = kernel.T[:, None]
 
 
 def window_weighted_sum(
@@ -518,28 +510,28 @@ def window_weighted_sum(
     the kernel rows is a matrix product: a banded Toeplitz matrix (band
     output rows x the input rows they reach) times those input rows seen as
     a matrix. The output is walked in bands of whole rows, and each band
-    takes one GEMM per kernel column and group of kernel rows. Each product
-    reads the band's input rows in place, over the contiguous input columns
-    its output columns reach, and is written at those columns of a band
-    buffer whose margins hold zeros. One view of that buffer then adds the
-    product into every output column at once: for kernel column j, output
-    column o reads buffer column o * stride + j, a margin where the window
-    leaves the map. At stride 1 that is one add of whole rows. The output
+    takes one GEMM per kernel column. Each product reads the band's input
+    rows in place, over the contiguous input columns its output columns
+    reach, and is written at those columns of a band buffer whose margins
+    hold zeros. One view of that buffer then adds the product into every
+    output column at once: for kernel column j, output column o reads
+    buffer column o * stride + j, a margin where the window leaves the map.
+    At stride 1 that is one add of whole rows. The output
     is not zero-filled: a band's first add writes 0 + product, bitwise what
     adding the product to a zeroed band gives (a -0.0 product gives +0.0).
     An out-of-bounds term adds +0.0 to a sum that starts at +0.0, which
     leaves every sum bitwise what it is without the term. :func:`wws_plan`
     works all of this out once per shape.
     Where the BLAS adds each output's terms of such products in order (see
-    WWS_GEMM_BYTES), each output element adds its terms in one order (kernel
-    columns outer, kernel rows inner) whatever its position, band or batch,
-    so the result is bitwise independent of them; elsewhere results agree
-    within rounding. The contract covers ``qna_backward``'s input gradient
-    too: its map adjoints are window reductions.
+    WWS_GEMM_BYTES), or the bands have one row, each output element adds its
+    terms in one order (kernel columns outer, kernel rows inner) whatever its
+    position, band or batch, so the result is bitwise independent of them;
+    elsewhere results agree within rounding. The contract covers
+    ``qna_backward``'s input gradient too: its map adjoints are window
+    reductions.
     The N maps of a batch share every pass. A map that is not C-contiguous
-    is copied once on entry, and a one-column, one-channel map gets a zero
-    second column; each copy is a ledger event of its own. The output is
-    the one buffer a call makes besides these: the Toeplitz matrices and
+    is copied once on entry, a ledger event of its own. The output is the
+    one buffer a call makes besides this copy: the Toeplitz matrices and
     the band buffer are views of the calling thread's scratch
     (:func:`wws_scratch`), whose margins and zeros are written anew on
     every call. The event of the call is its working set
@@ -557,12 +549,7 @@ def window_weighted_sum(
 
     shape, k, dt = map_.shape, kernel.shape[0], map_.dtype
     plan = wws_plan(shape, k, stride, dt.itemsize)
-    if plan.pad:
-        padded = np.zeros((*shape[:-2], 2, 1), dtype=dt)
-        padded[..., :1, :] = map_
-        map_ = padded
-        _record(ledger, "window_weighted_sum.pad", map_.nbytes)
-    elif not map_.flags.c_contiguous:
+    if not map_.flags.c_contiguous:
         map_ = np.ascontiguousarray(map_)
         _record(ledger, "window_weighted_sum.copy", map_.nbytes)
     out = np.empty(plan.out, dtype=dt)
@@ -575,14 +562,13 @@ def window_weighted_sum(
         at_input = prod[..., margin : margin + rows.shape[-1]]  # input column c's products at c
         prod[..., :margin] = 0  # the margins, which no product writes
         prod[..., margin + rows.shape[-1] :] = 0
-        for out_rows, prod_rows, kept_rows, reads in plan.bands:
+        for out_rows, prod_rows, kept_rows, taps_cols, in_rows in plan.bands:
             band = out[..., out_rows, :, :]
             acc = 0.0  # the band's sums so far
             for j, src, seen in plan.cols:
-                for g, taps_cols, in_rows in reads:
-                    np.matmul(stack[j, g, prod_rows, taps_cols], rows[..., in_rows, src],
-                              out=at_input[..., prod_rows, src])
-                    acc = np.add(acc, terms[..., kept_rows, seen, :], out=band)
+                np.matmul(stack[j, prod_rows, taps_cols], rows[..., in_rows, src],
+                          out=at_input[..., prod_rows, src])
+                acc = np.add(acc, terms[..., kept_rows, seen, :], out=band)
     if ledger is not None:  # after the adds, so that sizing the event adds nothing to their peak
         ledger.record("window_weighted_sum", wws_peak(shape, k, stride, dt.itemsize) * dt.itemsize)
     return out

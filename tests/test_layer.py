@@ -37,6 +37,7 @@ from qna.tensor import (
     WWS_GEMM_BYTES,
     ShapeError,
     make_rng,
+    offset_bounds,
     release_wws_scratch,
     same_window_slices,
     window_weighted_sum,
@@ -377,8 +378,8 @@ def test_forward_ledger_aggregate_is_k_independent_up_to_kernels():
         diff = (peaks[9, H] - scratch[9, H]) - (peaks[3, H] - scratch[3, H])
         assert 0 <= diff <= kernel_bytes
     # at most kmax rows of products over the 32 x 8-element output rows, k
-    # Toeplitz matrices of at most kmax x kmax (one group of kernel rows at
-    # k <= kmax - 1), and the three ufunc buffers of the adds into a band
+    # Toeplitz matrices of at most kmax x kmax, and the three ufunc buffers
+    # of the adds into a band
     kmax = (WWS_GEMM_BYTES - 1) // 4
     for k in (3, 9):
         assert wws[k, 32] <= (kmax * 32 * 8 + k * kmax * kmax + 3 * np.getbufsize()) * 4
@@ -686,7 +687,8 @@ def test_backward_grad_bundle_names():
 
 
 def _batch_cases():
-    """(cfg, N) over stride 1/2, k 2/3, heads 1/2, L 1/2 and N 1/5."""
+    """(cfg, N) over stride 1/2, k 2/3, heads 1/2, L 1/2 and N 1/5, and at k
+    15, whose f64 window reductions run in one-row bands, over stride 1/2."""
     for stride in (1, 2):
         for k in (2, 3):
             for heads in (1, 2):
@@ -694,6 +696,7 @@ def _batch_cases():
                     for n in (1, 5):
                         yield QnAConfig(k=k, stride=stride, heads=heads, num_queries=L,
                                         dim_in=3, dim_out=4), n
+        yield QnAConfig(k=15, stride=stride, heads=2, num_queries=2, dim_in=3, dim_out=4), 3
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -720,6 +723,31 @@ def test_batched_backward_sums_per_sample_gradients(dtype):
         for name, t in got.items():
             want = sum(p[name] for p in per)
             assert np.max(np.abs(t - want)) <= tol * np.max(np.abs(want)), (cfg, n, name)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_shift_equivariance_in_one_row_bands(stride):
+    # acceptance #6's check at f64 k 15, whose window reductions run in
+    # one-row bands, on a map of several bands: after a cyclic shift by
+    # whole strides, every output whose window stays off the border in both
+    # frames is bitwise the unshifted one
+    H = W = 24
+    cfg = QnAConfig(k=15, stride=stride, heads=2, num_queries=2, dim_in=5, dim_out=8)
+    assert wws_plan((H, W, 1), cfg.k, stride, 8).rows == 1
+    rng = make_rng(33)
+    params = _rand_params(cfg, rng)
+    lo, hi = offset_bounds(cfg.k)
+    x = rng.standard_normal((H, W, cfg.dim_in))
+    y0 = qna_forward(x, cfg, params)
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            di, dj = a * stride, b * stride
+            ys = qna_forward(np.roll(x, (di, dj), axis=(0, 1)), cfg, params)
+            i0, j0 = -(-(di - lo) // stride), -(-(dj - lo) // stride)
+            i1 = j1 = (H - 1 - hi) // stride + 1
+            assert i0 < i1 and j0 < j1
+            got = ys[i0:i1, j0:j1]
+            assert np.array_equal(got, y0[i0 - a : i1 - a, j0 - b : j1 - b]), (stride, di, dj)
 
 
 def test_batched_forward_shifts_each_sample_by_its_own_max():

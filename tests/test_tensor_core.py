@@ -208,7 +208,7 @@ def test_wws_matches_loop(k, stride):
     # a map without channels reduces to an empty output
     got = window_weighted_sum(np.zeros((5, 4, 0)), kernel, stride)
     assert got.shape == (same_output_size(5, stride), same_output_size(4, stride), 0)
-    # one-column, one-channel maps (the padded path) and other narrow ones,
+    # one-column, one-channel maps (in one-row bands) and other narrow ones,
     # whose windows read mostly the band's margins
     for shape in [(5, 1, 1), (1, 1, 1), (4, 2, 1), (3, 5, 2)]:
         narrow = rng.standard_normal(shape)
@@ -233,9 +233,8 @@ def _bands_of(map_, k, stride, rows):
     kernel cuts bands of ``rows`` output rows, or of as many as its
     contraction bound allows if that is fewer. Plans are cached per shape,
     so the cache is cleared on entry and on exit."""
-    plan = tensor.wws_plan(map_.shape, k, stride, map_.itemsize)
-    width = max(map_.shape[-2] * map_.shape[-1], 2)  # the input row width the rule uses
-    macs = rows * ((rows - 1) * stride + plan.group) * width
+    width = map_.shape[-2] * map_.shape[-1]  # the input row width the rule uses
+    macs = rows * ((rows - 1) * stride + k) * width
     tensor.wws_plan.cache_clear()
     try:
         with mock.patch.object(tensor, "WWS_GEMM_MACS", macs):
@@ -295,8 +294,12 @@ def test_wws_row_bands_match_one_band_bitwise(stride, lead, dtype):
     st.integers(1, 6), st.integers(1, 3), st.integers(1, 16), st.sampled_from([np.float32, np.float64]),
 )
 # One band of 16 rows at k = 2 would contract over 17 f64 input rows, past
-# the bound below which the BLAS adds a site's terms in order.
+# the bound below which the BLAS adds a site's terms in order. A 16-row f64
+# kernel runs in one-row bands, each contracting over 16 input rows, and so
+# does a one-column, one-channel map.
 @example(16, 1, 1, (), 2, 1, 16, np.float64)
+@example(20, 7, 2, (2,), 16, 1, 3, np.float64)
+@example(9, 1, 1, (2,), 3, 1, 4, np.float32)
 def test_wws_bands_property(H, W, C, lead, k, stride, rows, dtype):
     # any band size gives the default result bitwise, and the loop's within
     # rounding; the reduction's event is its wws_peak
@@ -330,7 +333,7 @@ def test_wws_one_row_bands_and_one_column_maps(stride, dtype):
     map_ = rng.standard_normal((11, 6, 3)).astype(dtype)
     for k in (2, 3, 5):
         _assert_bands_bitwise(map_, rng.standard_normal((k, k)).astype(dtype), stride, (2, 5))
-    # one column and one channel: every product has one column before padding
+    # one column and one channel: every product is one element wide
     for shape in [(9, 1, 1), (2, 9, 1, 1), (1, 1, 1), (9, 2, 1)]:
         map_ = rng.standard_normal(shape).astype(dtype)
         for k in (1, 2, 3, 5):
@@ -341,15 +344,27 @@ def test_wws_one_row_bands_and_one_column_maps(stride, dtype):
                     whole, np.stack([window_weighted_sum(m, kernel, stride) for m in map_]))
 
 
-def test_wws_f64_k17_splits_kernel_rows():
-    # 17 kernel rows exceed the 15-element f64 contraction: two groups of 9,
-    # each contracting over 7 - 1 + 9 input rows, into a band as wide as an
-    # input row and the window's reach on both sides ((20 + 16) * 2)
+def test_wws_one_row_bands_past_the_contraction_bound():
+    # A kernel whose two-row band would contract over more than 15 f64 or 31
+    # f32 input rows, and a one-column, one-channel map, whose products are
+    # one element wide, get one-row bands: one row of k taps padded to two,
+    # contracting over the k input rows it reaches
     rng = make_rng(60)
     map_ = rng.standard_normal((2, 30, 20, 2))
-    assert tensor.wws_plan(map_.shape, 17, 1, 8)[:4] == (7, 9, (17, 2, 7, 15), (2, 7, 72))
+    for itemsize, ks in ((8, (15, 17)), (4, (31, 33))):
+        for k in ks:
+            for stride in (1, 2):
+                plan = tensor.wws_plan(map_.shape, k, stride, itemsize)
+                assert (plan.rows, plan.stack) == (1, (k, 2, k)), (itemsize, k, stride)
+    column = rng.standard_normal((2, 30, 1, 1))
+    for k in (1, 3, 17):
+        for stride in (1, 2):
+            for itemsize in (4, 8):
+                plan = tensor.wws_plan(column.shape, k, stride, itemsize)
+                assert (plan.rows, plan.stack) == (1, (k, 2, k)), (k, stride, itemsize)
     for stride in (1, 2):
         _assert_bands_bitwise(map_, rng.standard_normal((17, 17)), stride, (1, 3, 7))
+        _assert_bands_bitwise(column, rng.standard_normal((3, 3)), stride, (1, 3, 7))
 
 
 def _assert_shift_equivariant(z, kernel, stride, d, e, H, W):
@@ -430,10 +445,10 @@ def test_wws_ledger_is_one_band_of_scratch():
                             np.ones((k, k), dtype=np.float32), 1, ledger)
         assert ledger.events == [("window_weighted_sum.copy", 100 * 1600 * 4),
                                  ("window_weighted_sum", want)], k
-    # so is the zero column a one-column, one-channel map gets
+    # a one-column, one-channel map is reduced in place, in one-row bands
     ledger = AllocationLedger()
     window_weighted_sum(np.ones((9, 1, 1)), np.ones((3, 3)), 1, ledger)
-    assert ledger.events[0] == ("window_weighted_sum.pad", 9 * 2 * 8)
+    assert ledger.events == [("window_weighted_sum", tensor.wws_peak((9, 1, 1), 3, 1, 8) * 8)]
     # a batch of maps that span several bands adds into a strided band, and
     # numpy still buffers only the product view, five rows of one map at a
     # time
@@ -581,9 +596,10 @@ def _fma_chain(a, b, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_blas_adds_toeplitz_rows_in_order(dtype):
     # The property window_weighted_sum's bitwise contracts rest on. Its band
-    # rule issues products with M and N of at least two, K * itemsize below
-    # WWS_GEMM_BYTES, strided operands, and at most WWS_GEMM_MACS
-    # multiply-adds, or two rows (a padded one-row band) of any width. Each
+    # rule issues products of bands of two or more rows with K * itemsize
+    # below WWS_GEMM_BYTES, N of at least two, strided operands, and at most
+    # WWS_GEMM_MACS multiply-adds; a one-row band's product (padded to two
+    # rows, of any K and N) holds its taps at one place in every band. Each
     # output of a row holding one run of taps must be the in-order fused
     # multiply-add chain of the run, whatever the run's offset in K, the row,
     # M and N. (Above WWS_GEMM_MACS this BLAS switches kernels, and there the
